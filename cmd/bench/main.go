@@ -69,6 +69,7 @@ import (
 	"time"
 
 	"rankjoin"
+	"rankjoin/internal/core"
 	"rankjoin/internal/flow"
 	"rankjoin/internal/obs"
 	"rankjoin/internal/rankings"
@@ -420,6 +421,9 @@ func joinOpts(algo rankjoin.Algorithm, theta float64) rankjoin.Options {
 	opts := rankjoin.Options{Algorithm: algo, Theta: theta}
 	if algo == rankjoin.AlgCLP {
 		opts.ThetaC = clpThetaC
+		// δ is left to the join; Stats carries what it planned and the
+		// posting lists it then saw into the row (see joinBench).
+		opts.Stats = true
 	}
 	return opts
 }
@@ -428,6 +432,7 @@ func joinBench(algo rankjoin.Algorithm, rs []*rankings.Ranking, theta float64) r
 	var snap flow.MetricsSnapshot
 	var filters rankjoin.FilterStats
 	var pairs int
+	var cl *core.Stats
 	br := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := rankjoin.Join(rs, joinOpts(algo, theta))
@@ -437,6 +442,7 @@ func joinBench(algo rankjoin.Algorithm, rs []*rankings.Ranking, theta float64) r
 			pairs = len(res.Pairs)
 			snap = res.Engine
 			filters = res.Filters
+			cl = res.CL
 		}
 	})
 	m := map[string]float64{
@@ -449,6 +455,15 @@ func joinBench(algo rankjoin.Algorithm, rs []*rankings.Ranking, theta float64) r
 	}
 	for name, d := range snap.Stages {
 		m["stage:"+name+"_ns"] = float64(d.Nanoseconds())
+	}
+	if cl != nil && cl.Delta > 0 {
+		// Planned against observed: eq4_predicted_len minus
+		// observed_mean_len is Equation 4's model error on this input.
+		mean, longest := cl.ObservedListLen()
+		m["delta"] = float64(cl.Delta)
+		m["eq4_predicted_len"] = cl.PredictedListLen
+		m["observed_mean_len"] = mean
+		m["observed_max_len"] = float64(longest)
 	}
 	addFilterMetrics(m, filters)
 	for name, h := range snap.Histograms {

@@ -6,29 +6,15 @@ import (
 	"rankjoin/internal/stats"
 )
 
-// suggestDelta derives a repartitioning threshold δ for CL-P from the
-// dataset statistics via the paper's Equation 4: the expected
-// posting-list length under the fitted Zipf skew of the prefix
-// vocabulary, scaled up so only genuinely skew-inflated lists split.
-// The caller must have validated the dataset uniform-length (the
-// prefix size computed from rs[0].K() is meaningless otherwise).
-func suggestDelta(rs []*Ranking, theta float64) int {
-	if len(rs) == 0 {
-		return 16
-	}
-	k := rs[0].K()
-	maxDist := rankings.Threshold(theta, k)
-	prefix := filters.PrefixOverlap(maxDist, k)
-	counts := rankings.ItemCounts(rs)
-	ord := rankings.NewOrder(counts)
-	vPrime := stats.PrefixVocabulary(rs, ord, prefix)
-	skew := stats.EstimateSkew(counts)
-	return stats.SuggestDelta(len(rs)*prefix, skew, vPrime)
-}
-
 // SuggestDelta exposes the Equation 4 guidance for choosing the CL-P
-// partitioning threshold δ for a dataset and join threshold. The
-// dataset must be uniform-length (ErrMixedLengths otherwise): the
+// partitioning threshold δ for a dataset and join threshold: the
+// expected posting-list length under the fitted Zipf skew of the prefix
+// vocabulary, scaled up so only genuinely skew-inflated lists split.
+// It runs the planner an auto-δ CL-P join runs inside its ordering
+// phase (stats.PlanDelta), on the same counts and order, so it returns
+// exactly the δ such a join uses.
+//
+// The dataset must be uniform-length (ErrMixedLengths otherwise): the
 // estimate keys off the prefix size for rs[0]'s k, and a mixed-length
 // dataset would silently produce a nonsense δ for every other length.
 // Theta must lie in [0, 1] (ErrThetaRange).
@@ -39,5 +25,12 @@ func SuggestDelta(rs []*Ranking, theta float64) (int, error) {
 	if err := checkUniform(rs); err != nil {
 		return 0, err
 	}
-	return suggestDelta(rs, theta), nil
+	k := 0
+	if len(rs) > 0 {
+		k = rs[0].K()
+	}
+	counts := rankings.ItemCounts(rs)
+	prefix := filters.PrefixOverlap(rankings.Threshold(theta, k), k)
+	delta, _ := stats.PlanDelta(rs, counts, rankings.NewOrder(counts), prefix)
+	return delta, nil
 }

@@ -61,6 +61,34 @@ func (e *memExchanger) Alltoall(id int64, outbound [][]byte) ([][]byte, error) {
 
 var _ flow.Exchanger = (*memExchanger)(nil)
 
+// spmdJoin runs the identical join on every worker of an in-process
+// world and returns each worker's result.
+func spmdJoin(t *testing.T, world int, rs []*rankjoin.Ranking, opts rankjoin.Options) []*rankjoin.Result {
+	t.Helper()
+	mw := newMemWorld(world)
+	results := make([]*rankjoin.Result, world)
+	errs := make([]error, world)
+	var wg sync.WaitGroup
+	for w := 0; w < world; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			eng := rankjoin.NewEngine(rankjoin.EngineConfig{
+				Workers:  2,
+				Exchange: &memExchanger{world: mw, self: w},
+			})
+			results[w], errs[w] = eng.Join(rs, opts)
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	return results
+}
+
 func TestDistributedJoinIdenticalAcrossAllAlgorithms(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	rs := testutil.ClusteredDataset(rng, 12, 14, 7, 400)
@@ -76,33 +104,39 @@ func TestDistributedJoinIdenticalAcrossAllAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("single-node join: %v", err)
 			}
-
-			const world = 3
-			mw := newMemWorld(world)
-			results := make([]*rankjoin.Result, world)
-			errs := make([]error, world)
-			var wg sync.WaitGroup
-			for w := 0; w < world; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					eng := rankjoin.NewEngine(rankjoin.EngineConfig{
-						Workers:  2,
-						Exchange: &memExchanger{world: mw, self: w},
-					})
-					results[w], errs[w] = eng.Join(rs, opts)
-				}(w)
-			}
-			wg.Wait()
-			for w := 0; w < world; w++ {
-				if errs[w] != nil {
-					t.Fatalf("worker %d: %v", w, errs[w])
-				}
-				if !reflect.DeepEqual(results[w].Pairs, single.Pairs) {
+			for w, res := range spmdJoin(t, 3, rs, opts) {
+				if !reflect.DeepEqual(res.Pairs, single.Pairs) {
 					t.Fatalf("worker %d: %d pairs != single-node %d pairs",
-						w, len(results[w].Pairs), len(single.Pairs))
+						w, len(res.Pairs), len(single.Pairs))
 				}
 			}
 		})
+	}
+}
+
+// TestDistributedAutoDeltaAgrees: with δ left to the join, every SPMD
+// worker plans it from the all-gathered ordering counts — each must
+// arrive at the δ SuggestDelta computes from the whole dataset, or the
+// workers would build different dataflow graphs.
+func TestDistributedAutoDeltaAgrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	rs := testutil.ClusteredDataset(rng, 40, 6, 7, 60)
+	opts := rankjoin.Options{Algorithm: rankjoin.AlgCLP, Theta: 0.3, Partitions: 5, Stats: true}
+	want, err := rankjoin.SuggestDelta(rs, opts.Theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := rankjoin.NewEngine(rankjoin.EngineConfig{Workers: 2}).Join(rs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, res := range spmdJoin(t, 3, rs, opts) {
+		if res.CL.Delta != want || res.CL.PredictedListLen != single.CL.PredictedListLen {
+			t.Errorf("worker %d planned %s; SuggestDelta says δ=%d, single node %s",
+				w, res.CL.DeltaReport(), want, single.CL.DeltaReport())
+		}
+		if !reflect.DeepEqual(res.Pairs, single.Pairs) {
+			t.Errorf("worker %d: %d pairs != single-node %d pairs", w, len(res.Pairs), len(single.Pairs))
+		}
 	}
 }

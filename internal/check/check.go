@@ -8,7 +8,8 @@
 // (Zipf skew, near-duplicate clusters, disjoint domains, boundary
 // thresholds landing exactly on integer Footrule distances) is pushed
 // through every join path — the brute-force oracle, VJ, VJ-NL, CL,
-// CL-P with δ forced low enough to exercise repartitioning, FS-Join,
+// CL-P with δ forced low enough to exercise repartitioning and again
+// with δ left to the join's own Equation 4 planner, FS-Join,
 // V-SMART, the R-S join, and the sharded dynamic index after
 // upsert/delete churn — and the result sets are diffed pair by pair.
 // On top of set equality the harness checks metamorphic properties:
@@ -35,20 +36,21 @@ import (
 // Execution paths the harness certifies. PathBrute is the oracle and
 // always runs; disabling it disables the self-join diffs.
 const (
-	PathBrute  = "brute"
-	PathVJ     = "vj"
-	PathVJNL   = "vjnl"
-	PathCL     = "cl"
-	PathCLP    = "clp"
-	PathFSJoin = "fsjoin"
-	PathVSMART = "vsmart"
-	PathJoinRS = "joinrs"
-	PathShard  = "shard"
+	PathBrute   = "brute"
+	PathVJ      = "vj"
+	PathVJNL    = "vjnl"
+	PathCL      = "cl"
+	PathCLP     = "clp"
+	PathCLPAuto = "clpauto" // CL-P with Delta 0: the join plans δ itself
+	PathFSJoin  = "fsjoin"
+	PathVSMART  = "vsmart"
+	PathJoinRS  = "joinrs"
+	PathShard   = "shard"
 )
 
 // AllPaths lists every execution path in reporting order.
 var AllPaths = []string{
-	PathBrute, PathVJ, PathVJNL, PathCL, PathCLP,
+	PathBrute, PathVJ, PathVJNL, PathCL, PathCLP, PathCLPAuto,
 	PathFSJoin, PathVSMART, PathJoinRS, PathShard,
 }
 
@@ -134,7 +136,9 @@ func RunTrial(p Params, rs []*rankings.Ranking, enabled func(path string) bool) 
 
 // selfJoinPaths maps path names to algorithm requests. ClusterJoin is
 // deliberately absent: its anchor sampling is seeded internally and it
-// is covered by its own package tests.
+// is covered by its own package tests. PathCLPAuto is not listed: the
+// metamorphic runner draws from this table by index, and a new row
+// would reshuffle what every existing seed draws.
 var selfJoinPaths = []struct {
 	path string
 	alg  rankjoin.Algorithm
@@ -163,22 +167,39 @@ func (p Params) options(alg rankjoin.Algorithm) rankjoin.Options {
 // runSelfJoins diffs every enabled self-join algorithm against the
 // oracle pair set, pair by pair (ids and distances).
 func runSelfJoins(c *collector, p Params, rs []*rankings.Ranking, eng *rankjoin.Engine, oracle []rankings.Pair) {
-	for _, sj := range selfJoinPaths {
-		if !c.on(sj.path) {
-			continue
-		}
-		res, err := eng.Join(rs, p.options(sj.alg))
+	diff := func(path string, opts rankjoin.Options) *rankjoin.Result {
+		res, err := eng.Join(rs, opts)
 		if err != nil {
-			c.report(sj.path, KindError, "%v", err)
-			continue
+			c.report(path, KindError, "%v", err)
+			return nil
 		}
-		if res.Algorithm != sj.alg {
-			c.report(sj.path, KindContract, "requested %v, result labeled %v", sj.alg, res.Algorithm)
+		if res.Algorithm != opts.Algorithm {
+			c.report(path, KindContract, "requested %v, result labeled %v", opts.Algorithm, res.Algorithm)
 		}
 		if !rankings.SamePairs(res.Pairs, oracle) {
-			c.report(sj.path, KindPairs, "%s", diffDetail(res.Pairs, oracle))
+			c.report(path, KindPairs, "%s", diffDetail(res.Pairs, oracle))
 		}
-		checkConservation(c, sj.path, res)
+		checkConservation(c, path, res)
+		return res
+	}
+	for _, sj := range selfJoinPaths {
+		if c.on(sj.path) {
+			diff(sj.path, p.options(sj.alg))
+		}
+	}
+	if c.on(PathCLPAuto) {
+		// δ left to the join: it must run with exactly the δ the public
+		// SuggestDelta reports for this dataset.
+		opts := p.options(rankjoin.AlgCLP)
+		opts.Delta, opts.Stats = 0, true
+		if res := diff(PathCLPAuto, opts); res != nil {
+			want, err := rankjoin.SuggestDelta(rs, p.Theta)
+			if err != nil {
+				c.report(PathCLPAuto, KindError, "SuggestDelta: %v", err)
+			} else if res.CL.Delta != want {
+				c.report(PathCLPAuto, KindContract, "join planned δ=%d, SuggestDelta says %d", res.CL.Delta, want)
+			}
+		}
 	}
 }
 

@@ -326,6 +326,40 @@ func TestDistributedJoinIdenticalOn50Seeds(t *testing.T) {
 				seed, opts.Algorithm, len(got.Pairs), len(want.Pairs),
 				fmt.Sprintf("got %v\nwant %v", clip(got.Pairs), clip(want.Pairs)))
 		}
+
+		// The same seed as CL-P with δ left to the join: every peer
+		// plans δ for itself from the all-gathered ordering counts, and
+		// every peer must plan what SuggestDelta computes from the whole
+		// dataset — the coordinator's pairs alone would not show a
+		// follower that planned differently and happened to split nothing.
+		auto := rankjoin.Options{
+			Algorithm: rankjoin.AlgCLP, Theta: p.Theta, ThetaC: p.ThetaC,
+			Partitions: p.Partitions, Stats: true,
+		}
+		wantDelta, err := rankjoin.SuggestDelta(rs, p.Theta)
+		if err != nil {
+			t.Fatalf("seed %d: SuggestDelta: %v", seed, err)
+		}
+		got, err = f.Peers[0].Cluster.DistributedJoin(context.Background(), rs, auto)
+		if err != nil {
+			t.Fatalf("seed %d: auto-δ distributed join: %v", seed, err)
+		}
+		if !rankings.SamePairs(got.Pairs, want.Pairs) {
+			t.Fatalf("seed %d: auto-δ CL-P pairs differ from single-node %s pairs\ngot %v\nwant %v",
+				seed, opts.Algorithm, clip(got.Pairs), clip(want.Pairs))
+		}
+		for i, peer := range f.Peers {
+			res, err := peer.Cluster.LastJobResult()
+			if err != nil {
+				t.Fatalf("seed %d: peer %d: %v", seed, i, err)
+			}
+			if res.CL.Delta != wantDelta {
+				t.Fatalf("seed %d: peer %d planned δ=%d, SuggestDelta says %d", seed, i, res.CL.Delta, wantDelta)
+			}
+			if !reflect.DeepEqual(res.Pairs, got.Pairs) {
+				t.Fatalf("seed %d: peer %d holds %d pairs, coordinator %d", seed, i, len(res.Pairs), len(got.Pairs))
+			}
+		}
 	}
 }
 

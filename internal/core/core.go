@@ -2,13 +2,20 @@ package core
 
 import (
 	"fmt"
-	"rankjoin/internal/filters"
 	"time"
 
+	"rankjoin/internal/filters"
 	"rankjoin/internal/flow"
 	"rankjoin/internal/rankings"
+	"rankjoin/internal/stats"
 	"rankjoin/internal/vj"
 )
+
+// AutoDelta as Options.Delta (any negative value does the same) makes
+// the join CL-P with δ planned by the ordering phase — stats.PlanDelta
+// over the item counts it just gathered — instead of supplied by the
+// caller.
+const AutoDelta = -1
 
 // Options configures a CL / CL-P join.
 type Options struct {
@@ -26,7 +33,8 @@ type Options struct {
 	Variant vj.Variant
 	// Delta is the §6 repartitioning threshold δ applied to the
 	// centroid-joining phase. Zero disables repartitioning: the
-	// algorithm is then plain CL; a positive value makes it CL-P.
+	// algorithm is then plain CL; a positive value makes it CL-P;
+	// AutoDelta makes it CL-P with a planned δ.
 	Delta int
 	// ClusterDelta optionally applies repartitioning to the
 	// clustering-phase posting lists as well (rarely needed: θc is
@@ -85,9 +93,10 @@ type Member struct {
 	Dist int
 }
 
-// Join runs the full CL (or CL-P when Delta > 0) pipeline of Figure 2:
+// Join runs the full CL (or CL-P when Delta != 0) pipeline of Figure 2:
 //
-//	Ordering   — one global frequency ordering, computed once;
+//	Ordering   — one global frequency ordering, computed once (and,
+//	             for AutoDelta, δ planned from the same counts);
 //	Clustering — a VJ run at θc; pairs grouped by their smaller id form
 //	             equal-radius clusters (centroid = smaller id);
 //	Joining    — a VJ-style run over C = Cm ∪ Cs at θ+2θc, tightened
@@ -135,9 +144,22 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	// the success path (End is idempotent): an error return mid-phase
 	// must not leak an open scope, or obs.Validate rejects the trace.
 	defer orderSpan.End()
-	ord, err := vj.ComputeOrder(ds, opts.Partitions)
+	ord, counts, err := vj.ComputeOrder(ds, opts.Partitions)
 	if err != nil {
 		return nil, err
+	}
+	if opts.Delta < 0 {
+		// The counts were all-gathered, so every SPMD worker plans the
+		// identical δ. The prefix is the one for θ, as SuggestDelta
+		// documents, not the joining phase's looser θ+2θc prefixes.
+		var predicted float64
+		opts.Delta, predicted = stats.PlanDelta(rs, counts, ord, filters.PrefixOverlap(t.f, k))
+		if opts.Stats != nil {
+			opts.Stats.PredictedListLen = predicted
+		}
+	}
+	if opts.Stats != nil {
+		opts.Stats.Delta = opts.Delta
 	}
 	orderSpan.End()
 	ctx.ObserveStage("cl/ordering", time.Since(phaseStart))

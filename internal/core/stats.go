@@ -39,6 +39,15 @@ type Stats struct {
 	CentroidPairs int64 // |Rj|
 	Results       int64
 
+	// δ planning, for CL-P runs (driver-written; zero for plain CL).
+	// Delta is the threshold the joining phase ran with.
+	// PredictedListLen is Equation 4's expected posting-list length
+	// when the ordering phase planned δ (AutoDelta); it stays zero when
+	// the caller supplied δ. Compare it with ObservedListLen for the
+	// model error.
+	Delta            int
+	PredictedListLen float64
+
 	// Phase wall-clock durations (driver-written).
 	OrderingTime   time.Duration
 	ClusteringTime time.Duration
@@ -56,6 +65,30 @@ func (s *Stats) addJoinKernel(k kernelStats) {
 	s.JoinResults.Add(k.results)
 }
 
+// ObservedListLen returns the mean and the maximum length of the
+// joining-phase posting lists — what δ was applied to. On an SPMD
+// worker these cover the partitions that worker owns.
+func (s *Stats) ObservedListLen() (mean float64, longest int64) {
+	if s == nil {
+		return 0, 0
+	}
+	if g := s.Joining.Groups.Load(); g > 0 {
+		mean = float64(s.Joining.GroupRecords.Load()) / float64(g)
+	}
+	return mean, s.Joining.LargestGroup.Load()
+}
+
+// DeltaReport renders planned δ against observed posting lists as the
+// key=value line cmd/bench's CL-P row and cmd/experiments share.
+func (s *Stats) DeltaReport() string {
+	if s == nil {
+		return "<nil stats>"
+	}
+	mean, longest := s.ObservedListLen()
+	return fmt.Sprintf("delta=%d eq4_predicted_len=%.1f observed_mean_len=%.2f observed_max_len=%d",
+		s.Delta, s.PredictedListLen, mean, longest)
+}
+
 // TotalTime sums the phase durations.
 func (s *Stats) TotalTime() time.Duration {
 	if s == nil {
@@ -68,7 +101,7 @@ func (s *Stats) String() string {
 	if s == nil {
 		return "<nil stats>"
 	}
-	return fmt.Sprintf(
+	out := fmt.Sprintf(
 		"clusterPairs=%d clusters=%d singletons=%d centroidPairs=%d results=%d "+
 			"joinCand=%d joinPruned=%d joinVer=%d expCand=%d expPruned=%d expAccepted=%d expVer=%d "+
 			"times[order=%v cluster=%v join=%v expand=%v]",
@@ -76,4 +109,8 @@ func (s *Stats) String() string {
 		s.JoinCandidates.Load(), s.JoinPruned.Load(), s.JoinVerified.Load(),
 		s.ExpandCandidates.Load(), s.ExpandPruned.Load(), s.ExpandAccepted.Load(), s.ExpandVerified.Load(),
 		s.OrderingTime, s.ClusteringTime, s.JoiningTime, s.ExpansionTime)
+	if s.Delta > 0 {
+		out += " " + s.DeltaReport()
+	}
+	return out
 }

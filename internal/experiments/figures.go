@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"rankjoin/internal/core"
 	"rankjoin/internal/dataset"
 )
 
@@ -141,7 +142,9 @@ func Figure9(p Params, prof dataset.Profile, scale int, name string) (*Table, er
 // Figure10 reproduces one panel of Figure 10: CL-P wall time as the
 // partitioning threshold δ varies, for two θ values. δ is swept as
 // fractions of the dataset size (the paper's absolute ranges scale with
-// its datasets).
+// its datasets). A last row leaves δ to the join's Equation 4 planner;
+// the notes report, per θ, what it planned against the posting lists
+// the joining phase then built.
 func Figure10(p Params, prof dataset.Profile, scale int, thetas []float64, name string) (*Table, error) {
 	w, err := MakeWorkload(p, prof, 10, scale)
 	if err != nil {
@@ -171,6 +174,16 @@ func Figure10(p Params, prof dataset.Profile, scale int, thetas []float64, name 
 		}
 		t.AddRow(row...)
 	}
+	auto := []string{"auto"}
+	for _, th := range thetas {
+		m, err := Measure(p, w, RunConfig{Algo: AlgoCLP, Theta: th, Delta: core.AutoDelta})
+		if err != nil {
+			return nil, err
+		}
+		auto = append(auto, fmtDur(m.Wall))
+		t.AddNote("auto δ at θ=%.1f: %s", th, m.CLStats.DeltaReport())
+	}
+	t.AddRow(auto...)
 	return t, nil
 }
 

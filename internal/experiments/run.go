@@ -123,7 +123,7 @@ type RunConfig struct {
 	Algo       Algo
 	Theta      float64
 	ThetaC     float64 // 0 = paper default 0.03
-	Delta      int     // CL-P / repartitioning threshold
+	Delta      int     // CL-P repartitioning threshold: 0 = defaultDelta, core.AutoDelta = planned by the join
 	Workers    int
 	Partitions int
 	// Tracer records this cell's spans when non-nil (Measure inherits
@@ -189,7 +189,7 @@ func Run(w Workload, cfg RunConfig) (Measurement, error) {
 		delta := 0
 		if cfg.Algo == AlgoCLP {
 			delta = cfg.Delta
-			if delta <= 0 {
+			if delta == 0 {
 				delta = defaultDelta(w)
 			}
 		}

@@ -14,6 +14,7 @@ import (
 // the shard needs, so a steady-state sweep allocates nothing. Buffers
 // grow to their high-water mark once and are reused afterwards.
 type shardOut struct {
+	size      int        // entries the sweep saw, for its trace span
 	neighbors []Neighbor // all hits of the sweep, flat
 	segs      []int32    // per-query [start,end) pairs into neighbors (2 per query)
 	delta     obs.FilterDelta
@@ -50,10 +51,12 @@ type Batch struct {
 	qpop []uint8
 
 	// twoPhase is set per call when the batch contains kNN queries: the
-	// shard goroutines then pause on wg2 after their phase-1 sweep
-	// (holding their shard's RLock) until the main goroutine has merged
-	// the per-shard probes into the global cutoffs gb, and finish with
-	// phase 2. Range-only batches complete in phase 1 alone.
+	// dispatching goroutine then takes every shard's RLock (in ascending
+	// shard order) before the fan-out, the shard goroutines pause on wg2
+	// after their phase-1 sweep (the locks still held) until the main
+	// goroutine has merged the per-shard probes into the global cutoffs
+	// gb, and finish with phase 2, which releases each lock. Range-only
+	// batches complete in phase 1 alone, locking per shard in the worker.
 	twoPhase bool
 	gb       []int      // per-query global kNN distance cutoff
 	pscratch []Neighbor // probe-merge scratch, one query at a time
@@ -100,8 +103,12 @@ func (b *Batch) runShard(i int) {
 	s := b.x.shards[i]
 	so := &b.so[i]
 	if b.span != nil {
-		t := b.span.StartTask(b.x.spanNames[i], obs.Int("size", int64(s.Len()))) //ranklint:ignore sampled-trace branch; the zero-alloc contract covers the span==nil path
+		// The size comes from the sweep, not s.Len(): under twoPhase this
+		// Batch already holds s.mu.RLock, and a second RLock behind a
+		// queued writer would never be granted.
+		t := b.span.StartTask(b.x.spanNames[i]) //ranklint:ignore sampled-trace branch; the zero-alloc contract covers the span==nil path
 		s.sweepPhase1(b.qs, b.qsig, b.qpop, so, b.twoPhase)
+		t.SetInt("size", int64(so.size))           //ranklint:ignore sampled-trace branch
 		t.SetInt("hits", int64(len(so.neighbors))) //ranklint:ignore sampled-trace branch
 		t.End()                                    //ranklint:ignore sampled-trace branch
 	} else {
@@ -194,6 +201,16 @@ func (b *Batch) SearchBatchInto(qs []Query, span *obs.Span) ([][]Neighbor, error
 	if hasKNN {
 		b.wg2.Add(1)
 		b.wg3.Add(len(b.funcs))
+		// A two-phase sweep holds every shard's RLock across the
+		// global-bound barrier. Acquired concurrently by the shard
+		// goroutines, two Batches could each hold one shard and wait
+		// for the other's behind a queued writer (a waiting writer
+		// blocks new readers) — a cycle. One goroutine taking them in
+		// ascending shard order makes the hold-and-wait acyclic;
+		// sweepPhase2 releases each.
+		for _, s := range b.x.shards {
+			s.mu.RLock()
+		}
 	}
 	for _, f := range b.funcs {
 		go f()

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
+	"rankjoin/internal/obs"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/testutil"
 )
@@ -156,4 +158,92 @@ func sameIDSet(a, b []*rankings.Ranking) bool {
 		}
 	}
 	return true
+}
+
+// TestTwoPhaseSweepsDoNotDeadlockWriters is the regression test for a
+// lock-order cycle: a kNN sweep holds every shard's read lock across
+// its global-bound barrier, so when each Batch's shard goroutines took
+// those locks concurrently, two Batches could each hold one shard and
+// wait for the other's behind a queued writer (sync.RWMutex parks new
+// readers behind a waiting writer). kNN readers on separate Batches —
+// private arenas, the pooled Index entry points and a traced sweep,
+// whose span must not re-lock a shard the sweep already holds — run
+// beside one writer per shard; a hang fails the test at a deadline
+// instead of stalling the package.
+func TestTwoPhaseSweepsDoNotDeadlockWriters(t *testing.T) {
+	const (
+		shards = 2
+		ops    = 3000
+		k      = 8
+		domain = 100
+	)
+	x := New(Config{Shards: shards, PivotsPerShard: 2, Seed: 5})
+	for _, r := range testutil.RandDataset(rand.New(rand.NewSource(31)), 64, k, domain) {
+		if err := x.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	run := func(seed int64, op func(rng *rand.Rand) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < ops; i++ {
+				if err := op(rng); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	// One writer per shard, each churning ids that shard owns.
+	for w := 0; w < shards; w++ {
+		var ids []int64
+		for id := int64(1000); len(ids) < 16; id++ {
+			if x.ShardOf(id) == w {
+				ids = append(ids, id)
+			}
+		}
+		run(int64(100+w), func(rng *rand.Rand) error {
+			id := ids[rng.Intn(len(ids))]
+			if rng.Intn(3) == 0 {
+				_, err := x.Delete(id)
+				return err
+			}
+			return x.Insert(testutil.RandRanking(rng, id, k, domain))
+		})
+	}
+	for rdr := 0; rdr < 2; rdr++ {
+		b := x.NewBatch()
+		run(int64(200+rdr), func(rng *rand.Rand) error {
+			_, err := b.KNNInto(testutil.RandRanking(rng, -1, k, domain), 3, NoExclude)
+			return err
+		})
+	}
+	run(300, func(rng *rand.Rand) error {
+		_, err := x.KNN(testutil.RandRanking(rng, -1, k, domain), 3, NoExclude)
+		return err
+	})
+	root := obs.NewTracer().StartScope("test")
+	defer root.End()
+	run(301, func(rng *rand.Rand) error {
+		_, err := x.SearchBatch([]Query{
+			{R: testutil.RandRanking(rng, -1, k, domain), KNN: 2, Exclude: NoExclude},
+			{R: testutil.RandRanking(rng, -2, k, domain), MaxDist: rankings.Threshold(0.3, k), Exclude: NoExclude},
+		}, root)
+		return err
+	})
+
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("kNN sweeps and writers deadlocked: not finished after 30s")
+	}
 }

@@ -553,12 +553,16 @@ func (s *Shard) rePivot() {
 // verify just the top-q.KNN candidates by overlap bound, whose
 // distances the Batch merges across shards into a global kNN cutoff.
 //
-// With twoPhase set the shard RLock is STILL HELD when sweepPhase1
-// returns — the caller must follow up with sweepPhase2, which finishes
-// the kNN queries against the global bounds and releases the lock.
-// Holding the lock across the barrier is what lets phase 2 trust the
-// overlap-bound matrix and candidate indexes computed here. Without
-// twoPhase (range-only batches) the lock is released before returning.
+// With twoPhase set the CALLER already holds the shard RLock — the
+// Batch takes all shards' locks in ascending order on its dispatching
+// goroutine, since taking them concurrently here could deadlock two
+// Batches against queued writers — and it is STILL HELD when
+// sweepPhase1 returns: the caller must follow up with sweepPhase2,
+// which finishes the kNN queries against the global bounds and
+// releases the lock. Holding the lock across the barrier is what lets
+// phase 2 trust the overlap-bound matrix and candidate indexes computed
+// here. Without twoPhase (range-only batches) sweepPhase1 takes the
+// lock itself and releases it before returning.
 //
 // qsigs/qpops carry the queries' signatures (parallel to qs). The
 // caller must hand so in with so.delta zeroed; hits are appended to
@@ -572,10 +576,13 @@ func (s *Shard) rePivot() {
 //
 //ranklint:allocfree
 func (s *Shard) sweepPhase1(qs []Query, qsigs []rankings.Sig, qpops []uint8, so *shardOut, twoPhase bool) {
-	s.mu.RLock()
+	if !twoPhase {
+		s.mu.RLock()
+	}
 	n := len(s.entries)
 	B := len(qs)
 	P := len(s.pivots)
+	so.size = n
 	so.segs = growCap(so.segs, 2*B)[:2*B]
 	for i := range so.segs {
 		so.segs[i] = 0
@@ -661,7 +668,7 @@ func (s *Shard) sweepPhase1(qs []Query, qsigs []rankings.Sig, qpops []uint8, so 
 		}
 	}
 	if twoPhase {
-		return // still holding s.mu.RLock; sweepPhase2 releases it
+		return // the caller's s.mu.RLock stays held; sweepPhase2 releases it
 	}
 	s.mu.RUnlock()
 	d := &so.delta
@@ -670,8 +677,8 @@ func (s *Shard) sweepPhase1(qs []Query, qsigs []rankings.Sig, qpops []uint8, so 
 	}
 }
 
-// sweepPhase2 finishes a two-phase sweep: with the RLock still held
-// from sweepPhase1 it answers every kNN query with the global distance
+// sweepPhase2 finishes a two-phase sweep: with the RLock the Batch took
+// before sweepPhase1 still held, it answers every kNN query with the global distance
 // cutoff gb[qi] the Batch derived from all shards' probes, then
 // releases the lock. gb is admissible — at least q.KNN indexed
 // rankings were verified at or below it — so a candidate whose

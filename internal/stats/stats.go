@@ -5,7 +5,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"rankjoin/internal/rankings"
@@ -38,13 +40,20 @@ func harmonic(v int, s float64) float64 {
 // items appearing in prefixes, and s the Zipf skew. It estimates the
 // average length of a prefix-index posting list, the quantity the
 // partitioning threshold δ should be calibrated against.
+//
+// H(v', s) does not depend on i and is computed once: calling ZipfPMF
+// per term would recompute it and make the sum O(v'²) math.Pow calls,
+// seconds on the auto-δ join's critical path at v' ≈ 10⁵. Each term is
+// the ZipfPMF expression, so the result is bit-identical to summing
+// n · ZipfPMF(i, s, v')².
 func ExpectedPostingListLength(n int, s float64, vPrime int) float64 {
 	if n <= 0 || vPrime <= 0 {
 		return 0
 	}
+	h := harmonic(vPrime, s)
 	sum := 0.0
 	for i := 1; i <= vPrime; i++ {
-		f := ZipfPMF(i, s, vPrime)
+		f := math.Pow(float64(i), -s) / h
 		sum += float64(n) * f * f
 	}
 	return sum
@@ -56,12 +65,26 @@ func ExpectedPostingListLength(n int, s float64, vPrime int) float64 {
 // against very small δ). prefixTokens is the total number of emitted
 // prefix tokens (n · prefix size).
 func SuggestDelta(prefixTokens int, s float64, vPrime int) int {
-	est := ExpectedPostingListLength(prefixTokens, s, vPrime)
-	delta := int(4 * est)
-	if delta < 16 {
-		delta = 16
-	}
-	return delta
+	return deltaFor(ExpectedPostingListLength(prefixTokens, s, vPrime))
+}
+
+// deltaFor scales an Equation 4 estimate to a threshold, floored at 16.
+func deltaFor(est float64) int {
+	return max(int(4*est), 16)
+}
+
+// PlanDelta derives the CL-P partitioning threshold for a dataset from
+// its item frequency counts, the canonical order built from them and
+// the prefix size of the join threshold: Equation 4 under the fitted
+// skew over the prefix vocabulary, scaled as in SuggestDelta. It is
+// the one planner behind both the public SuggestDelta and the auto-δ
+// CL-P join, which calls it with the counts and order its ordering
+// phase already holds. The Equation 4 estimate is returned with δ so a
+// run can report the prediction next to the lists it actually built.
+func PlanDelta(rs []*rankings.Ranking, counts map[rankings.Item]int64, ord *rankings.Order, prefix int) (delta int, predictedLen float64) {
+	vPrime := PrefixVocabulary(rs, ord, prefix)
+	predictedLen = ExpectedPostingListLength(len(rs)*prefix, EstimateSkew(counts), vPrime)
+	return deltaFor(predictedLen), predictedLen
 }
 
 // EstimateSkew fits a Zipf skew parameter to observed item frequencies
@@ -98,12 +121,24 @@ func EstimateSkew(counts map[rankings.Item]int64) float64 {
 
 // PrefixVocabulary counts the distinct items that appear within the
 // first p canonical positions of the dataset's rankings — the v' of
-// Equation 4.
+// Equation 4. It sits on the auto-δ join's critical path, so it ranks
+// each item once and sorts the ranks in a reused buffer instead of
+// materializing ord.Prefix per ranking.
 func PrefixVocabulary(rs []*rankings.Ranking, ord *rankings.Order, p int) int {
+	type ranked struct {
+		rank int32
+		item rankings.Item
+	}
 	seen := map[rankings.Item]struct{}{}
+	var buf []ranked
 	for _, r := range rs {
-		for _, it := range ord.Prefix(r, p) {
-			seen[it] = struct{}{}
+		buf = buf[:0]
+		for _, it := range r.Items {
+			buf = append(buf, ranked{ord.Rank(it), it})
+		}
+		slices.SortFunc(buf, func(a, b ranked) int { return cmp.Compare(a.rank, b.rank) })
+		for _, e := range buf[:min(p, len(buf))] {
+			seen[e.item] = struct{}{}
 		}
 	}
 	return len(seen)

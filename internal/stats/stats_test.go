@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"rankjoin/internal/dataset"
 	"rankjoin/internal/rankings"
@@ -53,6 +54,85 @@ func TestExpectedPostingListLength(t *testing.T) {
 	}
 	if stats.ExpectedPostingListLength(10, 1, 0) != 0 {
 		t.Error("empty vocabulary should estimate 0")
+	}
+}
+
+// TestExpectedPostingListLengthMatchesDefinition holds the O(v') sum to
+// the paper's definition, Σ n·f(i; s, v')² with f = ZipfPMF — the
+// quadratic form the planner used to evaluate — bit for bit: hoisting
+// H(v', s) out of the sum must not move a single δ.
+func TestExpectedPostingListLengthMatchesDefinition(t *testing.T) {
+	naive := func(n int, s float64, v int) float64 {
+		sum := 0.0
+		for i := 1; i <= v; i++ {
+			f := stats.ZipfPMF(i, s, v)
+			sum += float64(n) * f * f
+		}
+		return sum
+	}
+	check := func(n int, s float64, v int) {
+		got, want := stats.ExpectedPostingListLength(n, s, v), naive(n, s, v)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("n=%d s=%v v'=%d: got %v, definition gives %v", n, s, v, got, want)
+		}
+	}
+	for _, n := range []int{1, 5500 * 3, 1 << 20} {
+		for _, s := range []float64{0, 0.2, 0.85, 1, 1.05, 2.5} {
+			for _, v := range []int{1, 2, 3, 10, 257, 1000} {
+				check(n, s, v)
+			}
+		}
+	}
+	// The planner's actual inputs on DBLP-like n=5500, θ=0.1, seed 1.
+	check(5500*3, 0.9346018453409534, 3183)
+}
+
+// TestPlannerScalesLinearly guards the planner's complexity: at
+// v' = 200 000 the quadratic sum took minutes; one pass takes
+// milliseconds. The bound is loose enough for a loaded CI box and
+// still four orders of magnitude below the quadratic cost.
+func TestPlannerScalesLinearly(t *testing.T) {
+	start := time.Now()
+	d := stats.SuggestDelta(10_000_000, 0.9, 200_000)
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("planning v'=200000 took %v, want well under 100ms", took)
+	}
+	if d < 16 {
+		t.Errorf("delta %d below floor", d)
+	}
+}
+
+// TestPlanDeltaAgreesWithItsParts: the plan is exactly Equation 4 over
+// the fitted skew and the prefix vocabulary — the vocabulary being what
+// ord.Prefix enumerates — scaled as SuggestDelta scales it.
+func TestPlanDeltaAgreesWithItsParts(t *testing.T) {
+	rs, err := dataset.Generate(dataset.DBLPLike.Config(1200, 10, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := rankings.ItemCounts(rs)
+	ord := rankings.NewOrder(counts)
+	skew := stats.EstimateSkew(counts)
+	for _, prefix := range []int{1, 3, 6, 10, 12} {
+		seen := map[rankings.Item]struct{}{}
+		for _, r := range rs {
+			for _, it := range ord.Prefix(r, prefix) {
+				seen[it] = struct{}{}
+			}
+		}
+		if got := stats.PrefixVocabulary(rs, ord, prefix); got != len(seen) {
+			t.Errorf("prefix %d: v' = %d, ord.Prefix enumerates %d", prefix, got, len(seen))
+		}
+		delta, predicted := stats.PlanDelta(rs, counts, ord, prefix)
+		if want := stats.ExpectedPostingListLength(len(rs)*prefix, skew, len(seen)); predicted != want {
+			t.Errorf("prefix %d: predicted %v, want %v", prefix, predicted, want)
+		}
+		if want := stats.SuggestDelta(len(rs)*prefix, skew, len(seen)); delta != want {
+			t.Errorf("prefix %d: delta %d, want %d", prefix, delta, want)
+		}
+	}
+	if delta, _ := stats.PlanDelta(nil, nil, rankings.IdentityOrder(), 1); delta != 16 {
+		t.Errorf("empty dataset plans %d, want the floor 16", delta)
 	}
 }
 

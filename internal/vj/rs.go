@@ -172,5 +172,6 @@ func (o Options) resolveOrderTagged(ds *flow.Dataset[tagged]) (*rankings.Order, 
 		return rankings.IdentityOrder(), nil
 	}
 	plain := flow.Map(ds, func(t tagged) *rankings.Ranking { return t.R })
-	return ComputeOrder(plain, o.Partitions)
+	ord, _, err := ComputeOrder(plain, o.Partitions)
+	return ord, err
 }

@@ -20,6 +20,7 @@ type Stats struct {
 	Results         atomic.Int64
 
 	Groups       atomic.Int64 // posting lists processed
+	GroupRecords atomic.Int64 // records over all posting lists (mean length = GroupRecords / Groups)
 	GroupsSplit  atomic.Int64 // posting lists above δ, repartitioned
 	LargestGroup atomic.Int64
 }
@@ -42,6 +43,7 @@ func (s *Stats) addGroup(size int, split bool) {
 		return
 	}
 	s.Groups.Add(1)
+	s.GroupRecords.Add(int64(size))
 	if split {
 		s.GroupsSplit.Add(1)
 	}
@@ -66,6 +68,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Verified:        s.Verified.Load(),
 		Results:         s.Results.Load(),
 		Groups:          s.Groups.Load(),
+		GroupRecords:    s.GroupRecords.Load(),
 		GroupsSplit:     s.GroupsSplit.Load(),
 		LargestGroup:    s.LargestGroup.Load(),
 	}
@@ -80,6 +83,7 @@ type StatsSnapshot struct {
 	Verified        int64
 	Results         int64
 	Groups          int64
+	GroupRecords    int64
 	GroupsSplit     int64
 	LargestGroup    int64
 }

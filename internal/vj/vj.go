@@ -153,12 +153,16 @@ func ResolveOrder(ds *flow.Dataset[*rankings.Ranking], opts Options) (*rankings.
 	if opts.SkipReorder {
 		return rankings.IdentityOrder(), nil
 	}
-	return ComputeOrder(ds, opts.Partitions)
+	ord, _, err := ComputeOrder(ds, opts.Partitions)
+	return ord, err
 }
 
 // ComputeOrder counts item frequencies with a distributed ReduceByKey
-// and builds the ascending-frequency canonical order.
-func ComputeOrder(ds *flow.Dataset[*rankings.Ranking], parts int) (*rankings.Order, error) {
+// and builds the ascending-frequency canonical order. The counts are
+// returned alongside it: the collect is an all-gather, so every SPMD
+// worker holds the identical map, and CL-P plans its δ from it without
+// a second counting pass.
+func ComputeOrder(ds *flow.Dataset[*rankings.Ranking], parts int) (*rankings.Order, map[rankings.Item]int64, error) {
 	tokens := flow.FlatMap(ds, func(r *rankings.Ranking) []flow.KV[rankings.Item, int64] {
 		out := make([]flow.KV[rankings.Item, int64], len(r.Items))
 		for i, it := range r.Items {
@@ -168,13 +172,13 @@ func ComputeOrder(ds *flow.Dataset[*rankings.Ranking], parts int) (*rankings.Ord
 	})
 	counted, err := flow.ReduceByKey(tokens, parts, func(a, b int64) int64 { return a + b }).Collect()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	counts := make(map[rankings.Item]int64, len(counted))
 	for _, kv := range counted {
 		counts[kv.K] = kv.V
 	}
-	return rankings.NewOrder(counts), nil
+	return rankings.NewOrder(counts), counts, nil
 }
 
 // selfKernel builds the within-partition kernel for the selected

@@ -106,9 +106,10 @@ const (
 	// AlgCL is the paper's clustering pipeline — the default and the
 	// recommended choice for θ ≥ 0.2 or large datasets.
 	AlgCL Algorithm = iota
-	// AlgCLP is CL with repartitioning of oversized posting lists;
-	// requires Delta (or uses the Equation 4 auto-suggestion when
-	// Delta is 0 and AutoDelta is set).
+	// AlgCLP is CL with repartitioning of oversized posting lists
+	// (§6) at threshold Options.Delta. With Delta 0 the join plans δ
+	// itself, by Equation 4 from its ordering phase's item counts —
+	// the value SuggestDelta returns.
 	AlgCLP
 	// AlgVJ is the prefix-filtering Vernica Join with per-partition
 	// inverted indexes.
@@ -165,7 +166,8 @@ type Options struct {
 	// paper's recommended 0.03.
 	ThetaC float64
 	// Delta is the repartitioning threshold δ for CL-P (and, if set
-	// with VJ variants, splits their posting lists too).
+	// with VJ variants, splits their posting lists too). Zero with
+	// AlgCLP means auto: see AlgCLP.
 	Delta int
 	// Partitions is the shuffle partition count; 0 picks the engine
 	// default.
@@ -348,7 +350,7 @@ func (e *Engine) Join(rs []*Ranking, opts Options) (*Result, error) {
 		if opts.Algorithm == AlgCLP {
 			delta = opts.Delta
 			if delta <= 0 {
-				delta = suggestDelta(rs, opts.Theta)
+				delta = core.AutoDelta
 			}
 		}
 		var st *core.Stats

@@ -3,11 +3,13 @@ package rankjoin_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"rankjoin"
+	"rankjoin/internal/dataset"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/testutil"
 )
@@ -169,6 +171,68 @@ func TestSuggestDelta(t *testing.T) {
 	}
 	if _, err := rankjoin.SuggestDelta(rs, 1.5); !errors.Is(err, rankjoin.ErrThetaRange) {
 		t.Errorf("theta out of range: err %v, want ErrThetaRange", err)
+	}
+}
+
+// TestAutoDeltaGoldenPins pins the δ the planner suggests on three
+// generated datasets (the values the quadratic planner produced before
+// Equation 4 became one pass) and holds an auto-δ CL-P join to them:
+// the δ core.Stats reports is the δ SuggestDelta returns, and the pairs
+// are those of the same join handed that δ explicitly.
+func TestAutoDeltaGoldenPins(t *testing.T) {
+	for _, c := range []struct {
+		prof  dataset.Profile
+		n     int
+		theta float64
+		delta int
+	}{
+		{dataset.DBLPLike, 5500, 0.1, 940},
+		{dataset.ORKULike, 6000, 0.3, 4143},
+		{dataset.DBLPLike, 16000, 0.1, 1956},
+	} {
+		rs, err := dataset.Generate(c.prof.Config(c.n, 10, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s n=%d θ=%v", c.prof.Name, c.n, c.theta)
+		suggested, err := rankjoin.SuggestDelta(rs, c.theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if suggested != c.delta {
+			t.Errorf("%s: SuggestDelta = %d, want %d", name, suggested, c.delta)
+		}
+		auto, err := rankjoin.Join(rs, rankjoin.Options{Algorithm: rankjoin.AlgCLP, Theta: c.theta, Stats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if auto.CL.Delta != suggested {
+			t.Errorf("%s: auto-δ join ran with δ=%d, SuggestDelta says %d", name, auto.CL.Delta, suggested)
+		}
+		mean, longest := auto.CL.ObservedListLen()
+		if auto.CL.PredictedListLen <= 0 || mean <= 0 || longest < int64(mean) {
+			t.Errorf("%s: model report incomplete: %s", name, auto.CL.DeltaReport())
+		}
+		given, err := rankjoin.Join(rs, rankjoin.Options{Algorithm: rankjoin.AlgCLP, Theta: c.theta, Delta: c.delta, Stats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if given.CL.Delta != c.delta || given.CL.PredictedListLen != 0 {
+			t.Errorf("%s: explicit δ must be recorded as given and unplanned: %s", name, given.CL.DeltaReport())
+		}
+		if !rankings.SamePairs(auto.Pairs, given.Pairs) {
+			t.Errorf("%s: auto-δ pairs differ from explicit δ=%d pairs", name, c.delta)
+		}
+		if auto.Filters != given.Filters {
+			t.Errorf("%s: filter ledgers differ: auto %+v, explicit %+v", name, auto.Filters, given.Filters)
+		}
+	}
+	plain, err := rankjoin.Join(sample(t, 5, 100, 10, 100), rankjoin.Options{Theta: 0.3, Stats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.CL.Delta != 0 || plain.CL.PredictedListLen != 0 {
+		t.Errorf("plain CL must report no δ: %s", plain.CL.DeltaReport())
 	}
 }
 
