@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -30,48 +29,65 @@ import (
 // rank is embedded.
 var joinSeq atomic.Int64
 
-// joinHeader is the JSON head of a join-start payload; the gob-encoded
-// dataset follows it.
+// joinHeader is the JSON head of a join-start payload; the dataset
+// follows it.
 type joinHeader struct {
 	Job  string           `json:"job"`
 	Opts rankjoin.Options `json:"opts"`
 }
 
-// encodeJoinStart builds the join-start body: uvarint header length,
-// JSON header, gob dataset (using the Ranking wire codec, so indexed
-// state survives the trip).
+// joinMagic tags join-start bodies (generation rankings.WireVersion).
+const joinMagic = "RKJ2"
+
+// encodeJoinStart builds the join-start body: the magic, then one CRC
+// frame of header length (uvarint), JSON header, counted dataset.
 func encodeJoinStart(job string, opts rankjoin.Options, rs []*rankings.Ranking) ([]byte, error) {
 	hdr, err := json.Marshal(joinHeader{Job: job, Opts: opts})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: marshal join header: %w", err)
 	}
-	var data bytes.Buffer
-	if err := gob.NewEncoder(&data).Encode(rs); err != nil {
-		return nil, fmt.Errorf("cluster: encode join dataset: %w", err)
-	}
-	buf := make([]byte, 0, binary.MaxVarintLen64+len(hdr)+data.Len())
+	buf := make([]byte, 0, len(joinMagic)+len(hdr)+32*len(rs)+32)
+	buf = append(buf, joinMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(hdr)))
 	buf = append(buf, hdr...)
-	buf = append(buf, data.Bytes()...)
-	return buf, nil
+	buf = rankings.AppendRankings(buf, rs)
+	return rankings.EndFrame(buf, len(joinMagic)), nil
 }
 
-// decodeJoinStart parses a join-start body.
+// decodeJoinStart parses a join-start body. The rankings come back
+// indexed, and the header must be spelled as encodeJoinStart spells it:
+// a body has one encoding, and peers that disagree about Options'
+// fields refuse each other instead of joining under different options.
 func decodeJoinStart(body []byte) (joinHeader, []*rankings.Ranking, error) {
 	var hdr joinHeader
-	hdrLen, n := binary.Uvarint(body)
-	if n <= 0 || hdrLen > uint64(len(body)-n) {
+	rest, err := rankings.Unseal(joinMagic, body)
+	if err != nil {
+		return hdr, nil, fmt.Errorf("cluster: %w", err)
+	}
+	hdrLen, n := rankings.Uvarint(rest)
+	if n <= 0 || hdrLen > uint64(len(rest)-n) {
 		return hdr, nil, fmt.Errorf("cluster: join-start header length out of bounds")
 	}
-	if err := json.Unmarshal(body[n:n+int(hdrLen)], &hdr); err != nil {
+	raw := rest[n : n+int(hdrLen)]
+	if err := json.Unmarshal(raw, &hdr); err != nil {
 		return hdr, nil, fmt.Errorf("cluster: parse join header: %w", err)
+	}
+	if canon, err := json.Marshal(hdr); err != nil || !bytes.Equal(canon, raw) {
+		return hdr, nil, fmt.Errorf("cluster: join-start header is not in canonical form")
 	}
 	if hdr.Job == "" {
 		return hdr, nil, fmt.Errorf("cluster: join-start with empty job id")
 	}
-	var rs []*rankings.Ranking
-	if err := gob.NewDecoder(bytes.NewReader(body[n+int(hdrLen):])).Decode(&rs); err != nil {
+	rest = rest[n+int(hdrLen):]
+	rs, n, err := rankings.DecodeRankings(rest)
+	if err != nil {
 		return hdr, nil, fmt.Errorf("cluster: decode join dataset: %w", err)
+	}
+	if n != len(rest) {
+		return hdr, nil, fmt.Errorf("cluster: %d bytes after the join dataset", len(rest)-n)
+	}
+	for _, r := range rs {
+		r.Index()
 	}
 	return hdr, rs, nil
 }

@@ -51,19 +51,12 @@ type GetReq struct {
 
 // GetResp returns the ranking when the owner has it.
 type GetResp struct {
-	Found bool            `json:"found"`
-	Items []rankings.Item `json:"items,omitempty"`
-}
-
-// WireRanking is one (id, items) pair for insert RPCs.
-type WireRanking struct {
-	ID    int64           `json:"id"`
-	Items []rankings.Item `json:"items"`
+	Ranking *rankings.Ranking `json:"ranking,omitempty"`
 }
 
 // UpsertReq ships ring-routed rankings to their owner peer.
 type UpsertReq struct {
-	Rankings []WireRanking `json:"rankings"`
+	Rankings []*rankings.Ranking `json:"rankings"`
 }
 
 // DeleteReq ships ring-routed deletions to their owner peer.
@@ -112,7 +105,7 @@ func (c *Cluster) GetPeer(ctx context.Context, p int, id int64) (GetResp, error)
 // UpsertPeer ships rankings to peer p for local insertion. Mutating
 // RPC: exactly one attempt, never hedged — a timer-hedged duplicate
 // would apply twice on the owner and double-bump its shard epochs.
-func (c *Cluster) UpsertPeer(ctx context.Context, p int, rs []WireRanking) error {
+func (c *Cluster) UpsertPeer(ctx context.Context, p int, rs []*rankings.Ranking) error {
 	_, err := postJSONMutate[UpsertReq, OKResp](ctx, c.peer(p), PathInsert, UpsertReq{Rankings: rs}, 0)
 	return err
 }
@@ -193,8 +186,8 @@ func MergeHits(hits []shard.Neighbor, knn int) []shard.Neighbor {
 
 // GroupByOwner splits rankings by their owner peer, preserving input
 // order within each group — the routing step behind clustered insert.
-func (c *Cluster) GroupByOwner(rs []WireRanking) map[int][]WireRanking {
-	groups := make(map[int][]WireRanking)
+func (c *Cluster) GroupByOwner(rs []*rankings.Ranking) map[int][]*rankings.Ranking {
+	groups := make(map[int][]*rankings.Ranking)
 	for _, r := range rs {
 		p := c.Owner(r.ID)
 		groups[p] = append(groups[p], r)

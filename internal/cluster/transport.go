@@ -1,30 +1,27 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 	"time"
+
+	"rankjoin/internal/rankings"
 )
 
-// Shuffle frames travel between peers as length-prefixed binary
-// blobs: a magic tag, the job id, the collective id, the sender's
-// rank, and the gob payload produced by flow's distributed shuffle.
+// Shuffle frames travel between peers as one CRC frame behind a magic
+// tag: the job id, the collective id, the sender's rank, and the gob
+// payload produced by flow's distributed shuffle (DESIGN.md §15).
 // Frames are self-describing, so the receiving inbox can buffer them
 // before the local worker for the job has even started.
-//
-//	"RKX1" | uvarint len(job) | job bytes | varint collective |
-//	uvarint src | uvarint len(payload) | payload bytes
 
-// frameMagic tags shuffle frame bodies; a mismatch means the peer is
-// not speaking this protocol version.
-var frameMagic = [4]byte{'R', 'K', 'X', '1'}
+// frameMagic tags shuffle frame bodies (generation
+// rankings.WireVersion); a peer that sends another does not speak this
+// protocol version.
+const frameMagic = "RKX2"
 
-// maxFrameJobLen bounds the job-id field, keeping a corrupt length
-// prefix from turning into a giant allocation.
+// maxFrameJobLen bounds the job-id field.
 const maxFrameJobLen = 256
 
 // frame is one decoded shuffle message.
@@ -37,60 +34,38 @@ type frame struct {
 
 // encodeFrame serializes a frame for the wire.
 func encodeFrame(f frame) []byte {
-	buf := make([]byte, 0, 4+2*binary.MaxVarintLen64+len(f.Job)+len(f.Payload)+8)
-	buf = append(buf, frameMagic[:]...)
+	buf := make([]byte, 0, len(frameMagic)+4*binary.MaxVarintLen64+len(f.Job)+len(f.Payload)+4)
+	buf = append(buf, frameMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(f.Job)))
 	buf = append(buf, f.Job...)
 	buf = binary.AppendVarint(buf, f.Collective)
 	buf = binary.AppendUvarint(buf, uint64(f.Src))
-	buf = binary.AppendUvarint(buf, uint64(len(f.Payload)))
 	buf = append(buf, f.Payload...)
-	return buf
+	return rankings.EndFrame(buf, len(frameMagic))
 }
 
-// decodeFrame parses a wire frame, bounding every length against the
-// actual body size.
+// decodeFrame parses a wire frame. Payload aliases body.
 func decodeFrame(body []byte) (frame, error) {
 	var f frame
-	rd := bytes.NewReader(body)
-	var magic [4]byte
-	if _, err := io.ReadFull(rd, magic[:]); err != nil {
-		return f, fmt.Errorf("cluster: frame magic: %w", err)
-	}
-	if magic != frameMagic {
-		return f, fmt.Errorf("cluster: bad frame magic %q", magic)
-	}
-	jobLen, err := binary.ReadUvarint(rd)
+	rest, err := rankings.Unseal(frameMagic, body)
 	if err != nil {
-		return f, fmt.Errorf("cluster: frame job length: %w", err)
+		return f, fmt.Errorf("cluster: %w", err)
 	}
-	if jobLen > maxFrameJobLen || jobLen > uint64(rd.Len()) {
-		return f, fmt.Errorf("cluster: frame job length %d out of bounds", jobLen)
+	jobLen, n := rankings.Uvarint(rest)
+	if n <= 0 || jobLen > maxFrameJobLen || jobLen > uint64(len(rest)-n) {
+		return f, fmt.Errorf("cluster: frame job length out of bounds")
 	}
-	job := make([]byte, jobLen)
-	if _, err := io.ReadFull(rd, job); err != nil {
-		return f, fmt.Errorf("cluster: frame job: %w", err)
+	f.Job = string(rest[n : n+int(jobLen)])
+	rest = rest[n+int(jobLen):]
+	if f.Collective, n = rankings.Varint(rest); n <= 0 {
+		return f, fmt.Errorf("cluster: frame collective")
 	}
-	f.Job = string(job)
-	if f.Collective, err = binary.ReadVarint(rd); err != nil {
-		return f, fmt.Errorf("cluster: frame collective: %w", err)
+	rest = rest[n:]
+	src, n := rankings.Uvarint(rest)
+	if n <= 0 {
+		return f, fmt.Errorf("cluster: frame src")
 	}
-	src, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return f, fmt.Errorf("cluster: frame src: %w", err)
-	}
-	f.Src = int(src)
-	payloadLen, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return f, fmt.Errorf("cluster: frame payload length: %w", err)
-	}
-	if payloadLen != uint64(rd.Len()) {
-		return f, fmt.Errorf("cluster: frame payload length %d, %d bytes remain", payloadLen, rd.Len())
-	}
-	f.Payload = make([]byte, payloadLen)
-	if _, err := io.ReadFull(rd, f.Payload); err != nil {
-		return f, fmt.Errorf("cluster: frame payload: %w", err)
-	}
+	f.Src, f.Payload = int(src), rest[n:]
 	return f, nil
 }
 

@@ -1,11 +1,54 @@
 package rankings_test
 
 import (
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"rankjoin/internal/rankings"
+	"rankjoin/internal/testutil/wirecheck"
 )
+
+// FuzzRankingCodec: the counted-list decoder (and through it the one
+// ranking decoder), the CRC frame, and the gob blob flow ships.
+func FuzzRankingCodec(f *testing.F) {
+	for _, seed := range []string{
+		"0254030a0605020106",   // two rankings
+		"0554030a060527636654", // one frame (wire_test.go's golden)
+		"0154030a0605", "", "ffffffff0f020106", "0182000106",
+	} {
+		b, _ := hex.DecodeString(seed)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wirecheck.Decoder(t, data, func(data []byte) ([]byte, error) {
+			rs, n, err := rankings.DecodeRankings(data)
+			if err != nil {
+				return nil, err
+			}
+			for _, r := range rs {
+				if err := r.Validate(); err != nil {
+					t.Fatalf("decoder accepted invalid ranking %v: %v", r, err)
+				}
+			}
+			return append(rankings.AppendRankings(nil, rs), data[n:]...), nil
+		})
+		wirecheck.Decoder(t, data, func(data []byte) ([]byte, error) {
+			payload, n, err := rankings.ReadFrame(data)
+			if err != nil {
+				return nil, err
+			}
+			return append(rankings.EndFrame(append([]byte(nil), payload...), 0), data[n:]...), nil
+		})
+		wirecheck.Decoder(t, data, func(data []byte) ([]byte, error) {
+			var r rankings.Ranking
+			if err := r.GobDecode(data); err != nil {
+				return nil, err
+			}
+			return r.GobEncode()
+		})
+	})
+}
 
 // FuzzParseLine: the parser must never panic and must only accept lines
 // that round-trip.

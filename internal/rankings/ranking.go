@@ -10,6 +10,7 @@ package rankings
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -30,9 +31,9 @@ const CatchAllItem Item = -1 << 31
 // duplicate items.
 type Ranking struct {
 	// ID uniquely identifies the ranking within a dataset.
-	ID int64
+	ID int64 `json:"id"`
 	// Items holds the ranked items, best first.
-	Items []Item
+	Items []Item `json:"items"`
 
 	// idxItems/idxRanks form the flat position index: the ranking's
 	// items sorted ascending, with idxRanks[i] holding the rank of
@@ -80,6 +81,17 @@ var ErrEmpty = errors.New("rankings: empty ranking")
 func (r *Ranking) Validate() error {
 	if len(r.Items) == 0 {
 		return fmt.Errorf("ranking %d: %w", r.ID, ErrEmpty)
+	}
+	// Top-k lists are short (k ≤ 25 throughout the paper): up to 32
+	// items a pairwise scan beats building a set and allocates nothing,
+	// which every decoded WAL record and snapshot entry pays for.
+	if len(r.Items) <= 32 {
+		for i, it := range r.Items {
+			if slices.Contains(r.Items[:i], it) {
+				return fmt.Errorf("ranking %d: item %d: %w", r.ID, it, ErrDuplicateItem)
+			}
+		}
+		return nil
 	}
 	seen := make(map[Item]struct{}, len(r.Items))
 	for _, it := range r.Items {

@@ -81,16 +81,11 @@ func (s *Server) resolveClusterQuery(ctx context.Context, req *queryRequest) (*r
 		return nil, 0, &httpError{status: http.StatusBadGateway,
 			err: fmt.Errorf("resolve id %d on owner peer: %w", *req.ID, gerr)}
 	}
-	if !resp.Found {
+	if resp.Ranking == nil {
 		return nil, 0, err // authoritative miss
 	}
-	r, nerr := rankings.New(*req.ID, resp.Items)
-	if nerr != nil {
-		return nil, 0, &httpError{status: http.StatusBadGateway,
-			err: fmt.Errorf("owner peer returned invalid ranking for id %d: %w", *req.ID, nerr)}
-	}
-	r.Index()
-	return r, r.ID, nil
+	resp.Ranking.Index()
+	return resp.Ranking, *req.ID, nil
 }
 
 // --- peer-local endpoints ---
@@ -134,11 +129,8 @@ func (s *Server) handleClusterGet(w http.ResponseWriter, r *http.Request) error 
 	if err := decode(r, &req); err != nil {
 		return finish(w, err)
 	}
-	rk, ok := s.idx.Get(req.ID)
-	if !ok {
-		return writeJSON(w, cluster.GetResp{})
-	}
-	return writeJSON(w, cluster.GetResp{Found: true, Items: rk.Items})
+	rk, _ := s.idx.Get(req.ID) // nil when absent
+	return writeJSON(w, cluster.GetResp{Ranking: rk})
 }
 
 // handleClusterInsert inserts rankings into the local index without
@@ -148,11 +140,7 @@ func (s *Server) handleClusterInsert(w http.ResponseWriter, r *http.Request) err
 	if err := decode(r, &req); err != nil {
 		return finish(w, err)
 	}
-	for _, wr := range req.Rankings {
-		rk, err := rankings.New(wr.ID, wr.Items)
-		if err != nil {
-			return finish(w, badRequest(err))
-		}
+	for _, rk := range req.Rankings {
 		if err := s.idx.Insert(rk); err != nil {
 			return finish(w, err)
 		}
@@ -230,11 +218,7 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) error
 // All-or-error: any peer failure fails the request (rankings shipped
 // to healthy peers stay inserted; the caller retries idempotently).
 func (s *Server) clusterInsert(ctx context.Context, w http.ResponseWriter, rs []*rankings.Ranking) error {
-	wire := make([]cluster.WireRanking, len(rs))
-	for i, rk := range rs {
-		wire[i] = cluster.WireRanking{ID: rk.ID, Items: rk.Items}
-	}
-	groups := s.cluster.GroupByOwner(wire)
+	groups := s.cluster.GroupByOwner(rs)
 	// Per-peer error slots keep failure reporting deterministic no
 	// matter which order the map range or the goroutines run in.
 	perPeer := make([]error, s.cluster.Size())
@@ -250,8 +234,7 @@ func (s *Server) clusterInsert(ctx context.Context, w http.ResponseWriter, rs []
 	n := 0
 	for peer, group := range groups {
 		if peer == s.cluster.Self() {
-			for _, wr := range group {
-				rk, _ := rankings.New(wr.ID, wr.Items) // validated above
+			for _, rk := range group {
 				if err := s.idx.Insert(rk); err != nil {
 					localErr = err
 					break
@@ -261,7 +244,7 @@ func (s *Server) clusterInsert(ctx context.Context, w http.ResponseWriter, rs []
 			continue
 		}
 		wg.Add(1)
-		go func(peer int, group []cluster.WireRanking) {
+		go func(peer int, group []*rankings.Ranking) {
 			defer wg.Done()
 			err := s.cluster.UpsertPeer(ctx, peer, group)
 			mu.Lock()

@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/shard"
 	"rankjoin/internal/testutil"
+	"rankjoin/internal/testutil/wirecheck"
 	"rankjoin/internal/wal"
 )
 
@@ -59,7 +62,7 @@ func TestFollowerReadOnly(t *testing.T) {
 	if hits, _ := searchHits(t, fURL, map[string]any{"items": rs[0].Items, "theta": 0.3}); len(hits) == 0 {
 		t.Fatal("follower answered no hits over replicated data")
 	}
-	code, out := post(t, fURL+"/v1/insert", map[string]any{"rankings": toJSON(rs[:1])})
+	code, out := post(t, fURL+"/v1/insert", map[string]any{"rankings": rs[:1]})
 	if code != http.StatusForbidden {
 		t.Fatalf("follower insert returned %d (%s), want 403", code, out["error"])
 	}
@@ -153,4 +156,101 @@ func queryHits(t *testing.T, url string, body any) []shard.Neighbor {
 		t.Fatal(err)
 	}
 	return hits
+}
+
+// stubLeader answers every replicate poll with resp.
+func stubLeader(t *testing.T, resp *replicateResponse) string {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(resp)
+	}))
+	t.Cleanup(ts.Close)
+	return strings.TrimPrefix(ts.URL, "http://")
+}
+
+// TestFollowerRefusesMisroutedRecord: a payload labelled shard 2 that
+// carries another shard's id used to be applied — ApplyInsert routes by
+// id — advancing that other shard with shard 2's epoch. The follower
+// now replays through wal.ReplayShard, which refuses it as recovery
+// always has, and nothing moves.
+func TestFollowerRefusesMisroutedRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	_, leaderAddr, _ := leaderWithWAL(t, 4)
+	insertRankings(t, "http://"+leaderAddr, testutil.RandDataset(rng, 40, 5, 80))
+	rep, _ := follower(t, leaderAddr, 4)
+	if err := rep.SyncOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before, beforeEpochs := rep.idx.Snapshot()
+
+	// The next record of shard 2's log, except that its id lives on
+	// another shard.
+	stray := testutil.RandRanking(rng, 10_000, 5, 80)
+	for rep.idx.ShardOf(stray.ID) == 2 {
+		stray.ID++
+	}
+	frame := binary.AppendUvarint([]byte{byte(wal.OpInsert)}, beforeEpochs[2]+1)
+	frame = rankings.EndFrame(stray.AppendWire(frame), 0)
+	rep.leader = stubLeader(t, &replicateResponse{Version: rankings.WireVersion, NumShards: 4, K: 5, Payloads: []replicateShard{
+		{Shard: 2, Epoch: beforeEpochs[2] + 1, Body: frame},
+	}})
+	if err := rep.SyncOnce(context.Background()); err == nil {
+		t.Fatal("follower applied a record that routes to another shard")
+	}
+	after, afterEpochs := rep.idx.Snapshot()
+	if len(after) != len(before) {
+		t.Fatalf("refused payload changed the follower from %d to %d rankings", len(before), len(after))
+	}
+	for i := range beforeEpochs {
+		if afterEpochs[i] != beforeEpochs[i] {
+			t.Fatalf("refused payload moved shard %d from epoch %d to %d", i, beforeEpochs[i], afterEpochs[i])
+		}
+	}
+	if _, ok := rep.idx.Get(stray.ID); ok {
+		t.Fatal("refused payload's ranking is in the follower's index")
+	}
+
+	// The same frame under its own shard's label is the well-formed
+	// case: it applies.
+	home := rep.idx.ShardOf(stray.ID)
+	frame = binary.AppendUvarint([]byte{byte(wal.OpInsert)}, beforeEpochs[home]+1)
+	frame = rankings.EndFrame(stray.AppendWire(frame), 0)
+	rep.leader = stubLeader(t, &replicateResponse{Version: rankings.WireVersion, NumShards: 4, K: 5, Payloads: []replicateShard{
+		{Shard: home, Epoch: beforeEpochs[home] + 1, Body: frame},
+	}})
+	if err := rep.SyncOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rep.idx.Get(stray.ID); !ok {
+		t.Fatal("correctly labelled payload was not applied")
+	}
+}
+
+// FuzzReplicateResponse: whatever a leader answers, the follower
+// applies it without panicking and within the allocation bound; the
+// bodies are WAL frames and snapshot images, held to byte-identical
+// re-encoding by internal/wal's own targets.
+func FuzzReplicateResponse(f *testing.F) {
+	frames := binary.AppendUvarint([]byte{byte(wal.OpInsert)}, 1)
+	frames = rankings.EndFrame(rankings.MustNew(0, []rankings.Item{5, 3, -3}).AppendWire(frames), 0)
+	image := wal.EncodeSnapshot(0, 7, []*rankings.Ranking{rankings.MustNew(4, []rankings.Item{1, 2, 3})})
+	f.Add(frames, false)
+	f.Add(image, true)
+	f.Add([]byte("RKS1"), true)
+	f.Fuzz(func(t *testing.T, body []byte, full bool) {
+		rep := NewReplica("unused", shard.New(shard.Config{Shards: 1}), time.Second, nil, nil)
+		defer rep.Close()
+		wire, err := json.Marshal(replicateResponse{Version: rankings.WireVersion, NumShards: 1,
+			Payloads: []replicateShard{{Epoch: 7, Full: full, Body: body}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wirecheck.Decoder(t, wire, func(wire []byte) ([]byte, error) {
+			var resp replicateResponse
+			if err := json.Unmarshal(wire, &resp); err != nil {
+				t.Fatal(err)
+			}
+			return wire, rep.applyShard(resp.Payloads[0])
+		})
+	})
 }

@@ -39,29 +39,25 @@ type replicateRequest struct {
 	Probe  bool     `json:"probe,omitempty"`
 }
 
-// wireRecord is one WAL record on the wire.
-type wireRecord struct {
-	Op    string          `json:"op"` // "i" | "d"
-	Epoch uint64          `json:"epoch"`
-	ID    int64           `json:"id"`
-	Items []rankings.Item `json:"items,omitempty"`
-}
-
-// replicateShard is one shard's payload: Full carries a consistent
-// snapshot in Rankings; otherwise Records holds the contiguous delta
-// (possibly empty when the follower is already at Epoch).
+// replicateShard is one shard's payload: Body is a snapshot image when
+// Full (the bytes a snapshot file holds), otherwise the run of WAL
+// frames above the follower's epoch (the bytes the leader's segments
+// hold; empty when the follower is already at Epoch). Either way the
+// follower hands Body to what recovery hands its files to.
 type replicateShard struct {
-	Shard    int           `json:"shard"`
-	Epoch    uint64        `json:"epoch"` // follower's epoch after applying this payload
-	Full     bool          `json:"full,omitempty"`
-	Rankings []rankingJSON `json:"rankings,omitempty"`
-	Records  []wireRecord  `json:"records,omitempty"`
+	Shard int    `json:"shard"`
+	Epoch uint64 `json:"epoch"` // follower's epoch after applying this payload
+	Full  bool   `json:"full,omitempty"`
+	Body  []byte `json:"body,omitempty"`
 }
 
+// replicateResponse is the envelope. Version is rankings.WireVersion;
+// generation 1 said num_shards, so neither accepts the other's answer.
 type replicateResponse struct {
-	NumShards int              `json:"num_shards"`
+	Version   int              `json:"version"`
+	NumShards int              `json:"shards"`
 	K         int              `json:"k"`
-	Shards    []replicateShard `json:"shards,omitempty"`
+	Payloads  []replicateShard `json:"payloads,omitempty"`
 }
 
 // handleReplicate is the leader side.
@@ -71,7 +67,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) error {
 		return finish(w, err)
 	}
 	n := s.idx.NumShards()
-	resp := replicateResponse{NumShards: n, K: s.idx.K()}
+	resp := replicateResponse{Version: rankings.WireVersion, NumShards: n, K: s.idx.K()}
 	if req.Probe {
 		return writeJSON(w, resp)
 	}
@@ -79,13 +75,13 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) error {
 		return finish(w, badRequest(fmt.Errorf(
 			"epoch vector has %d shards, index has %d", len(req.Epochs), n)))
 	}
-	resp.Shards = make([]replicateShard, 0, n)
+	resp.Payloads = make([]replicateShard, 0, n)
 	for i := 0; i < n; i++ {
 		var fe uint64
 		if len(req.Epochs) == n {
 			fe = req.Epochs[i]
 		}
-		resp.Shards = append(resp.Shards, s.replicateShard(i, fe))
+		resp.Payloads = append(resp.Payloads, s.replicateShard(i, fe))
 	}
 	return writeJSON(w, resp)
 }
@@ -98,17 +94,9 @@ func (s *Server) replicateShard(i int, fe uint64) replicateShard {
 	}
 	if s.wal != nil && fe > 0 {
 		if recs, ok, err := s.wal.RecordsSince(i, fe); err == nil && ok {
-			out := replicateShard{Shard: i, Epoch: fe, Records: make([]wireRecord, 0, len(recs))}
+			out := replicateShard{Shard: i, Epoch: fe}
 			for _, rec := range recs {
-				wr := wireRecord{Epoch: rec.Epoch, ID: rec.ID}
-				switch rec.Op {
-				case wal.OpInsert:
-					wr.Op = "i"
-					wr.Items = rec.Items
-				case wal.OpDelete:
-					wr.Op = "d"
-				}
-				out.Records = append(out.Records, wr)
+				out.Body = append(out.Body, rec.Frame...)
 				out.Epoch = rec.Epoch
 			}
 			return out
@@ -120,12 +108,7 @@ func (s *Server) replicateShard(i int, fe uint64) replicateShard {
 	if e == fe {
 		return replicateShard{Shard: i, Epoch: fe} // raced to equal; no-op
 	}
-	full := replicateShard{Shard: i, Epoch: e, Full: true,
-		Rankings: make([]rankingJSON, len(rs))}
-	for j, r := range rs {
-		full.Rankings[j] = rankingJSON{ID: r.ID, Items: r.Items}
-	}
-	return full
+	return replicateShard{Shard: i, Epoch: e, Full: true, Body: wal.EncodeSnapshot(i, e, rs)}
 }
 
 // Replica is the follower side: it bootstraps from and then
@@ -223,6 +206,10 @@ func postReplicate(ctx context.Context, client *http.Client, addr string, req re
 	if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
 		return out, fmt.Errorf("server: leader %s: parse replicate response: %w", addr, err)
 	}
+	if out.Version != rankings.WireVersion {
+		return out, fmt.Errorf("server: leader %s answers in format version %d, this build reads version %d",
+			addr, out.Version, rankings.WireVersion)
+	}
 	return out, nil
 }
 
@@ -239,13 +226,13 @@ func (r *Replica) SyncOnce(ctx context.Context) error {
 	// Lag is measured pre-apply: how far behind this round found us.
 	local := r.idx.Epochs()
 	var lag int64
-	for _, sh := range resp.Shards {
+	for _, sh := range resp.Payloads {
 		if sh.Shard >= 0 && sh.Shard < len(local) && sh.Epoch > local[sh.Shard] {
 			lag += int64(sh.Epoch - local[sh.Shard])
 		}
 	}
 	r.lagEpochs.Store(lag)
-	for _, sh := range resp.Shards {
+	for _, sh := range resp.Payloads {
 		if err := r.applyShard(sh); err != nil {
 			return r.noteErr(err)
 		}
@@ -255,54 +242,25 @@ func (r *Replica) SyncOnce(ctx context.Context) error {
 	return nil
 }
 
+// applyShard is recovery run on what the leader sent instead of what
+// the disk holds.
 func (r *Replica) applyShard(sh replicateShard) error {
-	if sh.Shard < 0 || sh.Shard >= r.idx.NumShards() {
-		return fmt.Errorf("server: replicate shard %d out of range", sh.Shard)
+	if !sh.Full {
+		applied, _, err := wal.ReplayShard(r.idx, sh.Shard, sh.Body)
+		r.recordsApplied.Add(int64(applied))
+		return err
 	}
-	if sh.Full {
-		rs := make([]*rankings.Ranking, len(sh.Rankings))
-		for j, rj := range sh.Rankings {
-			rk, err := rankings.New(rj.ID, rj.Items)
-			if err != nil {
-				return fmt.Errorf("server: replicate shard %d ranking %d: %w", sh.Shard, rj.ID, err)
-			}
-			rs[j] = rk
-		}
-		if err := r.idx.RestoreShard(sh.Shard, rs, sh.Epoch); err != nil {
-			return fmt.Errorf("server: replicate restore shard %d: %w", sh.Shard, err)
-		}
-		r.fullShardLoads.Add(1)
-		return nil
+	shard, epoch, rs, err := wal.DecodeSnapshot(sh.Body)
+	if err == nil && (shard != sh.Shard || epoch != sh.Epoch) {
+		err = fmt.Errorf("image is shard %d at epoch %d", shard, epoch)
 	}
-	local := r.idx.Epochs()[sh.Shard]
-	for _, rec := range sh.Records {
-		if rec.Epoch <= local {
-			continue // duplicate of something we already hold
-		}
-		if rec.Epoch != local+1 {
-			return fmt.Errorf("server: replicate shard %d epoch gap: have %d, record %d",
-				sh.Shard, local, rec.Epoch)
-		}
-		switch rec.Op {
-		case "i":
-			rk, err := rankings.New(rec.ID, rec.Items)
-			if err != nil {
-				return fmt.Errorf("server: replicate shard %d record %d: %w", sh.Shard, rec.Epoch, err)
-			}
-			if err := r.idx.ApplyInsert(rk, rec.Epoch); err != nil {
-				return fmt.Errorf("server: replicate shard %d record %d: %w", sh.Shard, rec.Epoch, err)
-			}
-		case "d":
-			if !r.idx.ApplyDelete(rec.ID, rec.Epoch) {
-				return fmt.Errorf("server: replicate shard %d epoch %d deletes absent id %d",
-					sh.Shard, rec.Epoch, rec.ID)
-			}
-		default:
-			return fmt.Errorf("server: replicate shard %d: unknown op %q", sh.Shard, rec.Op)
-		}
-		local = rec.Epoch
-		r.recordsApplied.Add(1)
+	if err == nil {
+		err = r.idx.RestoreShard(shard, rs, epoch)
 	}
+	if err != nil {
+		return fmt.Errorf("server: replicate restore shard %d at epoch %d: %w", sh.Shard, sh.Epoch, err)
+	}
+	r.fullShardLoads.Add(1)
 	return nil
 }
 

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -415,11 +416,6 @@ func writeJSON(w http.ResponseWriter, v any) error {
 
 // --- request/response shapes ---
 
-type rankingJSON struct {
-	ID    int64           `json:"id"`
-	Items []rankings.Item `json:"items"`
-}
-
 type queryRequest struct {
 	Items []rankings.Item `json:"items,omitempty"`
 	Line  string          `json:"line,omitempty"`
@@ -585,8 +581,9 @@ func nonNil(ns []shard.Neighbor) []shard.Neighbor {
 	return ns
 }
 
+// Rankings arrive validated by UnmarshalJSON; only a null bypasses it.
 type insertRequest struct {
-	Rankings []rankingJSON `json:"rankings"`
+	Rankings []*rankings.Ranking `json:"rankings"`
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) error {
@@ -603,19 +600,14 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) error {
 	sp := ctxSpan(r.Context()).StartChild("serve/insert",
 		obs.Int("rankings", int64(len(req.Rankings))))
 	defer sp.End()
-	rs := make([]*rankings.Ranking, 0, len(req.Rankings))
-	for _, rj := range req.Rankings {
-		rk, err := rankings.New(rj.ID, rj.Items)
-		if err != nil {
-			return finish(w, badRequest(err))
-		}
-		rs = append(rs, rk)
+	if slices.Contains(req.Rankings, nil) {
+		return finish(w, shard.ErrNilRanking)
 	}
 	if s.clustered() {
-		return s.clusterInsert(r.Context(), w, rs)
+		return s.clusterInsert(r.Context(), w, req.Rankings)
 	}
 	n := 0
-	for _, rk := range rs {
+	for _, rk := range req.Rankings {
 		if err := s.idx.Insert(rk); err != nil {
 			return finish(w, err)
 		}
@@ -661,8 +653,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 }
 
 type joinRequest struct {
-	Rankings []rankingJSON `json:"rankings"`
-	Theta    *float64      `json:"theta"`
+	Rankings []*rankings.Ranking `json:"rankings"`
+	Theta    *float64            `json:"theta"`
 }
 
 type pairJSON struct {
@@ -689,12 +681,11 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 		return finish(w, &httpError{status: http.StatusRequestEntityTooLarge,
 			err: fmt.Errorf("ad-hoc join capped at %d rankings, got %d", s.maxJoin, len(req.Rankings))})
 	}
-	rs := make([]*rankings.Ranking, 0, len(req.Rankings))
+	rs := req.Rankings
 	k := 0
-	for _, rj := range req.Rankings {
-		rk, err := rankings.New(rj.ID, rj.Items)
-		if err != nil {
-			return finish(w, badRequest(err))
+	for _, rk := range rs {
+		if rk == nil {
+			return finish(w, shard.ErrNilRanking)
 		}
 		if k == 0 {
 			k = rk.K()
@@ -702,7 +693,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 			return finish(w, badRequest(fmt.Errorf("mixed ranking lengths %d and %d", k, rk.K())))
 		}
 		rk.Index()
-		rs = append(rs, rk)
 	}
 	sp := ctxSpan(r.Context()).StartChild("serve/join",
 		obs.Int("rankings", int64(len(rs))))

@@ -64,19 +64,11 @@ func searchHits(t *testing.T, base string, body any) ([]shard.Neighbor, bool) {
 
 func insertRankings(t *testing.T, base string, rs []*rankings.Ranking) {
 	t.Helper()
-	body := map[string]any{"rankings": toJSON(rs)}
+	body := map[string]any{"rankings": rs}
 	code, out := post(t, base+"/v1/insert", body)
 	if code != http.StatusOK {
 		t.Fatalf("insert returned %d: %s", code, out["error"])
 	}
-}
-
-func toJSON(rs []*rankings.Ranking) []rankingJSON {
-	out := make([]rankingJSON, len(rs))
-	for i, r := range rs {
-		out[i] = rankingJSON{ID: r.ID, Items: r.Items}
-	}
-	return out
 }
 
 func bruteNeighbors(rs []*rankings.Ranking, q *rankings.Ranking, maxDist int, exclude int64) []shard.Neighbor {
@@ -175,7 +167,7 @@ func TestEndToEnd(t *testing.T) {
 
 	// Ad-hoc join agrees with itself at tiny scale.
 	code, out = post(t, ts.URL+"/v1/join", map[string]any{
-		"rankings": toJSON(rs[:20]), "theta": theta,
+		"rankings": rs[:20], "theta": theta,
 	})
 	if code != http.StatusOK {
 		t.Fatalf("join returned %d: %s", code, out["error"])
@@ -365,7 +357,7 @@ func TestConcurrentServe(t *testing.T) {
 				id := int64(1000*(w+1) + i)
 				r := testutil.RandRanking(rng, id, 6, 60)
 				code, out := post(t, ts.URL+"/v1/insert",
-					map[string]any{"rankings": toJSON([]*rankings.Ranking{r})})
+					map[string]any{"rankings": []*rankings.Ranking{r}})
 				if code != http.StatusOK {
 					t.Errorf("insert %d: %d %s", id, code, out["error"])
 					return

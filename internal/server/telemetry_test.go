@@ -295,7 +295,7 @@ func TestTelemetryUnderTraffic(t *testing.T) {
 					post(t, ts.URL+"/v1/knn", map[string]any{"items": q.Items, "k": 5})
 				case 2:
 					r := testutil.RandRanking(rng, int64(1000+w*iters+i), k, 20*k)
-					post(t, ts.URL+"/v1/insert", map[string]any{"rankings": toJSON([]*rankings.Ranking{r})})
+					post(t, ts.URL+"/v1/insert", map[string]any{"rankings": []*rankings.Ranking{r}})
 				case 3:
 					post(t, ts.URL+"/v1/delete", map[string]any{"ids": []int64{int64(1000 + w*iters + i - 1)}})
 				}

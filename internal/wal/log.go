@@ -134,7 +134,6 @@ func (l *log) openSegmentLocked() error {
 // sync. The caller holds the owning shard's write lock, which is what
 // keeps epochs in the stream strictly increasing.
 func (l *log) append(rec Record) (int64, error) {
-	frame := appendRecord(nil, rec)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -143,6 +142,9 @@ func (l *log) append(rec Record) (int64, error) {
 	if l.err != nil {
 		return 0, l.err
 	}
+	// Encoded straight into the writer's free space: no frame buffer of
+	// its own, no copy unless the record outgrows what is free.
+	frame := appendRecord(l.w.AvailableBuffer(), rec)
 	if _, err := l.w.Write(frame); err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
 		l.cond.Broadcast()

@@ -12,8 +12,13 @@ import (
 	"time"
 
 	"rankjoin/internal/obs"
+	"rankjoin/internal/rankings"
 	"rankjoin/internal/shard"
 )
+
+// ErrFormatVersion reports a WAL directory of another format generation
+// (wal.meta version ≠ rankings.WireVersion); nothing in it is parsed.
+var ErrFormatVersion = errors.New("wal: directory format version not supported")
 
 // ErrShardMismatch reports a WAL directory laid out for a different
 // shard count than the index being recovered — replaying records into
@@ -112,7 +117,7 @@ func checkMeta(dir string, shards int) error {
 	path := filepath.Join(dir, "wal.meta")
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		blob, merr := json.Marshal(metaFile{Version: 1, Shards: shards})
+		blob, merr := json.Marshal(metaFile{Version: rankings.WireVersion, Shards: shards})
 		if merr != nil {
 			return fmt.Errorf("wal: encode meta: %w", merr)
 		}
@@ -127,6 +132,10 @@ func checkMeta(dir string, shards int) error {
 	var meta metaFile
 	if err := json.Unmarshal(data, &meta); err != nil {
 		return fmt.Errorf("wal: parse meta: %w", err)
+	}
+	if meta.Version != rankings.WireVersion {
+		return fmt.Errorf("%w: directory is version %d, this build reads version %d",
+			ErrFormatVersion, meta.Version, rankings.WireVersion)
 	}
 	if meta.Shards != shards {
 		return fmt.Errorf("%w: directory has %d, index has %d",
@@ -175,7 +184,7 @@ func (m *Manager) Recover(idx *shard.Index) (RecoveryStats, error) {
 		}
 		m.snapEpochs[i].Store(snapEpoch)
 
-		applied, torn, err := m.replayShard(idx, i, snapEpoch)
+		applied, torn, err := m.replayShard(idx, i)
 		if err != nil {
 			return st, err
 		}
@@ -191,16 +200,16 @@ func (m *Manager) Recover(idx *shard.Index) (RecoveryStats, error) {
 	return st, nil
 }
 
-// replayShard applies shard i's records with epoch > floor. The log
-// already points at a fresh segment, so every older segment is
-// read-only here; a torn/corrupt frame truncates its file in place.
-func (m *Manager) replayShard(idx *shard.Index, i int, floor uint64) (applied, torn int, err error) {
+// replayShard applies shard i's segments on top of whatever the shard
+// holds. The log already points at a fresh segment, so every older
+// segment is read-only here; a torn/corrupt frame truncates its file
+// in place.
+func (m *Manager) replayShard(idx *shard.Index, i int) (applied, torn int, err error) {
 	sdir := m.shardDir(i)
 	segs, err := listSegments(sdir)
 	if err != nil {
 		return 0, 0, err
 	}
-	last := floor
 	for _, seg := range segs {
 		if seg >= m.logs[i].seg {
 			break // the just-opened live segment is empty
@@ -210,74 +219,36 @@ func (m *Manager) replayShard(idx *shard.Index, i int, floor uint64) (applied, t
 		if rerr != nil {
 			return applied, torn, fmt.Errorf("wal: read segment: %w", rerr)
 		}
-		off := 0
-		for off < len(data) {
-			rec, n, derr := decodeRecord(data[off:])
-			if derr != nil {
-				// The crash tail: cut it off so the file is clean for
-				// replication scans, and stop replaying this shard. Any
-				// later segment is unreachable history (its epochs can
-				// never be contiguous with ours), so drop those too.
-				m.logger.Warn("wal segment truncated at invalid frame",
-					"shard", i, "segment", seg, "offset", off, "err", derr)
-				if terr := os.Truncate(path, int64(off)); terr != nil {
-					return applied, torn, fmt.Errorf("wal: truncate torn tail: %w", terr)
-				}
-				torn++
-				for _, later := range segs {
-					if later > seg && later < m.logs[i].seg {
-						if rmerr := os.Remove(filepath.Join(sdir, segName(later))); rmerr != nil {
-							return applied, torn, fmt.Errorf("wal: drop unreachable segment: %w", rmerr)
-						}
-					}
-				}
-				return applied, torn, nil
-			}
-			off += n
-			if rec.Epoch <= last {
-				continue // covered by the snapshot (or a replayed duplicate)
-			}
-			if rec.Epoch != last+1 {
-				// A gap means lost segments, not a crash tail; refuse to
-				// silently skip history.
-				return applied, torn, fmt.Errorf(
-					"wal: shard %d epoch gap: have %d, next record %d", i, last, rec.Epoch)
-			}
-			if aerr := m.applyRecord(idx, i, rec); aerr != nil {
-				return applied, torn, aerr
-			}
-			last = rec.Epoch
-			applied++
+		n, off, rerr := ReplayShard(idx, i, data)
+		applied += n
+		if rerr == nil {
+			continue
 		}
+		if !errors.Is(rerr, rankings.ErrTorn) && !errors.Is(rerr, rankings.ErrCorrupt) {
+			// A gap or a misrouted record means lost or foreign history,
+			// not a crash tail; refuse to silently skip it.
+			return applied, torn, rerr
+		}
+		// The crash tail: cut it off so the file is clean for
+		// replication scans, and stop replaying this shard. Any later
+		// segment is unreachable history (its epochs can never be
+		// contiguous with ours), so drop those too.
+		m.logger.Warn("wal segment truncated at invalid frame",
+			"shard", i, "segment", seg, "offset", off, "err", rerr)
+		if terr := os.Truncate(path, int64(off)); terr != nil {
+			return applied, torn, fmt.Errorf("wal: truncate torn tail: %w", terr)
+		}
+		torn++
+		for _, later := range segs {
+			if later > seg && later < m.logs[i].seg {
+				if rmerr := os.Remove(filepath.Join(sdir, segName(later))); rmerr != nil {
+					return applied, torn, fmt.Errorf("wal: drop unreachable segment: %w", rmerr)
+				}
+			}
+		}
+		return applied, torn, nil
 	}
 	return applied, torn, nil
-}
-
-func (m *Manager) applyRecord(idx *shard.Index, i int, rec Record) error {
-	switch rec.Op {
-	case OpInsert:
-		r, err := rec.Ranking()
-		if err != nil {
-			return err
-		}
-		if idx.ShardOf(r.ID) != i {
-			return fmt.Errorf("wal: shard %d record for id %d routes to shard %d",
-				i, r.ID, idx.ShardOf(r.ID))
-		}
-		return idx.ApplyInsert(r, rec.Epoch)
-	case OpDelete:
-		if idx.ShardOf(rec.ID) != i {
-			return fmt.Errorf("wal: shard %d record for id %d routes to shard %d",
-				i, rec.ID, idx.ShardOf(rec.ID))
-		}
-		if !idx.ApplyDelete(rec.ID, rec.Epoch) {
-			return fmt.Errorf("wal: shard %d epoch %d deletes absent id %d",
-				i, rec.Epoch, rec.ID)
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown op %d", ErrCorrupt, rec.Op)
-	}
 }
 
 // Attach installs the durability hook on idx: every Insert/Delete
@@ -371,10 +342,11 @@ func (m *Manager) snapshotShard(idx *shard.Index, i int) error {
 }
 
 // RecordsSince returns shard i's records with epoch in
-// (sinceEpoch, head], verified contiguous — the replication delta. ok
-// is false when the delta cannot be assembled (the span predates the
-// snapshot floor, a frame is torn, or the stream has a gap) and the
-// caller must fall back to a full snapshot.
+// (sinceEpoch, head], verified contiguous — the replication delta,
+// which a leader ships as the records' own frames. ok is false when the
+// delta cannot be assembled (the span predates the snapshot floor or
+// the stream has a gap) and the caller must fall back to a full
+// snapshot.
 func (m *Manager) RecordsSince(i int, sinceEpoch uint64) (recs []Record, ok bool, err error) {
 	if i < 0 || i >= m.cfg.Shards {
 		return nil, false, fmt.Errorf("wal: shard %d out of range [0,%d)", i, m.cfg.Shards)
@@ -396,23 +368,17 @@ func (m *Manager) RecordsSince(i int, sinceEpoch uint64) (recs []Record, ok bool
 		if rerr != nil {
 			return nil, false, fmt.Errorf("wal: read segment: %w", rerr)
 		}
-		off := 0
-		for off < len(data) {
-			rec, n, derr := decodeRecord(data[off:])
-			if derr != nil {
-				// A reader can observe a partially flushed final frame;
-				// the contiguous prefix is still a valid delta.
-				return recs, true, nil
-			}
-			off += n
-			if rec.Epoch <= last {
-				continue
-			}
-			if rec.Epoch != last+1 {
-				return nil, false, nil
-			}
+		last, _, err = scan(data, last, func(rec Record) error {
 			recs = append(recs, rec)
-			last = rec.Epoch
+			return nil
+		})
+		if errors.Is(err, ErrGap) {
+			return nil, false, nil
+		}
+		if err != nil {
+			// A reader can observe a partially flushed final frame;
+			// the contiguous prefix is still a valid delta.
+			return recs, true, nil
 		}
 	}
 	return recs, true, nil

@@ -1,36 +1,32 @@
 // Package wal gives the sharded dynamic index a durability and
-// replication substrate: one write-ahead log per shard (length-
-// prefixed, CRC-framed insert/delete records stamped with the shard
-// epoch, group-commit fsync), periodic epoch snapshots written with
-// atomic renames, crash-recovery replay on boot (newest valid
-// snapshot, then every WAL record above its epoch, torn tails
-// truncated), and the record/segment plumbing the replication endpoint
-// ships to read-only followers.
+// replication substrate: one write-ahead log per shard (CRC-framed
+// insert/delete records stamped with the shard epoch, group-commit
+// fsync), periodic epoch snapshots written with atomic renames,
+// crash-recovery replay on boot (newest valid snapshot, then every WAL
+// record above its epoch, torn tails truncated), and the frames and
+// images the replication endpoint ships to read-only followers — the
+// bytes recovery reads, replayed by the function recovery uses.
 //
 // The shard epoch is the only cursor: it advances by exactly one per
 // acknowledged mutation (see internal/shard), so "replay everything
 // after epoch E" is a contiguity check, and a snapshot named by its
 // capture epoch composes with any WAL suffix above that epoch.
+// Byte layouts: DESIGN.md "Wire and disk formats".
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"rankjoin/internal/rankings"
+	"rankjoin/internal/shard"
 )
 
-// ErrCorrupt reports a structurally invalid WAL record or snapshot: a
-// CRC mismatch, an impossible length, or an unknown op. During replay
-// a corrupt record is a crash artifact — the log is truncated there —
-// so ErrCorrupt surfaces only from explicit decode entry points.
-var ErrCorrupt = errors.New("wal: corrupt record")
-
-// ErrTorn reports a record cut short by the end of its segment — the
-// expected shape of the final record after a crash mid-write.
-var ErrTorn = errors.New("wal: torn record")
+// ErrGap reports a record that does not continue the epoch sequence:
+// history is missing between what the shard holds and what the frames
+// offer. Unlike a torn tail it is never a crash artifact.
+var ErrGap = errors.New("wal: epoch gap")
 
 // Op tags one logged mutation; values mirror internal/shard.
 type Op uint8
@@ -41,133 +37,122 @@ const (
 )
 
 // Record is one durable mutation: the epoch the owning shard reached
-// by applying it, and the subject. Items is nil for deletes.
+// by applying it, and the subject. Items is nil for deletes. Frame is
+// the bytes a decoded record came from — what a segment holds and what
+// a follower replays — and nil for a record built in memory.
 type Record struct {
 	Op    Op
 	Epoch uint64
 	ID    int64
 	Items []rankings.Item
+	Frame []byte
 }
 
 // Ranking materializes an insert record's subject, validating it the
 // same way the public API does.
 func (rec *Record) Ranking() (*rankings.Ranking, error) {
-	r, err := rankings.New(rec.ID, rec.Items)
-	if err != nil {
-		return nil, fmt.Errorf("%w: record epoch %d: %v", ErrCorrupt, rec.Epoch, err)
-	}
-	return r, nil
+	return rankings.New(rec.ID, rec.Items)
 }
 
-// Frame layout, repeated back to back within a segment file:
-//
-//	uvarint  payload length
-//	payload  op (byte) | epoch (uvarint) | id (varint)
-//	         | inserts only: item count (uvarint), items (varints)
-//	uint32   CRC-32C of the payload, little-endian
-//
-// The length prefix is outside the CRC; a corrupted length either
-// lands the CRC check on garbage (fails) or runs past the segment end
-// (torn). Both read as end-of-valid-log, which is the only recovery
-// action a tail corruption needs.
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// appendRecord appends rec's frame to buf.
+// appendRecord appends rec's frame to buf. The payload is op (byte),
+// epoch (uvarint), then the ranking for an insert or the id (varint)
+// for a delete.
 func appendRecord(buf []byte, rec Record) []byte {
-	payload := make([]byte, 0, 1+2*binary.MaxVarintLen64+(len(rec.Items)+1)*binary.MaxVarintLen32)
-	payload = append(payload, byte(rec.Op))
-	payload = binary.AppendUvarint(payload, rec.Epoch)
-	payload = binary.AppendVarint(payload, rec.ID)
+	start := len(buf)
+	buf = append(buf, byte(rec.Op))
+	buf = binary.AppendUvarint(buf, rec.Epoch)
 	if rec.Op == OpInsert {
-		payload = binary.AppendUvarint(payload, uint64(len(rec.Items)))
-		for _, it := range rec.Items {
-			payload = binary.AppendVarint(payload, int64(it))
-		}
+		r := rankings.Ranking{ID: rec.ID, Items: rec.Items}
+		buf = r.AppendWire(buf)
+	} else {
+		buf = binary.AppendVarint(buf, rec.ID)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
+	return rankings.EndFrame(buf, start)
 }
 
 // decodeRecord decodes one frame from the head of data, returning the
-// record and the frame's size. ErrTorn means data ends mid-frame;
-// ErrCorrupt means the frame is complete but invalid.
-func decodeRecord(data []byte) (Record, int, error) {
-	plen, n := binary.Uvarint(data)
-	if n <= 0 {
-		if len(data) >= binary.MaxVarintLen64 {
-			return Record{}, 0, fmt.Errorf("%w: bad length prefix", ErrCorrupt)
-		}
-		return Record{}, 0, ErrTorn
-	}
-	const maxPayload = 1 << 24 // no sane record approaches 16 MiB
-	if plen > maxPayload {
-		return Record{}, 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, plen)
-	}
-	frame := n + int(plen) + crcSize
-	if len(data) < frame {
-		return Record{}, 0, ErrTorn
-	}
-	payload := data[n : n+int(plen)]
-	want := binary.LittleEndian.Uint32(data[n+int(plen):])
-	if crc32.Checksum(payload, crcTable) != want {
-		return Record{}, 0, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
-	}
-	rec, err := decodePayload(payload)
+// record and the frame's size. rankings.ErrTorn: data ends mid-frame;
+// rankings.ErrCorrupt: the frame is complete but invalid.
+func decodeRecord(data []byte) (rec Record, size int, err error) {
+	payload, size, err := rankings.ReadFrame(data)
 	if err != nil {
-		return Record{}, 0, err
+		return rec, 0, err
 	}
-	return rec, frame, nil
+	var n, m int // bytes of the epoch, bytes of the subject
+	if len(payload) > 0 {
+		rec.Op = Op(payload[0])
+		rec.Epoch, n = rankings.Uvarint(payload[1:])
+	}
+	if n > 0 && rec.Op == OpInsert {
+		var r rankings.Ranking
+		m, err = r.DecodeWire(payload[1+n:])
+		rec.ID, rec.Items = r.ID, r.Items
+	} else if n > 0 && rec.Op == OpDelete {
+		rec.ID, m = rankings.Varint(payload[1+n:])
+	}
+	if err == nil && (m <= 0 || 1+n+m != len(payload)) { // includes an unknown op
+		err = rankings.ErrCorrupt
+	}
+	if err != nil {
+		return rec, 0, fmt.Errorf("malformed record at epoch %d: %w", rec.Epoch, err)
+	}
+	rec.Frame = data[:size]
+	return rec, size, nil
 }
 
-const crcSize = 4
-
-func decodePayload(payload []byte) (Record, error) {
-	if len(payload) == 0 {
-		return Record{}, fmt.Errorf("%w: empty payload", ErrCorrupt)
-	}
-	rec := Record{Op: Op(payload[0])}
-	rest := payload[1:]
-	epoch, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return Record{}, fmt.Errorf("%w: bad epoch", ErrCorrupt)
-	}
-	rest = rest[n:]
-	id, n := binary.Varint(rest)
-	if n <= 0 {
-		return Record{}, fmt.Errorf("%w: bad id", ErrCorrupt)
-	}
-	rest = rest[n:]
-	rec.Epoch, rec.ID = epoch, id
-	switch rec.Op {
-	case OpDelete:
-		if len(rest) != 0 {
-			return Record{}, fmt.Errorf("%w: %d trailing bytes in delete", ErrCorrupt, len(rest))
+// scan walks frames — WAL records back to back, as a segment file or a
+// replication delta holds them — and hands yield every record above
+// epoch after, in order. Records at or below after are skipped (a
+// snapshot or an earlier replay covers them); one that does not
+// continue the sequence is ErrGap. It returns the epoch reached and the
+// offset of the first byte it did not consume; err is the frame's
+// (ErrTorn, ErrCorrupt), ErrGap or yield's.
+func scan(frames []byte, after uint64, yield func(Record) error) (last uint64, off int, err error) {
+	for last = after; off < len(frames); {
+		rec, n, err := decodeRecord(frames[off:])
+		if err != nil {
+			return last, off, err
 		}
-	case OpInsert:
-		count, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return Record{}, fmt.Errorf("%w: bad item count", ErrCorrupt)
-		}
-		rest = rest[n:]
-		if count > uint64(len(rest)) { // every item takes ≥ 1 byte
-			return Record{}, fmt.Errorf("%w: item count %d exceeds payload", ErrCorrupt, count)
-		}
-		rec.Items = make([]rankings.Item, count)
-		for i := range rec.Items {
-			v, n := binary.Varint(rest)
-			if n <= 0 {
-				return Record{}, fmt.Errorf("%w: bad item %d", ErrCorrupt, i)
+		if rec.Epoch > last {
+			if rec.Epoch != last+1 {
+				return last, off, fmt.Errorf("%w: have %d, next record %d", ErrGap, last, rec.Epoch)
 			}
-			rec.Items[i] = rankings.Item(v)
-			rest = rest[n:]
+			if err := yield(rec); err != nil {
+				return last, off, err
+			}
+			last = rec.Epoch
 		}
-		if len(rest) != 0 {
-			return Record{}, fmt.Errorf("%w: %d trailing bytes in insert", ErrCorrupt, len(rest))
-		}
-	default:
-		return Record{}, fmt.Errorf("%w: unknown op %d", ErrCorrupt, rec.Op)
+		off += n
 	}
-	return rec, nil
+	return last, off, nil
+}
+
+// ReplayShard applies frames to shard i of idx above the epoch the
+// shard is at: the one way logged mutations reach an index. Recovery
+// feeds it segment files and a follower its leader's delta, so both
+// refuse a gap and a record that routes to another shard. It returns
+// the records applied and the offset of the first byte not consumed;
+// what was applied before an error stays, a valid prefix of history.
+func ReplayShard(idx *shard.Index, i int, frames []byte) (applied, off int, err error) {
+	if i < 0 || i >= idx.NumShards() {
+		return 0, 0, fmt.Errorf("wal: replay shard %d out of range [0,%d)", i, idx.NumShards())
+	}
+	_, off, err = scan(frames, idx.Epochs()[i], func(rec Record) error {
+		if idx.ShardOf(rec.ID) != i {
+			return fmt.Errorf("record for id %d routes to shard %d", rec.ID, idx.ShardOf(rec.ID))
+		}
+		if rec.Op == OpDelete {
+			if !idx.ApplyDelete(rec.ID, rec.Epoch) {
+				return fmt.Errorf("epoch %d deletes absent id %d", rec.Epoch, rec.ID)
+			}
+		} else if err := idx.ApplyInsert(&rankings.Ranking{ID: rec.ID, Items: rec.Items}, rec.Epoch); err != nil {
+			return err // the decoder validated the ranking; this is the index's verdict (k)
+		}
+		applied++
+		return nil
+	})
+	if err != nil {
+		err = fmt.Errorf("wal: replay shard %d: %w", i, err)
+	}
+	return applied, off, err
 }

@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,23 +11,16 @@ import (
 	"rankjoin/internal/rankings"
 )
 
-// Snapshot file format (one file per shard per capture, named
-// snap-<epoch:016x>.snap):
-//
-//	"RKS1"    magic
-//	uvarint   shard ordinal
-//	uvarint   capture epoch
-//	uvarint   ranking count
-//	repeated  uvarint blob length, Ranking gob blob (rankings/wire.go)
-//	uint32    CRC-32C of everything above, little-endian
-//
-// A snapshot becomes visible only via rename(2) of a fully fsynced
-// temp file, so a crash mid-write leaves at most a *.tmp straggler and
-// the previous snapshot intact; the trailing CRC catches torn or
-// bit-rotted files at load, which fall back to the next-older capture.
+// A snapshot file (one per shard per capture, named
+// snap-<epoch:016x>.snap) holds one snapshot image — the same bytes a
+// leader ships to a follower that needs a whole shard. It becomes
+// visible only via rename(2) of a fully fsynced temp file, so a crash
+// mid-write leaves at most a *.tmp straggler and the previous snapshot
+// intact; the frame's CRC catches torn or bit-rotted files at load,
+// which fall back to the next-older capture.
 
 const (
-	snapMagic  = "RKS1"
+	snapMagic  = "RKS2" // generation rankings.WireVersion
 	snapPrefix = "snap-"
 	snapSuffix = ".snap"
 )
@@ -46,72 +38,38 @@ func parseSnapName(name string) (uint64, bool) {
 	return e, true
 }
 
-// encodeSnapshot frames one shard dump.
-func encodeSnapshot(shard int, epoch uint64, rs []*rankings.Ranking) ([]byte, error) {
-	buf := append([]byte(nil), snapMagic...)
+// EncodeSnapshot builds one shard's snapshot image: the magic, then a
+// frame holding shard ordinal (uvarint), capture epoch (uvarint) and
+// the counted rankings.
+func EncodeSnapshot(shard int, epoch uint64, rs []*rankings.Ranking) []byte {
+	buf := append(make([]byte, 0, 64+32*len(rs)), snapMagic...)
 	buf = binary.AppendUvarint(buf, uint64(shard))
 	buf = binary.AppendUvarint(buf, epoch)
-	buf = binary.AppendUvarint(buf, uint64(len(rs)))
-	for _, r := range rs {
-		blob, err := r.GobEncode()
-		if err != nil {
-			return nil, fmt.Errorf("wal: encode snapshot ranking %d: %w", r.ID, err)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(blob)))
-		buf = append(buf, blob...)
-	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable)), nil
+	buf = rankings.AppendRankings(buf, rs)
+	return rankings.EndFrame(buf, len(snapMagic))
 }
 
-// decodeSnapshot parses and CRC-verifies one shard dump.
-func decodeSnapshot(data []byte) (shard int, epoch uint64, rs []*rankings.Ranking, err error) {
-	if len(data) < len(snapMagic)+crcSize {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot too short", ErrCorrupt)
-	}
-	body, tail := data[:len(data)-crcSize], data[len(data)-crcSize:]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot crc mismatch", ErrCorrupt)
-	}
-	if string(body[:len(snapMagic)]) != snapMagic {
-		return 0, 0, nil, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
-	}
-	rest := body[len(snapMagic):]
-	u := func(what string) uint64 {
-		if err != nil {
-			return 0
-		}
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			err = fmt.Errorf("%w: bad snapshot %s", ErrCorrupt, what)
-			return 0
-		}
-		rest = rest[n:]
-		return v
-	}
-	sh := u("shard")
-	epoch = u("epoch")
-	count := u("count")
+// DecodeSnapshot parses and CRC-verifies a snapshot image. An image of
+// another format generation (RKS1) is refused by its magic.
+func DecodeSnapshot(image []byte) (shard int, epoch uint64, rs []*rankings.Ranking, err error) {
+	payload, err := rankings.Unseal(snapMagic, image)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	rs = make([]*rankings.Ranking, 0, count)
-	for i := uint64(0); i < count; i++ {
-		blen := u("blob length")
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		if blen > uint64(len(rest)) {
-			return 0, 0, nil, fmt.Errorf("%w: snapshot blob %d truncated", ErrCorrupt, i)
-		}
-		var r rankings.Ranking
-		if derr := r.GobDecode(rest[:blen]); derr != nil {
-			return 0, 0, nil, fmt.Errorf("%w: snapshot blob %d: %v", ErrCorrupt, i, derr)
-		}
-		rest = rest[blen:]
-		rs = append(rs, &r)
+	sh, n := rankings.Uvarint(payload)
+	if n <= 0 {
+		return 0, 0, nil, fmt.Errorf("%w: snapshot shard", rankings.ErrCorrupt)
 	}
-	if len(rest) != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(rest))
+	epoch, m := rankings.Uvarint(payload[n:])
+	if m <= 0 {
+		return 0, 0, nil, fmt.Errorf("%w: snapshot epoch", rankings.ErrCorrupt)
+	}
+	rs, k, err := rankings.DecodeRankings(payload[n+m:])
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("snapshot shard %d epoch %d: %w", sh, epoch, err)
+	}
+	if n+m+k != len(payload) {
+		return 0, 0, nil, fmt.Errorf("%w: trailing snapshot bytes", rankings.ErrCorrupt)
 	}
 	return int(sh), epoch, rs, nil
 }
@@ -119,10 +77,7 @@ func decodeSnapshot(data []byte) (shard int, epoch uint64, rs []*rankings.Rankin
 // writeSnapshot durably publishes a shard dump into dir: temp file,
 // fsync, rename, fsync dir.
 func writeSnapshot(dir string, shard int, epoch uint64, rs []*rankings.Ranking) error {
-	data, err := encodeSnapshot(shard, epoch, rs)
-	if err != nil {
-		return err
-	}
+	data := EncodeSnapshot(shard, epoch, rs)
 	tmp, err := os.CreateTemp(dir, snapPrefix+"*.tmp")
 	if err != nil {
 		return fmt.Errorf("wal: snapshot temp: %w", err)
@@ -191,7 +146,7 @@ func loadNewestSnapshot(dir string, wantShard int) (rs []*rankings.Ranking, epoc
 		if rerr != nil {
 			return nil, 0, false, invalid, fmt.Errorf("wal: read snapshot: %w", rerr)
 		}
-		sh, epoch, rs, derr := decodeSnapshot(data)
+		sh, epoch, rs, derr := DecodeSnapshot(data)
 		if derr != nil || sh != wantShard || epoch != es[i] {
 			invalid++
 			continue

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,6 +16,7 @@ import (
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/shard"
 	"rankjoin/internal/testutil"
+	"rankjoin/internal/testutil/wirecheck"
 )
 
 func TestRecordRoundtrip(t *testing.T) {
@@ -54,7 +57,7 @@ func TestDecodeTornAndCorrupt(t *testing.T) {
 	// Every strict prefix is torn, never corrupt: a crash can cut a
 	// write anywhere and recovery must read it as end-of-log.
 	for cut := 0; cut < len(frame); cut++ {
-		if _, _, err := decodeRecord(frame[:cut]); !errors.Is(err, ErrTorn) {
+		if _, _, err := decodeRecord(frame[:cut]); !errors.Is(err, rankings.ErrTorn) {
 			t.Fatalf("prefix of %d bytes: err = %v, want ErrTorn", cut, err)
 		}
 	}
@@ -64,7 +67,7 @@ func TestDecodeTornAndCorrupt(t *testing.T) {
 		bad := append([]byte(nil), frame...)
 		bad[pos] ^= 0x40
 		_, _, err := decodeRecord(bad)
-		if err == nil || errors.Is(err, ErrTorn) {
+		if err == nil || errors.Is(err, rankings.ErrTorn) {
 			t.Fatalf("flip at %d: err = %v, want ErrCorrupt", pos, err)
 		}
 	}
@@ -610,4 +613,184 @@ func TestTornSnapshotPlusWALReplay(t *testing.T) {
 		}
 	}
 	sameContents(t, idx2, idx)
+}
+
+// Golden vectors of format generation 2 (hand-assembled, CRC computed
+// outside this repository); the fuzz targets seed from them. A change
+// here is a format change: bump rankings.WireVersion.
+const (
+	goldenInsert   = "0801ac0254030a0605b7cf742c"                 // epoch 300: id 42, items 5 3 -3
+	goldenDelete   = "0402ad02113298dd5b"                         // epoch 301: id -9
+	goldenSnapshot = "524b53320c03ad020254030a060501010ea68c70a7" // shard 3 at 301: that ranking and -1:[7]
+)
+
+// sealed wraps payload as rankings.Unseal expects it; the fuzz targets
+// use it to get mutated payloads past the CRC.
+func sealed(magic string, payload []byte) []byte {
+	return rankings.EndFrame(append([]byte(magic), payload...), len(magic))
+}
+
+func unhex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestGoldenFormat(t *testing.T) {
+	ins := Record{Op: OpInsert, Epoch: 300, ID: 42, Items: []rankings.Item{5, 3, -3}}
+	del := Record{Op: OpDelete, Epoch: 301, ID: -9}
+	if got := hex.EncodeToString(appendRecord(nil, ins)); got != goldenInsert {
+		t.Errorf("insert record encodes as %s, golden %s", got, goldenInsert)
+	}
+	if got := hex.EncodeToString(appendRecord(nil, del)); got != goldenDelete {
+		t.Errorf("delete record encodes as %s, golden %s", got, goldenDelete)
+	}
+	var got []Record
+	last, off, err := scan(unhex(t, goldenInsert+goldenDelete), 299, func(rec Record) error {
+		got = append(got, rec)
+		return nil
+	})
+	if err != nil || last != 301 || off != (len(goldenInsert)+len(goldenDelete))/2 || len(got) != 2 ||
+		got[0].ID != 42 || len(got[0].Items) != 3 || got[0].Items[2] != -3 || got[1].Op != OpDelete || got[1].ID != -9 {
+		t.Errorf("golden records scan as %+v (last %d, off %d, err %v)", got, last, off, err)
+	}
+
+	rs := []*rankings.Ranking{rankings.MustNew(42, []rankings.Item{5, 3, -3}), rankings.MustNew(-1, []rankings.Item{7})}
+	if got := hex.EncodeToString(EncodeSnapshot(3, 301, rs)); got != goldenSnapshot {
+		t.Errorf("snapshot encodes as %s, golden %s", got, goldenSnapshot)
+	}
+	sh, epoch, back, err := DecodeSnapshot(unhex(t, goldenSnapshot))
+	if err != nil || sh != 3 || epoch != 301 || len(back) != 2 || back[1].ID != -1 || !rankings.Equal(back[0], rs[0]) {
+		t.Errorf("golden snapshot decodes as shard %d epoch %d %v, %v", sh, epoch, back, err)
+	}
+}
+
+// TestSnapshotCountBounded: a CRC-valid image whose ranking count is
+// 2^40 used to reach make([]*Ranking, 0, count) and panic; the count is
+// now held to what the remaining bytes could encode.
+func TestSnapshotCountBounded(t *testing.T) {
+	payload := binary.AppendUvarint([]byte{0, 1}, 1<<40) // shard 0, epoch 1, count 2^40
+	payload = append(payload, 2, 1, 6)                   // one real ranking behind it
+	_, _, _, err := DecodeSnapshot(sealed(snapMagic, payload))
+	if !errors.Is(err, rankings.ErrCorrupt) {
+		t.Fatalf("DecodeSnapshot = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestOldFormatsRefused: generation-1 state is refused by its version
+// stamp, never parsed as generation 2.
+func TestOldFormatsRefused(t *testing.T) {
+	v1 := t.TempDir()
+	if err := os.WriteFile(filepath.Join(v1, "wal.meta"), []byte(`{"version":1,"shards":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(v1, Config{Shards: 1}); !errors.Is(err, ErrFormatVersion) {
+		t.Fatalf("Open on a version-1 directory = %v, want ErrFormatVersion", err)
+	}
+
+	// An RKS1 capture planted as the newest snapshot of a generation-2
+	// directory (its own trailing CRC valid, as v1 wrote it) is counted
+	// invalid and the older RKS2 capture is used.
+	dir := t.TempDir()
+	idx, mgr := openAttached(t, dir, 1)
+	for _, r := range testutil.RandDataset(rand.New(rand.NewSource(7)), 10, 5, 60) {
+		if err := idx.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mgr.SnapshotAll(idx); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rks1 := unhex(t, "524b5331"+"00"+"8f4e"+"00"+"7567dc96") // "RKS1", shard 0, epoch 9999, no rankings, CRC-32C
+	if err := os.WriteFile(filepath.Join(dir, "shard-000", snapName(9999)), rks1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mgr2, err := Open(dir, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	idx2 := shard.New(shard.Config{Shards: 1})
+	st, err := mgr2.Recover(idx2)
+	if err != nil || st.InvalidSnapshots != 1 || st.SnapshotsLoaded != 1 {
+		t.Fatalf("Recover = %+v, %v; want 1 invalid and 1 loaded snapshot", st, err)
+	}
+	sameContents(t, idx2, idx)
+}
+
+// TestReplayRefusesMisroutedRecord: a frame whose id routes to another
+// shard is refused and moves nothing — for the follower as for
+// recovery, since both replay through ReplayShard.
+func TestReplayRefusesMisroutedRecord(t *testing.T) {
+	idx := shard.New(shard.Config{Shards: 4})
+	var id int64
+	for idx.ShardOf(id) == 2 {
+		id++
+	}
+	frame := appendRecord(nil, Record{Op: OpInsert, Epoch: 1, ID: id, Items: []rankings.Item{1, 2, 3}})
+	if applied, _, err := ReplayShard(idx, 2, frame); err == nil || applied != 0 {
+		t.Fatalf("ReplayShard applied %d records, err %v; want a routing refusal", applied, err)
+	}
+	if idx.Len() != 0 {
+		t.Fatalf("refused replay left %d rankings", idx.Len())
+	}
+	for i, e := range idx.Epochs() {
+		if e != 0 {
+			t.Fatalf("refused replay moved shard %d to epoch %d", i, e)
+		}
+	}
+	if _, _, err := ReplayShard(idx, 2, appendRecord(nil, Record{Op: OpDelete, Epoch: 3, ID: id})); !errors.Is(err, ErrGap) {
+		t.Fatalf("ReplayShard across a gap = %v, want ErrGap", err)
+	}
+	if _, _, err := ReplayShard(idx, 4, nil); err == nil {
+		t.Fatal("ReplayShard accepted shard 4 of 4")
+	}
+}
+
+// FuzzWALFrames feeds arbitrary bytes to the replay as a segment file
+// or replication delta would arrive, and as the payload of one
+// well-framed record.
+func FuzzWALFrames(f *testing.F) {
+	f.Add(unhex(f, goldenInsert+goldenDelete))
+	f.Add(unhex(f, goldenInsert)[1:9]) // the insert's payload
+	f.Add(unhex(f, goldenDelete)[1:5])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		idx := shard.New(shard.Config{Shards: 1})
+		wirecheck.Decoder(t, data, func(data []byte) ([]byte, error) {
+			ReplayShard(idx, 0, data) // whatever it makes of data, it must not panic
+			var out []byte
+			_, _, err := scan(data, 0, func(rec Record) error {
+				out = appendRecord(out, rec)
+				return nil
+			})
+			return out, err
+		})
+		wirecheck.Decoder(t, sealed("", data), func(frame []byte) ([]byte, error) {
+			rec, _, err := decodeRecord(frame)
+			return appendRecord(nil, rec), err
+		})
+	})
+}
+
+// FuzzSnapshotImage does the same for snapshot images.
+func FuzzSnapshotImage(f *testing.F) {
+	golden := unhex(f, goldenSnapshot)
+	f.Add(golden)
+	f.Add(golden[5 : len(golden)-4]) // its payload
+	f.Add([]byte("RKS1"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decode := func(image []byte) ([]byte, error) {
+			sh, epoch, rs, err := DecodeSnapshot(image)
+			return EncodeSnapshot(sh, epoch, rs), err
+		}
+		wirecheck.Decoder(t, data, decode)
+		wirecheck.Decoder(t, sealed(snapMagic, data), decode)
+	})
 }
