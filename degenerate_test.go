@@ -2,6 +2,7 @@ package rankjoin_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -101,6 +102,52 @@ func TestTypedValidationErrors(t *testing.T) {
 	}
 	if _, err := rankjoin.SuggestDelta(rs, 1.5); !errors.Is(err, rankjoin.ErrThetaRange) {
 		t.Errorf("SuggestDelta theta 1.5: err = %v, want ErrThetaRange", err)
+	}
+	if _, err := rankjoin.BuildIndex(dup, 2); !errors.Is(err, rankjoin.ErrDuplicateID) {
+		t.Errorf("BuildIndex duplicate ids: err = %v, want ErrDuplicateID", err)
+	}
+}
+
+// TestThetaRange: every entry point that takes a θ refuses one outside
+// [0, 1] with ErrThetaRange — NaN included, which no `θ < 0 || θ > 1`
+// comparison catches and whose int conversion is platform-defined — and
+// accepts both ends of the range.
+func TestThetaRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	rs := testutil.RandDataset(rng, 10, 4, 25)
+	idx, err := rankjoin.BuildIndex(rs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := rankjoin.NewShardedIndex(rankjoin.ShardedIndexConfig{})
+	for _, r := range rs {
+		if err := sharded.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := map[string]func(theta float64) error{
+		"JoinRS":              func(th float64) error { _, err := rankjoin.JoinRS(rs, rs, rankjoin.Options{Theta: th}); return err },
+		"Index.Search":        func(th float64) error { _, err := idx.Search(rs[0], th); return err },
+		"ShardedIndex.Search": func(th float64) error { _, err := sharded.Search(rs[0], th); return err },
+		"SuggestDelta":        func(th float64) error { _, err := rankjoin.SuggestDelta(rs, th); return err },
+	}
+	for _, alg := range allAlgorithms {
+		entries["Join/"+alg.String()] = func(th float64) error {
+			_, err := rankjoin.Join(rs, rankjoin.Options{Algorithm: alg, Theta: th})
+			return err
+		}
+	}
+	for name, call := range entries {
+		for _, theta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.0001, 1.0001} {
+			if err := call(theta); !errors.Is(err, rankjoin.ErrThetaRange) {
+				t.Errorf("%s θ=%v: err = %v, want ErrThetaRange", name, theta, err)
+			}
+		}
+		for _, theta := range []float64{0, 1} {
+			if err := call(theta); err != nil {
+				t.Errorf("%s θ=%v: %v", name, theta, err)
+			}
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // dataset would silently produce a nonsense δ for every other length.
 // Theta must lie in [0, 1] (ErrThetaRange).
 func SuggestDelta(rs []*Ranking, theta float64) (int, error) {
-	if theta < 0 || theta > 1 {
+	if !rankings.ThetaInRange(theta) {
 		return 0, ErrThetaRange
 	}
 	if err := checkUniform(rs); err != nil {

@@ -2,8 +2,9 @@
 // one process: every peer gets its own shard index, server, cluster
 // runtime, and TCP listener, and peers talk to each other over actual
 // HTTP — the same code path N separate rankserved processes exercise,
-// minus the process boundary. Used by the e2e tests and cmd/bench's
-// cluster mode; it returns errors instead of depending on testing.T.
+// minus the process boundary. Used by the e2e tests and the benchmark
+// module's cluster3 workload; it returns errors instead of depending on
+// testing.T.
 package clustertest
 
 import (

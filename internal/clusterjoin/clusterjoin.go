@@ -49,7 +49,7 @@ type Stats struct {
 
 // Join finds all pairs within opts.Theta via anchor partitioning.
 func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.Pair, *Stats, error) {
-	if opts.Theta < 0 || opts.Theta > 1 {
+	if !rankings.ThetaInRange(opts.Theta) {
 		return nil, nil, fmt.Errorf("clusterjoin: theta %v out of [0,1]", opts.Theta)
 	}
 	st := &Stats{}

@@ -67,10 +67,10 @@ func (o Options) withDefaults() Options {
 }
 
 func (o Options) validate(rs []*rankings.Ranking) (k int, err error) {
-	if o.Theta < 0 || o.Theta > 1 {
+	if !rankings.ThetaInRange(o.Theta) {
 		return 0, fmt.Errorf("core: theta %v out of [0,1]", o.Theta)
 	}
-	if o.ThetaC < 0 || o.ThetaC > 1 {
+	if !rankings.ThetaInRange(o.ThetaC) {
 		return 0, fmt.Errorf("core: thetaC %v out of [0,1]", o.ThetaC)
 	}
 	if len(rs) == 0 {

@@ -79,7 +79,7 @@ func (s *Stats) ObservedListLen() (mean float64, longest int64) {
 }
 
 // DeltaReport renders planned δ against observed posting lists as the
-// key=value line cmd/bench's CL-P row and cmd/experiments share.
+// key=value line `rankjoin -stats` and cmd/experiments' fig10 share.
 func (s *Stats) DeltaReport() string {
 	if s == nil {
 		return "<nil stats>"

@@ -18,6 +18,7 @@ import (
 	"rankjoin/internal/flow"
 	"rankjoin/internal/obs"
 	"rankjoin/internal/rankings"
+	"rankjoin/internal/vj"
 )
 
 // Options configures an FS-Join run.
@@ -33,7 +34,7 @@ type Options struct {
 
 // Join finds all pairs within opts.Theta via segment partitioning.
 func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.Pair, error) {
-	if opts.Theta < 0 || opts.Theta > 1 {
+	if !rankings.ThetaInRange(opts.Theta) {
 		return nil, fmt.Errorf("fsjoin: theta %v out of [0,1]", opts.Theta)
 	}
 	if len(rs) == 0 {
@@ -57,7 +58,7 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	}
 
 	ds := flow.Parallelize(ctx, rs, opts.Partitions)
-	ord, err := orderOf(ds, parts)
+	ord, _, err := vj.ComputeOrder(ds, parts)
 	if err != nil {
 		return nil, err
 	}
@@ -155,23 +156,4 @@ func minCommonSegment(ord *rankings.Order, segOf func(rankings.Item) int, a, b *
 		return 0, false
 	}
 	return segOf(bestItem), true
-}
-
-func orderOf(ds *flow.Dataset[*rankings.Ranking], parts int) (*rankings.Order, error) {
-	tokens := flow.FlatMap(ds, func(r *rankings.Ranking) []flow.KV[rankings.Item, int64] {
-		out := make([]flow.KV[rankings.Item, int64], len(r.Items))
-		for i, it := range r.Items {
-			out[i] = flow.KV[rankings.Item, int64]{K: it, V: 1}
-		}
-		return out
-	})
-	counted, err := flow.ReduceByKey(tokens, parts, func(a, b int64) int64 { return a + b }).Collect()
-	if err != nil {
-		return nil, err
-	}
-	counts := make(map[rankings.Item]int64, len(counted))
-	for _, kv := range counted {
-		counts[kv.K] = kv.V
-	}
-	return rankings.NewOrder(counts), nil
 }

@@ -2,17 +2,14 @@
 // positions its clustering against: random-centroid partition
 // clustering in the style of ClusterJoin / Wang et al. (§2, §5.1),
 // whose drawbacks (singleton-heavy partitions, cluster count fixed
-// upfront) motivate the paper's pair-derived clusters, plus a
-// pivot-based range index in the spirit of the authors' earlier
-// "coarse index" work. Both are used as baselines in ablation
-// benchmarks and as general-purpose utilities.
+// upfront) motivate the paper's pair-derived clusters. It is the
+// baseline of one ablation (experiments.AblationClustering).
 package metricspace
 
 import (
 	"fmt"
 	"math/rand"
 
-	"rankjoin/internal/filters"
 	"rankjoin/internal/rankings"
 )
 
@@ -104,77 +101,3 @@ func (r RandomCentroidResult) EmptyClusterFraction() float64 {
 	}
 	return float64(empty) / float64(len(r.Clusters))
 }
-
-// PivotIndex is a LAESA-style metric index: every record's distance to
-// a set of pivot rankings is precomputed; range queries prune records
-// whose pivot distances already violate the triangle inequality before
-// any real distance is computed. This is the "coarse index" idea from
-// the authors' earlier top-k-list similarity-search work.
-type PivotIndex struct {
-	pivots []*rankings.Ranking
-	data   []*rankings.Ranking
-	table  [][]int // table[i][p] = d(data[i], pivots[p])
-}
-
-// BuildPivotIndex selects numPivots pivots at random (seeded) and
-// precomputes the distance table.
-func BuildPivotIndex(rs []*rankings.Ranking, numPivots int, seed int64) (*PivotIndex, error) {
-	if numPivots <= 0 {
-		return nil, fmt.Errorf("metricspace: numPivots must be positive, got %d", numPivots)
-	}
-	if numPivots > len(rs) {
-		numPivots = len(rs)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(rs))
-	idx := &PivotIndex{
-		pivots: make([]*rankings.Ranking, numPivots),
-		data:   rs,
-		table:  make([][]int, len(rs)),
-	}
-	for p := 0; p < numPivots; p++ {
-		idx.pivots[p] = rs[perm[p]]
-	}
-	for i, r := range rs {
-		row := make([]int, numPivots)
-		for p, piv := range idx.pivots {
-			row[p] = rankings.Footrule(r, piv)
-		}
-		idx.table[i] = row
-	}
-	return idx, nil
-}
-
-// RangeSearch returns all indexed rankings within maxDist of the query
-// (excluding the query itself when indexed, matched by id). verified
-// reports how many true distance computations were needed beyond the
-// pivot distances.
-func (x *PivotIndex) RangeSearch(q *rankings.Ranking, maxDist int) (hits []rankings.Pair, verified int64) {
-	qd := make([]int, len(x.pivots))
-	for p, piv := range x.pivots {
-		qd[p] = rankings.Footrule(q, piv)
-	}
-	for i, r := range x.data {
-		if r.ID == q.ID {
-			continue
-		}
-		pruned := false
-		for p := range x.pivots {
-			if filters.TrianglePrune(qd[p], x.table[i][p], maxDist) {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		verified++
-		if d, ok := rankings.FootruleWithin(q, r, maxDist); ok {
-			hits = append(hits, rankings.NewPair(q.ID, r.ID, d))
-		}
-	}
-	return hits, verified
-}
-
-// Pivots returns the index's pivot rankings.
-func (x *PivotIndex) Pivots() []*rankings.Ranking { return x.pivots }

@@ -83,67 +83,3 @@ func TestRandomCentroidValidation(t *testing.T) {
 		t.Errorf("clusters = %d, want 5", len(res.Clusters))
 	}
 }
-
-// TestPivotIndexRangeSearchExact: pivot pruning must not lose results.
-func TestPivotIndexRangeSearchExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	rs := testutil.ClusteredDataset(rng, 15, 4, 8, 50)
-	idx, err := metricspace.BuildPivotIndex(rs, 6, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 30; trial++ {
-		q := rs[rng.Intn(len(rs))]
-		maxDist := rng.Intn(rankings.MaxFootrule(8) + 1)
-		hits, verified := idx.RangeSearch(q, maxDist)
-
-		var want []rankings.Pair
-		for _, r := range rs {
-			if r.ID == q.ID {
-				continue
-			}
-			if d, ok := rankings.FootruleWithin(q, r, maxDist); ok {
-				want = append(want, rankings.NewPair(q.ID, r.ID, d))
-			}
-		}
-		if !rankings.SamePairs(rankings.DedupPairs(hits), rankings.DedupPairs(want)) {
-			t.Fatalf("range search diverges for maxDist=%d", maxDist)
-		}
-		if verified > int64(len(rs)) {
-			t.Fatalf("verified %d > dataset size", verified)
-		}
-	}
-}
-
-// TestPivotIndexPrunes: for small radii the index must verify far fewer
-// records than a scan.
-func TestPivotIndexPrunes(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rs := testutil.RandDataset(rng, 500, 10, 200)
-	idx, err := metricspace.BuildPivotIndex(rs, 8, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, verified := idx.RangeSearch(rs[0], rankings.Threshold(0.05, 10))
-	if verified >= int64(len(rs))-1 {
-		t.Errorf("pivot index verified everything (%d of %d)", verified, len(rs))
-	}
-	if len(idx.Pivots()) != 8 {
-		t.Errorf("pivots = %d", len(idx.Pivots()))
-	}
-}
-
-func TestPivotIndexValidation(t *testing.T) {
-	if _, err := metricspace.BuildPivotIndex(nil, 0, 1); err == nil {
-		t.Error("zero pivots accepted")
-	}
-	rng := rand.New(rand.NewSource(6))
-	rs := testutil.RandDataset(rng, 3, 5, 20)
-	idx, err := metricspace.BuildPivotIndex(rs, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx.Pivots()) != 3 {
-		t.Errorf("pivot clamp failed: %d", len(idx.Pivots()))
-	}
-}

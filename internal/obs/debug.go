@@ -10,7 +10,7 @@ import (
 )
 
 // DebugServer is the opt-in expvar + pprof HTTP listener for
-// long-running commands (cmd/bench, cmd/experiments). It serves
+// long-running commands (cmd/experiments, cmd/rankserved). It serves
 //
 //	/debug/vars        — expvar JSON, including any vars published
 //	                     through Publish;

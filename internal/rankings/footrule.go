@@ -92,6 +92,13 @@ func FootruleNorm(a, b *Ranking) float64 {
 	return float64(Footrule(a, b)) / float64(MaxFootrule(len(a.Items)))
 }
 
+// ThetaInRange reports whether θ is a normalized distance threshold,
+// i.e. lies in [0, 1]. Written so that NaN, which is neither below 0
+// nor above 1, is out of range: Threshold's int(NaN) is
+// platform-defined, and every entry point that takes a θ checks it
+// here first.
+func ThetaInRange(theta float64) bool { return theta >= 0 && theta <= 1 }
+
 // Threshold converts a normalized distance threshold θ ∈ [0,1] into the
 // largest unnormalized Footrule distance that still satisfies it:
 // ⌊θ·k·(k+1)⌋. A pair (a,b) satisfies the normalized threshold iff

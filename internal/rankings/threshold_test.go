@@ -1,6 +1,7 @@
 package rankings_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -96,6 +97,21 @@ func TestSharedRankDiffExceedsMatchesProbe(t *testing.T) {
 			if got := rankings.SharedRankDiffExceeds(ua, ub, bound); got != want {
 				t.Fatalf("unindexed: bound=%d got=%v want=%v", bound, got, want)
 			}
+		}
+	}
+}
+
+// TestThetaInRange: the closed interval [0, 1], and nothing NaN can
+// slip through (it compares false against both bounds).
+func TestThetaInRange(t *testing.T) {
+	for _, theta := range []float64{0, math.SmallestNonzeroFloat64, 0.5, 1} {
+		if !rankings.ThetaInRange(theta) {
+			t.Errorf("ThetaInRange(%v) = false", theta)
+		}
+	}
+	for _, theta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.0001, 1.0001} {
+		if rankings.ThetaInRange(theta) {
+			t.Errorf("ThetaInRange(%v) = true", theta)
 		}
 	}
 }

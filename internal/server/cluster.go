@@ -111,7 +111,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) err
 	}
 	sq := shard.Query{R: q, KNN: req.KNN, Exclude: req.Exclude}
 	if req.KNN <= 0 {
-		if req.Theta < 0 || req.Theta > 1 {
+		if !rankings.ThetaInRange(req.Theta) {
 			return finish(w, badRequest(fmt.Errorf("theta %v out of [0,1]", req.Theta)))
 		}
 		sq.MaxDist = rankings.Threshold(req.Theta, k)

@@ -504,7 +504,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) error {
 		return finish(w, badRequest(errors.New("missing theta")))
 	}
 	theta := *req.Theta
-	if theta < 0 || theta > 1 {
+	if !rankings.ThetaInRange(theta) {
 		return finish(w, badRequest(fmt.Errorf("theta %v out of [0,1]", theta)))
 	}
 	q, exclude, err := s.resolveClusterQuery(r.Context(), &req)
@@ -671,7 +671,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return finish(w, err)
 	}
-	if req.Theta == nil || *req.Theta < 0 || *req.Theta > 1 {
+	if req.Theta == nil || !rankings.ThetaInRange(*req.Theta) {
 		return finish(w, badRequest(errors.New("theta must be in [0,1]")))
 	}
 	if len(req.Rankings) == 0 {

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -406,5 +409,94 @@ func TestObservePathAllocationFree(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("per-request accounting: %.2f allocs/op, want 0", avg)
+	}
+}
+
+// BenchmarkTelemetryOverheadGuard is the DESIGN §12 contract as a build
+// gate: serving-plane telemetry at production defaults (head and tail
+// sampling, window loop, request ids) costs under 2 % (plus 25 ms of
+// timer-noise slack across the run) over telemetry fully disabled. Two
+// fresh servers over one index replay the same 4 000 pre-marshalled
+// requests through Handler(), so cache behaviour and coalescing match,
+// and they take turns a hundred requests at a time. On a shared machine
+// one whole replay is off by ±10 % from the next and single requests
+// stall for milliseconds, so totals decide nothing. The verdict is a
+// sign test over the 1 280 turns of thirty-two replays: the gate fails
+// when the telemetry side is over budget in significantly more than
+// half (two standard deviations of a fair coin), so however noisy the
+// machine, telemetry within budget fails less than one run in forty. A
+// benchmark and not a test, so `go test ./...` never asserts a timing;
+// CI runs it with `-run '^$' -bench OverheadGuard -benchtime 1x`.
+func BenchmarkTelemetryOverheadGuard(b *testing.B) {
+	const (
+		replays  = 32
+		requests = 4000
+		turn     = 100 // requests one side serves before the other takes over
+		turns    = replays * requests / turn
+		slack    = 25 * time.Millisecond / turns
+	)
+	data := testutil.ClusteredDataset(rand.New(rand.NewSource(7)), 400, 5, 10, 300)
+	idx := shard.New(shard.Config{})
+	for _, r := range data {
+		if err := idx.Insert(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var paths [requests]string
+	var bodies [requests][]byte
+	qrng := rand.New(rand.NewSource(11))
+	for i := range bodies {
+		id := data[qrng.Intn(len(data))].ID
+		if i%2 == 0 {
+			paths[i], bodies[i] = "/v1/search", []byte(fmt.Sprintf(`{"id":%d,"theta":0.25}`, id))
+		} else {
+			paths[i], bodies[i] = "/v1/knn", []byte(fmt.Sprintf(`{"id":%d,"k":10}`, id))
+		}
+	}
+	// replay adds each side's serving time to total (0 is telemetry
+	// off, 1 is defaults) and returns how many turns ran over budget.
+	replay := func(total *[2]time.Duration) (over int) {
+		var hs [2]http.Handler
+		for side, cfg := range [2]Config{
+			{Index: idx, TraceSampleEvery: -1, SlowThreshold: -1, WindowInterval: -1},
+			{Index: idx},
+		} {
+			srv := New(cfg)
+			defer srv.Close()
+			hs[side] = srv.Handler()
+		}
+		for lo := 0; lo < requests; lo += turn {
+			var spent [2]time.Duration
+			for t := 0; t < 2; t++ {
+				side := (lo/turn + t) % 2 // who goes first alternates too
+				start := time.Now()
+				for i := lo; i < lo+turn; i++ {
+					rec := httptest.NewRecorder()
+					hs[side].ServeHTTP(rec, httptest.NewRequest(http.MethodPost, paths[i], bytes.NewReader(bodies[i])))
+					if rec.Code != http.StatusOK {
+						b.Fatalf("%s: status %d (%s)", paths[i], rec.Code, rec.Body.Bytes())
+					}
+				}
+				spent[side] = time.Since(start)
+				total[side] += spent[side]
+			}
+			if spent[1] > spent[0]+spent[0]/50+slack {
+				over++
+			}
+		}
+		return over
+	}
+	for i := 0; i < b.N; i++ {
+		var total [2]time.Duration
+		over := 0
+		for r := 0; r < replays; r++ {
+			over += replay(&total)
+		}
+		if float64(over) > turns/2+math.Sqrt(turns) {
+			b.Fatalf("telemetry over budget in %d of %d turns (%v vs %v disabled in total)",
+				over, turns, total[1], total[0])
+		}
+		b.ReportMetric(float64(total[1])/float64(total[0]), "enabled/disabled")
+		b.ReportMetric(float64(over)/turns, "turns-over")
 	}
 }

@@ -1,14 +1,12 @@
 // Package shard implements the online serving index: a sharded,
-// dynamically updatable metric index over top-k rankings. Where
-// metricspace.PivotIndex is built once over a frozen dataset, this
-// package keeps per-shard LAESA-style pivot tables that absorb
-// Insert/Delete traffic under an RWMutex, answer range and kNN queries
-// with a 128-bit item-signature prefilter followed by
-// triangle-inequality pruning, and re-pivot themselves in the
-// background when churn (or a collapsed prune rate) degrades pruning
-// power — the serving-side counterpart of the error-bounded pivot
-// selection literature: pruning only stays effective while the pivots
-// still describe the data.
+// dynamically updatable metric index over top-k rankings. It keeps
+// per-shard LAESA-style pivot tables that absorb Insert/Delete traffic
+// under an RWMutex, answer range and kNN queries with a 128-bit
+// item-signature prefilter followed by triangle-inequality pruning, and
+// re-pivot themselves in the background when churn (or a collapsed
+// prune rate) degrades pruning power — the serving-side counterpart of
+// the error-bounded pivot selection literature: pruning only stays
+// effective while the pivots still describe the data.
 //
 // Every mutation bumps the owning shard's epoch by exactly one, so the
 // per-shard epoch is a dense cursor over that shard's mutation history:

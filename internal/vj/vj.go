@@ -64,7 +64,7 @@ type Options struct {
 }
 
 func (o Options) validate(rs []*rankings.Ranking) (k int, err error) {
-	if o.Theta < 0 || o.Theta > 1 {
+	if !rankings.ThetaInRange(o.Theta) {
 		return 0, fmt.Errorf("vj: theta %v out of [0,1]", o.Theta)
 	}
 	if len(rs) == 0 {

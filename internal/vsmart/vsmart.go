@@ -40,7 +40,7 @@ type Options struct {
 // Join finds all pairs within opts.Theta by distributed aggregation of
 // per-item gains (joining phase + similarity phase of V-SMART).
 func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.Pair, error) {
-	if opts.Theta < 0 || opts.Theta > 1 {
+	if !rankings.ThetaInRange(opts.Theta) {
 		return nil, fmt.Errorf("vsmart: theta %v out of [0,1]", opts.Theta)
 	}
 	if len(rs) == 0 {

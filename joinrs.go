@@ -35,7 +35,7 @@ import (
 // (ErrDuplicateID); the same id on both sides is fine — the id spaces
 // are independent.
 func (e *Engine) JoinRS(r, s []*Ranking, opts Options) (*Result, error) {
-	if opts.Theta < 0 || opts.Theta > 1 {
+	if !rankings.ThetaInRange(opts.Theta) {
 		return nil, fmt.Errorf("%w: got %v", ErrThetaRange, opts.Theta)
 	}
 	all := make([]*Ranking, 0, len(r)+len(s))

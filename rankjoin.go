@@ -272,7 +272,7 @@ func (e *Engine) SetTracer(tr *Tracer) { e.ctx.SetTracer(tr) }
 // algorithms key intermediate state by id, and before this check the
 // execution paths disagreed on what a colliding id meant).
 func (e *Engine) Join(rs []*Ranking, opts Options) (*Result, error) {
-	if opts.Theta < 0 || opts.Theta > 1 {
+	if !rankings.ThetaInRange(opts.Theta) {
 		return nil, fmt.Errorf("%w: got %v", ErrThetaRange, opts.Theta)
 	}
 	if err := checkUniform(rs); err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"rankjoin/internal/metricspace"
 	"rankjoin/internal/rankings"
 )
 
@@ -34,20 +33,22 @@ var (
 	ErrThetaRange = errors.New("rankjoin: theta must be in [0, 1]")
 )
 
-// Index is a metric range-search index over a ranking dataset: pivot
-// distances are precomputed so that range queries prune most of the
-// dataset with the triangle inequality before computing any real
-// distance (the "coarse index" idea from the authors' earlier work on
-// top-k-list similarity search).
+// Index is the static counterpart of ShardedIndex: the same index, one
+// shard, filled once by BuildIndex. Range queries prune most of the
+// dataset with the item-signature filter and the triangle inequality
+// over precomputed pivot distances before computing any real distance
+// (the "coarse index" idea from the authors' earlier work on
+// top-k-list similarity search). Results are exact whether or not the
+// shard's background pivot build has finished.
 type Index struct {
-	idx *metricspace.PivotIndex
-	k   int
+	idx *ShardedIndex
 }
 
 // BuildIndex indexes the dataset with the given number of pivots
 // (8–16 is a good range; more pivots prune better but cost more per
-// query). The dataset must be non-empty (ErrEmptyIndex otherwise) and
-// uniform-length.
+// query). The dataset must be non-empty (ErrEmptyIndex otherwise),
+// uniform-length and free of duplicate ids (ErrDuplicateID: the index
+// keys rankings by id, so a repeat would silently replace the first).
 func BuildIndex(rs []*Ranking, numPivots int) (*Index, error) {
 	if len(rs) == 0 {
 		return nil, ErrEmptyIndex
@@ -55,11 +56,19 @@ func BuildIndex(rs []*Ranking, numPivots int) (*Index, error) {
 	if err := checkUniform(rs); err != nil {
 		return nil, err
 	}
-	idx, err := metricspace.BuildPivotIndex(rs, numPivots, 1)
-	if err != nil {
+	if err := checkUniqueIDs(rs); err != nil {
 		return nil, err
 	}
-	return &Index{idx: idx, k: rs[0].K()}, nil
+	if numPivots < 1 {
+		return nil, fmt.Errorf("rankjoin: numPivots must be positive, got %d", numPivots)
+	}
+	x := NewShardedIndex(ShardedIndexConfig{Shards: 1, PivotsPerShard: numPivots, Seed: 1})
+	for _, r := range rs {
+		if err := x.Insert(r); err != nil {
+			return nil, err
+		}
+	}
+	return &Index{idx: x}, nil
 }
 
 // Search returns every indexed ranking within normalized Footrule
@@ -71,13 +80,8 @@ func (x *Index) Search(q *Ranking, theta float64) ([]Pair, error) {
 	if q == nil {
 		return nil, ErrNilQuery
 	}
-	if q.K() != x.k {
-		return nil, fmt.Errorf("%w: query has %d items, index has %d", ErrQueryLength, q.K(), x.k)
+	if k := x.idx.idx.K(); q.K() != k {
+		return nil, fmt.Errorf("%w: query has %d items, index has %d", ErrQueryLength, q.K(), k)
 	}
-	if theta < 0 || theta > 1 {
-		return nil, fmt.Errorf("%w: got %g", ErrThetaRange, theta)
-	}
-	hits, _ := x.idx.RangeSearch(q, rankings.Threshold(theta, x.k))
-	rankings.SortPairs(hits)
-	return hits, nil
+	return x.idx.Search(q, theta)
 }

@@ -1,6 +1,8 @@
 package rankjoin
 
 import (
+	"fmt"
+
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/shard"
 )
@@ -66,8 +68,8 @@ func (x *ShardedIndex) Search(q *Ranking, theta float64) ([]Pair, error) {
 	if q == nil {
 		return nil, ErrNilQuery
 	}
-	if theta < 0 || theta > 1 {
-		return nil, ErrThetaRange
+	if !rankings.ThetaInRange(theta) {
+		return nil, fmt.Errorf("%w: got %v", ErrThetaRange, theta)
 	}
 	k := x.idx.K()
 	if k == 0 {

@@ -6,18 +6,15 @@ import (
 	"testing"
 
 	"rankjoin"
+	"rankjoin/internal/rankings"
 	"rankjoin/internal/testutil"
 )
 
-// TestShardedIndexMatchesStaticIndex: the dynamic index must answer
-// range queries exactly like the static one over the same data.
-func TestShardedIndexMatchesStaticIndex(t *testing.T) {
+// TestShardedIndexMatchesBruteForce: the dynamic index must answer
+// range queries with exactly each ranking's brute-force join partners.
+func TestShardedIndexMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	rs := testutil.ClusteredDataset(rng, 20, 4, 8, 60)
-	static, err := rankjoin.BuildIndex(rs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dyn := rankjoin.NewShardedIndex(rankjoin.ShardedIndexConfig{Shards: 4, PivotsPerShard: 4})
 	for _, r := range rs {
 		if err := dyn.Insert(r); err != nil {
@@ -28,21 +25,27 @@ func TestShardedIndexMatchesStaticIndex(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", dyn.Len(), len(rs))
 	}
 	const theta = 0.25
+	res, err := rankjoin.Join(rs, rankjoin.Options{Algorithm: rankjoin.AlgBruteForce, Theta: theta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64][]rankjoin.Pair{}
+	for _, p := range res.Pairs {
+		want[p.A] = append(want[p.A], p)
+		want[p.B] = append(want[p.B], p)
+	}
 	for _, q := range rs {
-		want, err := static.Search(q, theta)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rankings.SortPairs(want[q.ID])
 		got, err := dyn.Search(q, theta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: sharded %d hits, static %d", q.ID, len(got), len(want))
+		if len(got) != len(want[q.ID]) {
+			t.Fatalf("query %d: sharded %d hits, brute force %d", q.ID, len(got), len(want[q.ID]))
 		}
 		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("query %d hit %d: sharded %v, static %v", q.ID, i, got[i], want[i])
+			if got[i] != want[q.ID][i] {
+				t.Fatalf("query %d hit %d: sharded %v, brute force %v", q.ID, i, got[i], want[q.ID][i])
 			}
 		}
 	}
