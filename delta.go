@@ -22,12 +22,9 @@ func SuggestDelta(rs []*Ranking, theta float64) (int, error) {
 	if !rankings.ThetaInRange(theta) {
 		return 0, ErrThetaRange
 	}
-	if err := checkUniform(rs); err != nil {
+	k, err := rankings.UniformK(rs)
+	if err != nil {
 		return 0, err
-	}
-	k := 0
-	if len(rs) > 0 {
-		k = rs[0].K()
 	}
 	counts := rankings.ItemCounts(rs)
 	prefix := filters.PrefixOverlap(rankings.Threshold(theta, k), k)

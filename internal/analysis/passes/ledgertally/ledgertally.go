@@ -18,13 +18,9 @@
 // and are exempt, which is exactly right: conservation is about where
 // candidates are generated and resolved, not where results are copied.
 //
-// A second rule guards the signature prefilter in EVERY package (not
-// just the kernels): a function that calls SignaturePrune discards
-// candidates, so it must also touch a ledger type — otherwise the
-// rejected candidates vanish from the conservation law instead of
-// being tallied as PrunedSignature. Only the defining package
-// (filters), where the predicate is pure math with no candidates in
-// sight, is exempt.
+// Signature, position and verification fates need no rule of their
+// own: filters.Resolve is their only non-oracle caller and takes the
+// ledger as a parameter, so the type checker enforces that tally.
 package ledgertally
 
 import (
@@ -55,15 +51,13 @@ var kernelPackages = map[string]bool{
 }
 
 // ledgerTypeName matches the names of accounting types whose use in a
-// function counts as touching the ledger: the obs counter machinery
-// (FilterCounters, FilterDelta), kernel stats (ppjoin.Stats, vj.Stats,
-// core.kernelStats) and local batch accumulators (core.expandCounts).
-var ledgerTypeName = regexp.MustCompile(`(Stats|Counters|Counts|Delta|Ledger)`)
+// function counts as touching the ledger: the obs ledger in its plain
+// and atomic forms, and the per-run stats that hold one (vj.Stats,
+// core.Stats).
+var ledgerTypeName = regexp.MustCompile(`^(FilterDelta|FilterCounters|Stats)$`)
 
 func run(pass *analysis.Pass) (any, error) {
-	pairRule := kernelPackages[pass.Pkg.Name()]
-	sigRule := pass.Pkg.Name() != "filters"
-	if !pairRule && !sigRule {
+	if !kernelPackages[pass.Pkg.Name()] {
 		return nil, nil
 	}
 	for _, file := range pass.Files {
@@ -72,26 +66,23 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkFunc(pass, fd, pairRule, sigRule)
+			checkFunc(pass, fd)
 		}
 	}
 	return nil, nil
 }
 
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, pairRule, sigRule bool) {
-	var firstPair, firstSigPrune ast.Node
+func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
+	var firstPair ast.Node
 	touchesLedger := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if pairRule && firstPair == nil && isNewPairCall(pass, n) {
+			if firstPair == nil && isNewPairCall(pass, n) {
 				firstPair = n
 			}
-			if sigRule && firstSigPrune == nil && isSignaturePruneCall(n) {
-				firstSigPrune = n
-			}
 		case *ast.CompositeLit:
-			if pairRule && firstPair == nil && isPairLiteral(pass, n) {
+			if firstPair == nil && isPairLiteral(pass, n) {
 				firstPair = n
 			}
 		case *ast.Ident:
@@ -101,31 +92,11 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, pairRule, sigRule bool) {
 		}
 		return true
 	})
-	if touchesLedger {
-		return
-	}
-	if firstPair != nil {
+	if firstPair != nil && !touchesLedger {
 		pass.Reportf(firstPair.Pos(),
 			"kernel function %s constructs result pairs but never touches the filter ledger (Stats / FilterCounters / FilterDelta); the conservation law Generated = pruned + verified cannot hold",
 			fd.Name.Name)
 	}
-	if firstSigPrune != nil {
-		pass.Reportf(firstSigPrune.Pos(),
-			"function %s rejects candidates with SignaturePrune but never touches the filter ledger (Stats / FilterCounters / FilterDelta); signature rejections must be tallied as PrunedSignature or the conservation law breaks",
-			fd.Name.Name)
-	}
-}
-
-// isSignaturePruneCall matches calls to a function named SignaturePrune
-// (any package qualifier).
-func isSignaturePruneCall(call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name == "SignaturePrune"
-	case *ast.SelectorExpr:
-		return fun.Sel.Name == "SignaturePrune"
-	}
-	return false
 }
 
 // isNewPairCall matches calls to a function named NewPair (any

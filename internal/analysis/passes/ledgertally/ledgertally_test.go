@@ -8,5 +8,5 @@ import (
 )
 
 func TestLedgerTally(t *testing.T) {
-	analysistest.Run(t, ledgertally.Analyzer, "vj", "notkernel", "sigprune", "filters")
+	analysistest.Run(t, ledgertally.Analyzer, "vj", "notkernel")
 }

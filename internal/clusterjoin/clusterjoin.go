@@ -56,11 +56,9 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	if len(rs) == 0 {
 		return nil, st, nil
 	}
-	k := rs[0].K()
-	for _, r := range rs {
-		if r.K() != k {
-			return nil, nil, fmt.Errorf("clusterjoin: mixed ranking lengths %d and %d", k, r.K())
-		}
+	k, err := rankings.UniformK(rs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("clusterjoin: %w", err)
 	}
 	maxDist := rankings.Threshold(opts.Theta, k)
 
@@ -130,13 +128,7 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 				return
 			}
 			delta.Generated++
-			if filters.PositionPrune(a, b, maxDist) {
-				delta.PrunedPosition++
-				return
-			}
-			delta.Verified++
-			if d, ok := rankings.FootruleWithin(a, b, maxDist); ok {
-				delta.Emitted++
+			if d, ok := filters.Resolve(a, b, maxDist, &delta); ok {
 				out = append(out, rankings.NewPair(a.ID, b.ID, d))
 			}
 		}

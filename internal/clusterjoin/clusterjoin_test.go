@@ -6,6 +6,7 @@ import (
 
 	"rankjoin/internal/clusterjoin"
 	"rankjoin/internal/flow"
+	"rankjoin/internal/obs"
 	"rankjoin/internal/ppjoin"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/testutil"
@@ -23,7 +24,7 @@ func TestClusterJoinMatchesOracle(t *testing.T) {
 		k := 3 + rng.Intn(10)
 		rs := testutil.RandDataset(rng, 40+rng.Intn(80), k, k+rng.Intn(4*k))
 		theta := 0.05 + 0.6*rng.Float64()
-		want := rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(theta, k), nil))
+		want := rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(theta, k), new(obs.FilterDelta)))
 		got, st, err := clusterjoin.Join(ctx(1+rng.Intn(4)), rs, clusterjoin.Options{
 			Theta:      theta,
 			Anchors:    1 + rng.Intn(20),
@@ -52,7 +53,7 @@ func TestClusterJoinClusteredData(t *testing.T) {
 	rs := testutil.ClusteredDataset(rng, 20, 4, 10, 80)
 	var repsSmall, repsLarge int64
 	for _, theta := range []float64{0.05, 0.4} {
-		want := rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(theta, 10), nil))
+		want := rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(theta, 10), new(obs.FilterDelta)))
 		got, st, err := clusterjoin.Join(ctx(4), rs, clusterjoin.Options{Theta: theta, Anchors: 8, Seed: 3})
 		if err != nil {
 			t.Fatal(err)

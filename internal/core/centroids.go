@@ -99,13 +99,13 @@ func (t thresholds) prefixFor(singleton bool) int {
 }
 
 // centroidSelfJoin is the Algorithm 1 kernel within one posting-list
-// (sub-)partition: a nested loop over ordered centroid pairs, applying
-// the position filter and the per-type Lemma 5.3 threshold.
-func centroidSelfJoin(members []*Centroid, t thresholds, uniform bool, st *kernelStats) []CPair {
+// (sub-)partition: a nested loop over ordered centroid pairs, each
+// resolved against its per-type Lemma 5.3 threshold.
+func centroidSelfJoin(members []*Centroid, t thresholds, uniform bool, d *obs.FilterDelta) []CPair {
 	var out []CPair
 	for i := 0; i < len(members); i++ {
 		for j := i + 1; j < len(members); j++ {
-			if p, ok := verifyCentroidPair(members[i], members[j], t, uniform, st); ok {
+			if p, ok := verifyCentroidPair(members[i], members[j], t, uniform, d); ok {
 				out = append(out, p)
 			}
 		}
@@ -114,11 +114,11 @@ func centroidSelfJoin(members []*Centroid, t thresholds, uniform bool, st *kerne
 }
 
 // centroidCrossJoin is the R-S variant across two sub-partitions.
-func centroidCrossJoin(a, b []*Centroid, t thresholds, uniform bool, st *kernelStats) []CPair {
+func centroidCrossJoin(a, b []*Centroid, t thresholds, uniform bool, d *obs.FilterDelta) []CPair {
 	var out []CPair
 	for _, x := range a {
 		for _, y := range b {
-			if p, ok := verifyCentroidPair(x, y, t, uniform, st); ok {
+			if p, ok := verifyCentroidPair(x, y, t, uniform, d); ok {
 				out = append(out, p)
 			}
 		}
@@ -126,7 +126,7 @@ func centroidCrossJoin(a, b []*Centroid, t thresholds, uniform bool, st *kernelS
 	return out
 }
 
-func verifyCentroidPair(x, y *Centroid, t thresholds, uniform bool, st *kernelStats) (CPair, bool) {
+func verifyCentroidPair(x, y *Centroid, t thresholds, uniform bool, d *obs.FilterDelta) (CPair, bool) {
 	if x.R.ID == y.R.ID {
 		return CPair{}, false
 	}
@@ -136,33 +136,10 @@ func verifyCentroidPair(x, y *Centroid, t thresholds, uniform bool, st *kernelSt
 		// loose Lemma 5.1 bound θ+2θc.
 		maxDist = t.fo
 	}
-	st.candidates++
-	if filters.PositionPrune(x.R, y.R, maxDist) {
-		st.prunedPosition++
-		return CPair{}, false
-	}
-	st.verified++
-	d, ok := rankings.FootruleWithin(x.R, y.R, maxDist)
+	d.Generated++
+	dist, ok := filters.Resolve(x.R, y.R, maxDist, d)
 	if !ok {
 		return CPair{}, false
 	}
-	st.results++
-	return newCPair(x, y, d), true
-}
-
-// kernelStats mirrors ppjoin.Stats for the centroid kernels.
-type kernelStats struct {
-	candidates, prunedPosition, verified, results int64
-}
-
-// filterDelta converts one kernel run into the engine-wide
-// filter-effectiveness delta (centroid kernels have no prefix filter:
-// every candidate is either position-pruned or verified).
-func (ks kernelStats) filterDelta() obs.FilterDelta {
-	return obs.FilterDelta{
-		Generated:      ks.candidates,
-		PrunedPosition: ks.prunedPosition,
-		Verified:       ks.verified,
-		Emitted:        ks.results,
-	}
+	return newCPair(x, y, dist), true
 }

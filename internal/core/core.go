@@ -6,6 +6,7 @@ import (
 
 	"rankjoin/internal/filters"
 	"rankjoin/internal/flow"
+	"rankjoin/internal/obs"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/stats"
 	"rankjoin/internal/vj"
@@ -73,14 +74,8 @@ func (o Options) validate(rs []*rankings.Ranking) (k int, err error) {
 	if !rankings.ThetaInRange(o.ThetaC) {
 		return 0, fmt.Errorf("core: thetaC %v out of [0,1]", o.ThetaC)
 	}
-	if len(rs) == 0 {
-		return 0, nil
-	}
-	k = rs[0].K()
-	for _, r := range rs {
-		if r.K() != k {
-			return 0, fmt.Errorf("core: mixed ranking lengths %d and %d (fixed-length rankings required)", k, r.K())
-		}
+	if k, err = rankings.UniformK(rs); err != nil {
+		return 0, fmt.Errorf("core: %w", err)
 	}
 	return k, nil
 }
@@ -255,43 +250,36 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	joinSpan := tr.StartScope("cl/joining")
 	defer joinSpan.End()
 	ordB := flow.NewBroadcast(ctx, ord)
-	// Degenerate regime: when θ+2θc admits zero-overlap centroid
-	// pairs, prefix posting lists cannot deliver them — route every
-	// centroid through the catch-all group as well (see
-	// rankings.CatchAllItem). The centroid kernels are nested loops,
-	// so the catch-all group is handled completely.
-	needAll := filters.MinOverlap(t.fo, k) == 0
+	// The centroid kernels are nested loops, so the catch-all group
+	// (needed when θ+2θc admits zero-overlap centroid pairs) is handled
+	// completely.
+	catchAll := filters.MinOverlap(t.fo, k) == 0
 	groups := vj.PrefixGroups(centroidRecords, func(c *Centroid) []rankings.Item {
 		p := t.prefixFor(c.Singleton)
 		if opts.UniformJoinThreshold {
 			p = t.prefixM
 		}
-		items := ordB.Value().Prefix(c.R, p)
-		if needAll {
-			items = append(append([]rankings.Item(nil), items...), rankings.CatchAllItem)
-		}
-		return items
+		return vj.PrefixTokens(ordB.Value(), c.R, p, catchAll)
 	}, opts.Partitions)
+	joinStats := statsJoining(opts.Stats)
 	cpairsRaw := vj.JoinTokenGroups(groups, vj.GroupJoinOptions[*Centroid, CPair]{
 		Partitions:        opts.Partitions,
 		Delta:             opts.Delta,
 		RepartitionFactor: opts.RepartitionFactor,
 		SubKey:            func(c *Centroid) int64 { return c.R.ID },
 		Self: func(_ rankings.Item, members []*Centroid) []CPair {
-			var ks kernelStats
-			out := centroidSelfJoin(members, t, opts.UniformJoinThreshold, &ks)
-			opts.Stats.addJoinKernel(ks)
-			ctx.Filters().Add(ks.filterDelta())
+			var d obs.FilterDelta
+			out := centroidSelfJoin(members, t, opts.UniformJoinThreshold, &d)
+			joinStats.Tally(ctx.Filters(), d)
 			return out
 		},
 		Cross: func(_ rankings.Item, a, b []*Centroid) []CPair {
-			var ks kernelStats
-			out := centroidCrossJoin(a, b, t, opts.UniformJoinThreshold, &ks)
-			opts.Stats.addJoinKernel(ks)
-			ctx.Filters().Add(ks.filterDelta())
+			var d obs.FilterDelta
+			out := centroidCrossJoin(a, b, t, opts.UniformJoinThreshold, &d)
+			joinStats.Tally(ctx.Filters(), d)
 			return out
 		},
-		Stats: statsJoining(opts.Stats),
+		Stats: joinStats,
 	})
 	cpairs := flow.Distinct(cpairsRaw, opts.Partitions).Cache()
 	nCPairs, err := cpairs.Count()

@@ -6,6 +6,7 @@ import (
 
 	"rankjoin/internal/core"
 	"rankjoin/internal/flow"
+	"rankjoin/internal/obs"
 	"rankjoin/internal/ppjoin"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/testutil"
@@ -20,7 +21,7 @@ func oracle(rs []*rankings.Ranking, theta float64) []rankings.Pair {
 	if len(rs) == 0 {
 		return nil
 	}
-	return rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(theta, rs[0].K()), nil))
+	return rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(theta, rs[0].K()), new(obs.FilterDelta)))
 }
 
 // TestCLMatchesOracleRandom: the full 4-phase pipeline returns exactly
@@ -292,17 +293,41 @@ func TestStatsPopulated(t *testing.T) {
 	if st.Results != int64(len(got)) {
 		t.Errorf("results %d vs %d", st.Results, len(got))
 	}
-	if st.JoinCandidates.Load() < st.JoinVerified.Load() {
-		t.Errorf("join candidates < verified: %v", &st)
+	if j := st.Joining.Filters.Snapshot(); j.Generated == 0 || !j.Conserved() {
+		t.Errorf("joining ledger empty or not conserved: %v", &st)
 	}
-	if st.ExpandCandidates.Load() < st.ExpandVerified.Load()+st.ExpandPruned.Load() {
-		t.Errorf("expansion accounting inconsistent: %v", &st)
+	if e := st.Expansion.Snapshot(); e.Generated == 0 || !e.Conserved() {
+		t.Errorf("expansion ledger empty or not conserved: %v", &st)
 	}
 	if st.Clustering.Snapshot().Groups == 0 {
 		t.Error("clustering stats empty")
 	}
 	if st.TotalTime() <= 0 {
 		t.Error("phase times not recorded")
+	}
+}
+
+// TestJoiningPhaseSharesTheCascade: the centroid join resolves its
+// candidates through filters.Resolve like every other kernel, so its
+// ledger conserves and the signature bound — which the phase used to
+// skip, verifying 389 candidates per result pair on join_dense —
+// rejects some of them.
+func TestJoiningPhaseSharesTheCascade(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	rs := testutil.ClusteredDataset(rng, 60, 4, 10, 200)
+	var st core.Stats
+	if _, err := core.Join(ctx(4), rs, core.Options{Theta: 0.3, ThetaC: 0.05, Stats: &st}); err != nil {
+		t.Fatal(err)
+	}
+	j := st.Joining.Filters.Snapshot()
+	if !j.Conserved() {
+		t.Errorf("joining ledger not conserved: %v", j)
+	}
+	if j.PrunedSignature == 0 {
+		t.Errorf("joining phase pruned nothing by signature: %v", j)
+	}
+	if j.PrunedPrefix != 0 || j.PrunedTriangle != 0 || j.AcceptedUnverified != 0 {
+		t.Errorf("joining phase tallied a fate it does not have: %v", j)
 	}
 }
 

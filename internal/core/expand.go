@@ -20,30 +20,13 @@ type expandInputs struct {
 	cpairs       *flow.Dataset[CPair]
 }
 
-// expandCounts accumulates per-row candidate accounting so the hot
-// candidate loops touch no atomics; flush folds a row's counts into the
-// run stats and the engine filter counters in one shot each.
-type expandCounts struct {
-	candidates, pruned, accepted, verified, emitted int64
-}
-
-func (c expandCounts) flush(in expandInputs) {
-	if c.candidates == 0 {
-		return
-	}
+// flush folds one row's ledger into the run stats and the engine
+// filter counters, so the hot candidate loops touch no atomics.
+func (in expandInputs) flush(d obs.FilterDelta) {
 	if st := in.opts.Stats; st != nil {
-		st.ExpandCandidates.Add(c.candidates)
-		st.ExpandPruned.Add(c.pruned)
-		st.ExpandAccepted.Add(c.accepted)
-		st.ExpandVerified.Add(c.verified)
+		st.Expansion.Add(d)
 	}
-	in.filters.Add(obs.FilterDelta{
-		Generated:          c.candidates,
-		PrunedTriangle:     c.pruned,
-		AcceptedUnverified: c.accepted,
-		Verified:           c.verified,
-		Emitted:            c.emitted,
-	})
+	in.filters.Add(d)
 }
 
 // expand computes the final result set per Algorithm 2:
@@ -77,7 +60,7 @@ func expand(in expandInputs) *flow.Dataset[rankings.Pair] {
 	// Same-cluster member–member pairs: d(mi, mj) ≤ 2θc by the triangle
 	// inequality, so when 2θc ≤ θ the paper writes them out directly.
 	sameCluster := flow.FlatMap(in.clusters, func(g flow.KV[int64, []Member]) []rankings.Pair {
-		var cnt expandCounts
+		var d obs.FilterDelta
 		var out []rankings.Pair
 		for i := 0; i < len(g.V); i++ {
 			for j := i + 1; j < len(g.V); j++ {
@@ -85,12 +68,13 @@ func expand(in expandInputs) *flow.Dataset[rankings.Pair] {
 				if mi.ID == mj.ID {
 					continue
 				}
-				if p, ok := resolveCandidate(in, &cnt, mi.ID, mj.ID, mi.Dist+mj.Dist, absInt(mi.Dist-mj.Dist)); ok {
+				if p, ok := resolveCandidate(in, &d, mi.ID, mj.ID,
+					filters.TrianglePrune(mi.Dist, mj.Dist, t.f), filters.TriangleAccept(mi.Dist, mj.Dist, t.f)); ok {
 					out = append(out, p)
 				}
 			}
 		}
-		cnt.flush(in)
+		in.flush(d)
 		return out
 	})
 
@@ -118,18 +102,18 @@ func expand(in expandInputs) *flow.Dataset[rankings.Pair] {
 	// single-pivot triangle bound |d(c, other) − d(τ, c)| ≤ d(τ, other).
 	rmc := flow.FlatMap(j1, func(row flow.KV[int64, flow.Joined[pairRec, []Member]]) []rankings.Pair {
 		rec := row.V.Left
-		var cnt expandCounts
+		var d obs.FilterDelta
 		var out []rankings.Pair
 		for _, m := range row.V.Right {
 			if m.ID == rec.Other {
 				continue
 			}
-			if p, ok := resolveCandidate(in, &cnt, m.ID, rec.Other,
-				rec.Dist+m.Dist, filters.TriangleLower(rec.Dist, m.Dist)); ok {
+			if p, ok := resolveCandidate(in, &d, m.ID, rec.Other,
+				filters.TrianglePrune(rec.Dist, m.Dist, t.f), filters.TriangleAccept(rec.Dist, m.Dist, t.f)); ok {
 				out = append(out, p)
 			}
 		}
-		cnt.flush(in)
+		in.flush(d)
 		return out
 	})
 
@@ -155,24 +139,20 @@ func expand(in expandInputs) *flow.Dataset[rankings.Pair] {
 	j2 := flow.Join(step2, in.clusters, opts.Partitions)
 	rmm := flow.FlatMap(j2, func(row flow.KV[int64, flow.Joined[step2Rec, []Member]]) []rankings.Pair {
 		rec := row.V.Left
-		var cnt expandCounts
+		var d obs.FilterDelta
 		var out []rankings.Pair
 		for _, mi := range rec.Members {
 			for _, mj := range row.V.Right {
 				if mi.ID == mj.ID {
 					continue
 				}
-				lower := rec.CDist - mi.Dist - mj.Dist
-				if lower < 0 {
-					lower = 0
-				}
-				if p, ok := resolveCandidate(in, &cnt, mi.ID, mj.ID,
-					mi.Dist+rec.CDist+mj.Dist, lower); ok {
+				if p, ok := resolveCandidate(in, &d, mi.ID, mj.ID,
+					filters.TwoPivotPrune(rec.CDist, mi.Dist, mj.Dist, t.f), filters.TriangleAccept(mi.Dist+rec.CDist, mj.Dist, t.f)); ok {
 					out = append(out, p)
 				}
 			}
 		}
-		cnt.flush(in)
+		in.flush(d)
 		return out
 	})
 	return flow.Union(direct,
@@ -181,35 +161,28 @@ func expand(in expandInputs) *flow.Dataset[rankings.Pair] {
 				flow.Union(rmc, rmm))))
 }
 
-// resolveCandidate decides one expansion candidate (a, b) given a
-// triangle upper and lower bound on its distance: prune when the lower
-// bound exceeds θ, accept unverified when allowed and the upper bound
-// certifies the pair, otherwise verify against the dictionary. Counts
-// land in cnt; the caller flushes once per row.
-func resolveCandidate(in expandInputs, cnt *expandCounts, a, b int64, upper, lower int) (rankings.Pair, bool) {
-	t := in.thresholds
-	cnt.candidates++
-	if !in.opts.NoTriangleFilter && lower > t.f {
-		cnt.pruned++
-		return rankings.Pair{}, false
+// resolveCandidate decides one expansion candidate (a, b) given what
+// the triangle inequality says about it: prune when its lower bound
+// exceeds θ, accept unverified when allowed and its upper bound
+// certifies the pair, otherwise resolve the two rankings from the
+// dictionary through the shared cascade. Counts land in d; the caller
+// flushes once per row.
+func resolveCandidate(in expandInputs, d *obs.FilterDelta, a, b int64, prune, accept bool) (rankings.Pair, bool) {
+	d.Generated++
+	if !in.opts.NoTriangleFilter {
+		if prune {
+			d.PrunedTriangle++
+			return rankings.Pair{}, false
+		}
+		if accept && in.opts.UnverifiedPartials {
+			d.AcceptedUnverified++
+			d.Emitted++
+			return rankings.NewPair(a, b, -1), true
+		}
 	}
-	if in.opts.UnverifiedPartials && !in.opts.NoTriangleFilter && upper <= t.f {
-		cnt.accepted++
-		cnt.emitted++
-		return rankings.NewPair(a, b, -1), true
-	}
-	cnt.verified++
-	ra, rb := in.dict.Value()[a], in.dict.Value()[b]
-	if d, ok := rankings.FootruleWithin(ra, rb, t.f); ok {
-		cnt.emitted++
-		return rankings.NewPair(a, b, d), true
+	dict := in.dict.Value()
+	if dist, ok := filters.Resolve(dict[a], dict[b], in.thresholds.f, d); ok {
+		return rankings.NewPair(a, b, dist), true
 	}
 	return rankings.Pair{}, false
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

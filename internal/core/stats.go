@@ -2,35 +2,24 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
+	"rankjoin/internal/obs"
 	"rankjoin/internal/vj"
 )
 
-// Stats aggregates accounting across the four CL phases. The atomic
-// counters are safe for concurrent kernel updates; the phase durations
+// Stats aggregates accounting across the four CL phases. The three
+// ledgers are safe for concurrent kernel updates; the phase durations
 // and cardinalities are written sequentially by the driver between
 // phases. A nil *Stats is a valid no-op sink.
 type Stats struct {
-	// Clustering receives the kernel/group accounting of the
-	// clustering-phase VJ run.
+	// Clustering receives the filter ledger and group accounting
+	// (posting lists, splits) of the clustering-phase VJ run.
 	Clustering vj.Stats
-	// Joining receives the group accounting (posting lists, splits) of
-	// the centroid join.
+	// Joining receives the same for the centroid join.
 	Joining vj.Stats
-
-	// Centroid-join kernel counters.
-	JoinCandidates atomic.Int64
-	JoinPruned     atomic.Int64 // dropped by the position filter
-	JoinVerified   atomic.Int64
-	JoinResults    atomic.Int64
-
-	// Expansion counters.
-	ExpandCandidates atomic.Int64
-	ExpandPruned     atomic.Int64 // dropped by triangle filtering
-	ExpandAccepted   atomic.Int64 // admitted without verification
-	ExpandVerified   atomic.Int64
+	// Expansion is the expansion phase's filter ledger.
+	Expansion obs.FilterCounters
 
 	// Cardinalities observed between phases (driver-written).
 	ClusterPairs  int64 // near-duplicate pairs found at θc
@@ -53,16 +42,6 @@ type Stats struct {
 	ClusteringTime time.Duration
 	JoiningTime    time.Duration
 	ExpansionTime  time.Duration
-}
-
-func (s *Stats) addJoinKernel(k kernelStats) {
-	if s == nil {
-		return
-	}
-	s.JoinCandidates.Add(k.candidates)
-	s.JoinPruned.Add(k.prunedPosition)
-	s.JoinVerified.Add(k.verified)
-	s.JoinResults.Add(k.results)
 }
 
 // ObservedListLen returns the mean and the maximum length of the
@@ -103,11 +82,9 @@ func (s *Stats) String() string {
 	}
 	out := fmt.Sprintf(
 		"clusterPairs=%d clusters=%d singletons=%d centroidPairs=%d results=%d "+
-			"joinCand=%d joinPruned=%d joinVer=%d expCand=%d expPruned=%d expAccepted=%d expVer=%d "+
-			"times[order=%v cluster=%v join=%v expand=%v]",
+			"join[%v] expand[%v] times[order=%v cluster=%v join=%v expand=%v]",
 		s.ClusterPairs, s.Clusters, s.Singletons, s.CentroidPairs, s.Results,
-		s.JoinCandidates.Load(), s.JoinPruned.Load(), s.JoinVerified.Load(),
-		s.ExpandCandidates.Load(), s.ExpandPruned.Load(), s.ExpandAccepted.Load(), s.ExpandVerified.Load(),
+		s.Joining.Filters.Snapshot(), s.Expansion.Snapshot(),
 		s.OrderingTime, s.ClusteringTime, s.JoiningTime, s.ExpansionTime)
 	if s.Delta > 0 {
 		out += " " + s.DeltaReport()

@@ -9,6 +9,7 @@ import (
 	"rankjoin/internal/flow"
 
 	"rankjoin/internal/dataset"
+	"rankjoin/internal/obs"
 	"rankjoin/internal/ppjoin"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/stats"
@@ -99,8 +100,8 @@ func TestDupRateCreatesNearPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	thetaC := rankings.Threshold(0.05, 10)
-	nearNo := len(ppjoin.BruteForce(noDup, thetaC, nil))
-	nearWith := len(ppjoin.BruteForce(withDup, thetaC, nil))
+	nearNo := len(ppjoin.BruteForce(noDup, thetaC, new(obs.FilterDelta)))
+	nearWith := len(ppjoin.BruteForce(withDup, thetaC, new(obs.FilterDelta)))
 	if nearWith <= nearNo {
 		t.Errorf("dup rate produced no extra near pairs: %d vs %d", nearWith, nearNo)
 	}
@@ -177,8 +178,8 @@ func TestScaleProperties(t *testing.T) {
 	}
 	// Result size must grow roughly linearly (the paper's requirement).
 	maxDist := rankings.Threshold(0.1, 8)
-	base1 := len(ppjoin.BruteForce(base, maxDist, nil))
-	scaled := len(ppjoin.BruteForce(x3, maxDist, nil))
+	base1 := len(ppjoin.BruteForce(base, maxDist, new(obs.FilterDelta)))
+	scaled := len(ppjoin.BruteForce(x3, maxDist, new(obs.FilterDelta)))
 	if base1 == 0 {
 		t.Skip("base dataset has no pairs at θ=0.1; adjust generator")
 	}

@@ -53,7 +53,7 @@ func AblationOrdering(p Params) (*Table, error) {
 		}
 		dID := time.Since(startID)
 		t.AddRow(fmtF(th), fmtDur(dOrd), fmtDur(dID),
-			fmt.Sprint(stOrd.Snapshot().Candidates), fmt.Sprint(stId.Snapshot().Candidates))
+			fmt.Sprint(stOrd.Snapshot().Generated), fmt.Sprint(stId.Snapshot().Generated))
 	}
 	return t, nil
 }
@@ -112,7 +112,7 @@ func AblationTriangle(p Params) (*Table, error) {
 			_, err := core.Join(newCtx(p), w.Rankings, core.Options{
 				Theta: th, ThetaC: 0.03, NoTriangleFilter: noFilter, Stats: st,
 			})
-			return time.Since(start), st.ExpandVerified.Load(), err
+			return time.Since(start), st.Expansion.Snapshot().Verified, err
 		}
 		df, vf, err := run(false)
 		if err != nil {

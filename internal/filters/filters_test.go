@@ -249,9 +249,6 @@ func TestTriangleBounds(t *testing.T) {
 		if lo := filters.TriangleLower(dxc, dyc); lo > dxy {
 			t.Fatalf("lower bound %d exceeds true distance %d", lo, dxy)
 		}
-		if up := filters.TriangleUpper(dxc, dyc); up < dxy {
-			t.Fatalf("upper bound %d below true distance %d", up, dxy)
-		}
 		maxDist := rng.Intn(rankings.MaxFootrule(k) + 1)
 		if filters.TrianglePrune(dxc, dyc, maxDist) && dxy <= maxDist {
 			t.Fatal("triangle prune dropped a true result")

@@ -36,6 +36,8 @@ func MinOverlap(maxDist, k int) int {
 // m(m+1) with m = k − overlap (the non-shared items packed at the
 // bottom of both rankings). It is the inverse view of MinOverlap and is
 // used by property tests to certify the bound tight.
+//
+//ranklint:allocfree
 func MinDistForOverlap(overlap, k int) int {
 	m := k - overlap
 	return m * (m + 1)

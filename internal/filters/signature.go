@@ -26,32 +26,20 @@ import "rankjoin/internal/rankings"
 // equal-length rankings from their signatures alone: two ANDs, two
 // popcounts, two corrections for in-signature hash collisions. The
 // result is clamped to [0, k].
+//
+//ranklint:allocfree
 func OverlapUpperBound(sigA rankings.Sig, popA int, sigB rankings.Sig, popB int, k int) int {
 	shared := sigA.SharedBits(sigB)
-	ub := shared + k - popA
-	if b := shared + k - popB; b < ub {
-		ub = b
-	}
-	if ub > k {
-		ub = k
-	}
-	if ub < 0 {
-		ub = 0
-	}
-	return ub
-}
-
-// SignatureFootruleLB converts an overlap upper bound into the
-// admissible Footrule lower bound m(m+1) with m = k − overlapUB — the
-// same packing argument as MinDistForOverlap.
-func SignatureFootruleLB(overlapUB, k int) int {
-	return MinDistForOverlap(overlapUB, k)
+	return max(0, min(shared+k-popA, shared+k-popB, k))
 }
 
 // SignaturePrune reports whether the candidate pair can be discarded
-// for threshold maxDist on signature evidence alone: the Footrule
-// lower bound induced by the overlap upper bound already exceeds
-// maxDist. A false result does NOT imply the pair is within maxDist.
+// for threshold maxDist on signature evidence alone: the admissible
+// Footrule lower bound m(m+1), m = k − overlap upper bound (the packing
+// argument of MinDistForOverlap), already exceeds maxDist. A false
+// result does NOT imply the pair is within maxDist.
+//
+//ranklint:allocfree
 func SignaturePrune(sigA rankings.Sig, popA int, sigB rankings.Sig, popB int, k, maxDist int) bool {
-	return SignatureFootruleLB(OverlapUpperBound(sigA, popA, sigB, popB, k), k) > maxDist
+	return MinDistForOverlap(OverlapUpperBound(sigA, popA, sigB, popB, k), k) > maxDist
 }

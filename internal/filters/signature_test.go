@@ -22,7 +22,7 @@ func assertAdmissible(t *testing.T, a, b *rankings.Ranking) {
 	if ov := rankings.Overlap(a, b); ub < ov {
 		t.Fatalf("overlap bound %d < true overlap %d for %v vs %v", ub, ov, a, b)
 	}
-	lb := filters.SignatureFootruleLB(ub, k)
+	lb := filters.MinDistForOverlap(ub, k)
 	if d := rankings.Footrule(a, b); lb > d {
 		t.Fatalf("signature lower bound %d > Footrule %d for %v vs %v", lb, d, a, b)
 	}

@@ -16,9 +16,6 @@ func TriangleLower(dxc, dyc int) int {
 	return l
 }
 
-// TriangleUpper returns the upper bound d(x, c) + d(c, y) on d(x, y).
-func TriangleUpper(dxc, dcy int) int { return dxc + dcy }
-
 // TrianglePrune reports whether a candidate pair (x, y) with pivot
 // distances dxc and dyc can be discarded for threshold maxDist:
 // |d(x,c) − d(y,c)| > F implies d(x,y) > F.
@@ -31,11 +28,10 @@ func TrianglePrune(dxc, dyc, maxDist int) bool {
 // TriangleAccept reports whether a candidate pair (x, y) with pivot
 // distances dxc and dyc is certainly a result for threshold maxDist
 // without verification: d(x,c) + d(c,y) ≤ F implies d(x,y) ≤ F. The
-// paper's expansion only applies the prune; the accept is exposed as an
-// additional optimization and exercised by the triangle-filter
-// ablation bench.
+// paper's expansion only applies the prune; the accept backs
+// core.Options.UnverifiedPartials.
 func TriangleAccept(dxc, dcy, maxDist int) bool {
-	return TriangleUpper(dxc, dcy) <= maxDist
+	return dxc+dcy <= maxDist
 }
 
 // TwoPivotPrune lower-bounds d(τi, τj) when τi is known at distance

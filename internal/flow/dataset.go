@@ -7,7 +7,7 @@ import (
 
 // Dataset is a lazily evaluated, partitioned, immutable collection — the
 // engine's RDD. Transformations build new Datasets; nothing executes
-// until an action (Collect, Count, Reduce) or a downstream shuffle
+// until an action (Collect, Count) or a downstream shuffle
 // forces materialization. Narrow transformations are pipelined: a chain
 // of Map/Filter/FlatMap over one partition runs as a single task
 // without intermediate materialization of the whole dataset.
@@ -57,15 +57,6 @@ func Parallelize[T any](ctx *Context, data []T, parts int) *Dataset[T] {
 			hi := n * (p + 1) / parts
 			return data[lo:hi], nil
 		},
-	}
-}
-
-// FromPartitions wraps pre-partitioned data as a dataset.
-func FromPartitions[T any](ctx *Context, partitions [][]T) *Dataset[T] {
-	return &Dataset[T]{
-		ctx:     ctx,
-		parts:   len(partitions),
-		compute: func(p int) ([]T, error) { return partitions[p], nil },
 	}
 }
 
@@ -277,47 +268,6 @@ func (d *Dataset[T]) Count() (int64, error) {
 		return nil
 	})
 	return n, err
-}
-
-// Reduce folds the dataset with an associative, commutative merge.
-// It returns ok=false on an empty dataset. In distributed mode each
-// worker folds its owned partitions and the partials are all-gathered
-// and merged in rank order on every worker.
-func Reduce[T any](d *Dataset[T], merge func(T, T) T) (T, bool, error) {
-	if d.ctx.distributed() {
-		return reduceDistributed(d, d.ctx.nextCollective(), merge)
-	}
-	var (
-		mu    sync.Mutex
-		acc   T
-		have  bool
-		zeroT T
-	)
-	err := d.ctx.parallelDo(d.parts, func(p int) error {
-		part, err := d.partition(p)
-		if err != nil {
-			return err
-		}
-		if len(part) == 0 {
-			return nil
-		}
-		local := part[0]
-		for _, v := range part[1:] {
-			local = merge(local, v)
-		}
-		mu.Lock()
-		if have {
-			acc = merge(acc, local)
-		} else {
-			acc, have = local, true
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return zeroT, false, err
-	}
-	return acc, have, nil
 }
 
 // ForEachPartition runs fn over every partition for its side effects

@@ -393,78 +393,3 @@ func countDistributed[T any](d *Dataset[T], id int64) (int64, error) {
 	}
 	return n, nil
 }
-
-// reducePartial ships one worker's partial fold; Have distinguishes
-// "no elements on this worker" from a zero-valued accumulator.
-type reducePartial[T any] struct {
-	Have bool
-	Acc  T
-}
-
-// reduceDistributed is Reduce in SPMD mode: a local fold over owned
-// partitions, then an all-gather of partials merged in worker-rank
-// order on every worker.
-func reduceDistributed[T any](d *Dataset[T], id int64, merge func(T, T) T) (T, bool, error) {
-	ctx := d.ctx
-	ex := ctx.cfg.Exchange
-	_, world := ex.World()
-	owned := d.ownedPartitions()
-
-	var (
-		mu    sync.Mutex
-		local reducePartial[T]
-		zeroT T
-	)
-	err := ctx.parallelDo(len(owned), func(i int) error {
-		part, err := d.partition(owned[i])
-		if err != nil {
-			return err
-		}
-		if len(part) == 0 {
-			return nil
-		}
-		acc := part[0]
-		for _, v := range part[1:] {
-			acc = merge(acc, v)
-		}
-		mu.Lock()
-		if local.Have {
-			local.Acc = merge(local.Acc, acc)
-		} else {
-			local = reducePartial[T]{Have: true, Acc: acc}
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return zeroT, false, err
-	}
-	frame, err := encodeGob(local)
-	if err != nil {
-		return zeroT, false, err
-	}
-	out := make([][]byte, world)
-	for w := range out {
-		out[w] = frame
-	}
-	inbound, err := ex.Alltoall(id, out)
-	if err != nil {
-		return zeroT, false, fmt.Errorf("flow: reduce collective %d: %w", id, err)
-	}
-	var acc reducePartial[T]
-	for w, payload := range inbound {
-		var p reducePartial[T]
-		if err := decodeGob(payload, &p); err != nil {
-			return zeroT, false, fmt.Errorf("flow: reduce collective %d, frame from worker %d: %w", id, w, err)
-		}
-		if !p.Have {
-			continue
-		}
-		if acc.Have {
-			acc.Acc = merge(acc.Acc, p.Acc)
-		} else {
-			acc = p
-		}
-	}
-	return acc.Acc, acc.Have, nil
-}

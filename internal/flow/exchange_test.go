@@ -200,28 +200,14 @@ func TestDistributedJoinUnionDistinct(t *testing.T) {
 	}
 }
 
-func TestDistributedCountAndReduce(t *testing.T) {
+func TestDistributedCount(t *testing.T) {
 	data := make([]int, 157)
 	for i := range data {
 		data[i] = i + 1
 	}
-	type out struct {
-		N    int64
-		Sum  int
-		Have bool
-	}
-	driver := func(ctx *Context) (out, error) {
+	driver := func(ctx *Context) (int64, error) {
 		d := Parallelize(ctx, data, 6)
-		f := Filter(d, func(v int) bool { return v%2 == 1 })
-		n, err := f.Count()
-		if err != nil {
-			return out{}, err
-		}
-		sum, have, err := Reduce(f, func(a, b int) int { return a + b })
-		if err != nil {
-			return out{}, err
-		}
-		return out{N: n, Sum: sum, Have: have}, nil
+		return Filter(d, func(v int) bool { return v%2 == 1 }).Count()
 	}
 	local, err := driver(NewContext(Config{}))
 	if err != nil {

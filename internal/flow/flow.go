@@ -311,7 +311,7 @@ type MetricsSnapshot struct {
 	ShuffleTime time.Duration
 	// Filters is the filter-effectiveness tally of the run; see
 	// obs.FilterDelta for the conservation law the fields obey.
-	Filters obs.FiltersSnapshot
+	Filters obs.FilterDelta
 	// Stages maps pipeline stage names to accumulated wall-clock time
 	// recorded via ObserveStage. Nil when no stage was observed.
 	Stages map[string]time.Duration

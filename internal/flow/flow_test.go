@@ -129,19 +129,6 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	ctx := flow.NewContext(flow.Config{Workers: 4})
-	d := flow.Parallelize(ctx, ints(101), 8)
-	sum, ok, err := flow.Reduce(d, func(a, b int) int { return a + b })
-	if err != nil || !ok || sum != 5050 {
-		t.Errorf("reduce = %d, %v, %v", sum, ok, err)
-	}
-	empty := flow.Parallelize(ctx, []int(nil), 4)
-	if _, ok, _ := flow.Reduce(empty, func(a, b int) int { return a + b }); ok {
-		t.Error("reduce of empty dataset reported a value")
-	}
-}
-
 func TestGroupByKeyCompleteAndColocated(t *testing.T) {
 	ctx := flow.NewContext(flow.Config{Workers: 4})
 	rng := rand.New(rand.NewSource(1))
@@ -292,13 +279,9 @@ func TestDistinctBy(t *testing.T) {
 	}
 }
 
-func TestMapValuesKeysValues(t *testing.T) {
+func TestKeysValues(t *testing.T) {
 	ctx := flow.NewContext(flow.Config{Workers: 2})
 	d := flow.Parallelize(ctx, []flow.KV[int, int]{{K: 1, V: 10}, {K: 2, V: 20}}, 2)
-	mv, _ := flow.MapValues(d, func(v int) int { return v + 1 }).Collect()
-	if len(mv) != 2 || mv[0].V+mv[1].V != 32 {
-		t.Errorf("mapValues = %v", mv)
-	}
 	ks, _ := flow.Keys(d).Collect()
 	vs, _ := flow.Values(d).Collect()
 	if fmt.Sprint(sorted(ks)) != "[1 2]" || fmt.Sprint(sorted(vs)) != "[10 20]" {

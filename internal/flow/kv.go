@@ -399,14 +399,6 @@ func DistinctBy[T any, K comparable](d *Dataset[T], parts int, key func(T) K) *D
 	})
 }
 
-// MapValues transforms the value of each record, preserving keys and
-// partitioning.
-func MapValues[K comparable, V, W any](d *Dataset[KV[K, V]], f func(V) W) *Dataset[KV[K, W]] {
-	return Map(d, func(kv KV[K, V]) KV[K, W] {
-		return KV[K, W]{K: kv.K, V: f(kv.V)}
-	})
-}
-
 // Keys projects the keys of a keyed dataset.
 func Keys[K comparable, V any](d *Dataset[KV[K, V]]) *Dataset[K] {
 	return Map(d, func(kv KV[K, V]) K { return kv.K })

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // This file is the engine's file-input substrate, standing in for the
@@ -88,56 +87,4 @@ func readSplit(path string, p, parts int) ([]string, error) {
 		}
 	}
 	return lines, nil
-}
-
-// SaveTextFile writes the dataset as a directory of part-NNNNN files,
-// one per partition (the shape Spark jobs leave on HDFS), using format
-// to render each record as one line.
-func SaveTextFile[T any](d *Dataset[T], dir string, format func(T) string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("flow: savetext: %w", err)
-	}
-	return d.ForEachPartition(func(p int, in []T) error {
-		path := filepath.Join(dir, fmt.Sprintf("part-%05d", p))
-		f, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("flow: savetext: %w", err)
-		}
-		w := bufio.NewWriter(f)
-		for _, rec := range in {
-			if _, err := w.WriteString(format(rec)); err != nil {
-				f.Close()
-				return fmt.Errorf("flow: savetext: %w", err)
-			}
-			if err := w.WriteByte('\n'); err != nil {
-				f.Close()
-				return fmt.Errorf("flow: savetext: %w", err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return fmt.Errorf("flow: savetext: %w", err)
-		}
-		return f.Close()
-	})
-}
-
-// LoadTextFile reads back a SaveTextFile directory (or any directory of
-// part-* files) as a dataset with one partition per part file, in
-// lexical file order.
-func LoadTextFile(ctx *Context, dir string) (*Dataset[string], error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "part-*"))
-	if err != nil {
-		return nil, fmt.Errorf("flow: loadtext: %w", err)
-	}
-	if len(matches) == 0 {
-		return nil, fmt.Errorf("flow: loadtext: no part files under %s", dir)
-	}
-	return &Dataset[string]{
-		ctx:   ctx,
-		parts: len(matches),
-		compute: func(p int) ([]string, error) {
-			return readSplit(matches[p], 0, 1)
-		},
-	}, nil
 }

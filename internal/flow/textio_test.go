@@ -86,39 +86,3 @@ func TestTextFileCRLFAndMissingFile(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
-
-func TestSaveLoadTextRoundTrip(t *testing.T) {
-	ctx := flow.NewContext(flow.Config{Workers: 3})
-	data := make([]int, 100)
-	for i := range data {
-		data[i] = i
-	}
-	d := flow.Parallelize(ctx, data, 5)
-	dir := filepath.Join(t.TempDir(), "out")
-	if err := flow.SaveTextFile(d, dir, func(x int) string { return fmt.Sprint(x) }); err != nil {
-		t.Fatal(err)
-	}
-	parts, _ := filepath.Glob(filepath.Join(dir, "part-*"))
-	if len(parts) != 5 {
-		t.Fatalf("part files = %d, want 5", len(parts))
-	}
-	back, err := flow.LoadTextFile(ctx, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 100 {
-		t.Fatalf("round trip %d lines", len(got))
-	}
-	for i, s := range got {
-		if s != fmt.Sprint(i) {
-			t.Fatalf("line %d = %q", i, s)
-		}
-	}
-	if _, err := flow.LoadTextFile(ctx, t.TempDir()); err == nil {
-		t.Error("empty dir accepted")
-	}
-}

@@ -40,11 +40,9 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	if len(rs) == 0 {
 		return nil, nil
 	}
-	k := rs[0].K()
-	for _, r := range rs {
-		if r.K() != k {
-			return nil, fmt.Errorf("fsjoin: mixed ranking lengths %d and %d", k, r.K())
-		}
+	k, err := rankings.UniformK(rs)
+	if err != nil {
+		return nil, fmt.Errorf("fsjoin: %w", err)
 	}
 	maxDist := rankings.Threshold(opts.Theta, k)
 
@@ -109,21 +107,15 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 				// Emit only in the segment of the canonically smallest
 				// common item — FS-Join's no-duplicates property. Pairs
 				// with no common item belong to the catch-all segment.
-				home, ok := minCommonSegment(ordB.Value(), segOf, a, b)
-				if !ok {
-					home = segments
+				home := segments
+				if it := ordB.Value().MinCommon(a, b, k); it != rankings.CatchAllItem {
+					home = segOf(it)
 				}
 				if home != g.K {
 					continue
 				}
 				delta.Generated++
-				if filters.PositionPrune(a, b, maxDist) {
-					delta.PrunedPosition++
-					continue
-				}
-				delta.Verified++
-				if d, within := rankings.FootruleWithin(a, b, maxDist); within {
-					delta.Emitted++
+				if d, ok := filters.Resolve(a, b, maxDist, &delta); ok {
 					out = append(out, rankings.NewPair(a.ID, b.ID, d))
 				}
 			}
@@ -137,23 +129,4 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	}
 	rankings.SortPairs(out)
 	return out, nil
-}
-
-// minCommonSegment returns the segment of the canonically smallest item
-// the two rankings share, and whether they share any.
-func minCommonSegment(ord *rankings.Order, segOf func(rankings.Item) int, a, b *rankings.Ranking) (int, bool) {
-	best := int32(-1)
-	var bestItem rankings.Item
-	for _, it := range a.Items {
-		if b.Contains(it) {
-			if r := ord.Rank(it); best < 0 || r < best {
-				best = r
-				bestItem = it
-			}
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return segOf(bestItem), true
 }

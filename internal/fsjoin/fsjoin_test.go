@@ -6,6 +6,7 @@ import (
 
 	"rankjoin/internal/flow"
 	"rankjoin/internal/fsjoin"
+	"rankjoin/internal/obs"
 	"rankjoin/internal/ppjoin"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/testutil"
@@ -23,7 +24,7 @@ func TestFSJoinMatchesOracle(t *testing.T) {
 		k := 3 + rng.Intn(10)
 		rs := testutil.RandDataset(rng, 40+rng.Intn(80), k, k+rng.Intn(4*k))
 		theta := rng.Float64()
-		want := rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(theta, k), nil))
+		want := rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(theta, k), new(obs.FilterDelta)))
 		got, err := fsjoin.Join(ctx(1+rng.Intn(4)), rs, fsjoin.Options{
 			Theta:      theta,
 			Segments:   1 + rng.Intn(30),

@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// FilterDelta is a batch of filter-effectiveness observations, the
-// unit kernels fold into FilterCounters once per kernel invocation
-// (keeping the hot loops free of atomics). The fields obey the
-// conservation law
+// FilterDelta is the filter-effectiveness ledger as plain integers:
+// the batch a kernel accumulates and folds into FilterCounters once per
+// invocation (keeping the hot loops free of atomics), and the value
+// FilterCounters.Snapshot reports. The fields obey the conservation law
 //
 //	Generated = PrunedPrefix + PrunedSignature + PrunedPosition +
 //	            PrunedTriangle + AcceptedUnverified + Verified
@@ -16,32 +16,34 @@ import (
 // i.e. every candidate pair a join enumerates meets exactly one fate.
 type FilterDelta struct {
 	// Generated counts candidate pairs enumerated by a kernel or the
-	// expansion phase.
-	Generated int64
+	// expansion phase — by the enumerating loop itself; the fates below
+	// are tallied where they are decided (filters.Resolve for signature,
+	// position and verification).
+	Generated int64 `json:"generated"`
 	// PrunedPrefix counts candidates discarded by the prefix-token
 	// rank check while scanning a posting list (the single-item filter
 	// applied at the indexed prefix item, §4).
-	PrunedPrefix int64
-	// PrunedSignature counts candidates discarded by the 64-bit
+	PrunedPrefix int64 `json:"pruned_prefix"`
+	// PrunedSignature counts candidates discarded by the 128-bit
 	// item-signature prefilter: an AND+popcount overlap upper bound
 	// converted to an admissible Footrule lower bound
 	// (filters.SignaturePrune), applied before any merged-pass kernel.
-	PrunedSignature int64
+	PrunedSignature int64 `json:"pruned_signature"`
 	// PrunedPosition counts candidates discarded by the full position
 	// filter (merged pass over both rankings' position indexes).
-	PrunedPosition int64
+	PrunedPosition int64 `json:"pruned_position"`
 	// PrunedTriangle counts candidates discarded by the
 	// triangle-inequality lower bound of the expansion phase (§5.3).
-	PrunedTriangle int64
+	PrunedTriangle int64 `json:"pruned_triangle"`
 	// AcceptedUnverified counts candidates admitted by a triangle
 	// upper-bound certificate without computing their distance
 	// (Options.UnverifiedPartials).
-	AcceptedUnverified int64
+	AcceptedUnverified int64 `json:"accepted_unverified"`
 	// Verified counts Footrule distance computations.
-	Verified int64
+	Verified int64 `json:"verified"`
 	// Emitted counts result pairs written by the filter cascades,
 	// before final deduplication.
-	Emitted int64
+	Emitted int64 `json:"emitted"`
 }
 
 // FilterCounters aggregates filter effectiveness across all
@@ -107,11 +109,11 @@ func (c *FilterCounters) Reset() {
 }
 
 // Snapshot returns the current counter values as plain integers.
-func (c *FilterCounters) Snapshot() FiltersSnapshot {
+func (c *FilterCounters) Snapshot() FilterDelta {
 	if c == nil {
-		return FiltersSnapshot{}
+		return FilterDelta{}
 	}
-	return FiltersSnapshot{
+	return FilterDelta{
 		Generated:          c.generated.Load(),
 		PrunedPrefix:       c.prunedPrefix.Load(),
 		PrunedSignature:    c.prunedSignature.Load(),
@@ -123,29 +125,16 @@ func (c *FilterCounters) Snapshot() FiltersSnapshot {
 	}
 }
 
-// FiltersSnapshot is a plain-value copy of FilterCounters; see
-// FilterDelta for the field semantics and conservation law.
-type FiltersSnapshot struct {
-	Generated          int64 `json:"generated"`
-	PrunedPrefix       int64 `json:"pruned_prefix"`
-	PrunedSignature    int64 `json:"pruned_signature"`
-	PrunedPosition     int64 `json:"pruned_position"`
-	PrunedTriangle     int64 `json:"pruned_triangle"`
-	AcceptedUnverified int64 `json:"accepted_unverified"`
-	Verified           int64 `json:"verified"`
-	Emitted            int64 `json:"emitted"`
-}
-
 // Conserved reports whether the conservation law holds: every
 // generated candidate was pruned, accepted unverified, or verified.
-func (s FiltersSnapshot) Conserved() bool {
+func (s FilterDelta) Conserved() bool {
 	return s.Generated == s.PrunedPrefix+s.PrunedSignature+s.PrunedPosition+s.PrunedTriangle+s.AcceptedUnverified+s.Verified
 }
 
 // IsZero reports whether no candidate was observed.
-func (s FiltersSnapshot) IsZero() bool { return s == FiltersSnapshot{} }
+func (s FilterDelta) IsZero() bool { return s == FilterDelta{} }
 
-func (s FiltersSnapshot) String() string {
+func (s FilterDelta) String() string {
 	return fmt.Sprintf("generated=%d prunedPrefix=%d prunedSignature=%d prunedPosition=%d prunedTriangle=%d acceptedUnverified=%d verified=%d emitted=%d",
 		s.Generated, s.PrunedPrefix, s.PrunedSignature, s.PrunedPosition, s.PrunedTriangle, s.AcceptedUnverified, s.Verified, s.Emitted)
 }

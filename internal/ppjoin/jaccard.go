@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"rankjoin/internal/obs"
 )
 
 // This file implements the paper's stated outlook (§8): extending the
@@ -86,12 +88,12 @@ func Jaccard(a, b []int32) float64 {
 // JaccardJoin returns all pairs of records with Jaccard similarity ≥
 // threshold, via prefix filtering with length and overlap filters. The
 // records must come from BuildSetRecords (canonical token order, sorted
-// by length). threshold must be in (0, 1].
-func JaccardJoin(recs []SetRecord, threshold float64, st *Stats) ([]SetPair, error) {
+// by length). threshold must be in (0, 1]. Candidates are tallied into
+// d, which must not be nil.
+func JaccardJoin(recs []SetRecord, threshold float64, d *obs.FilterDelta) ([]SetPair, error) {
 	if threshold <= 0 || threshold > 1 {
 		return nil, fmt.Errorf("ppjoin: jaccard threshold %v out of (0,1]", threshold)
 	}
-	var local Stats
 	index := map[int32][]int{} // token -> record indexes with it in prefix
 	var out []SetPair
 	for i, r := range recs {
@@ -129,10 +131,10 @@ func JaccardJoin(recs []SetRecord, threshold float64, st *Stats) ([]SetPair, err
 			if cand.ID == r.ID {
 				continue
 			}
-			local.Candidates++
-			local.Verified++
+			d.Generated++
+			d.Verified++
 			if sim := Jaccard(r.Tokens, cand.Tokens); sim >= threshold {
-				local.Results++
+				d.Emitted++
 				a, b := r.ID, cand.ID
 				if a > b {
 					a, b = b, a
@@ -141,7 +143,6 @@ func JaccardJoin(recs []SetRecord, threshold float64, st *Stats) ([]SetPair, err
 			}
 		}
 	}
-	st.add(local)
 	return out, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"rankjoin/internal/obs"
 	"rankjoin/internal/ppjoin"
 )
 
@@ -90,7 +91,7 @@ func TestJaccardJoinMatchesBruteForce(t *testing.T) {
 		recs := ppjoin.BuildSetRecords(raw)
 		for _, th := range []float64{0.3, 0.5, 0.7, 0.9, 1.0} {
 			want := ppjoin.JaccardBruteForce(recs, th)
-			got, err := ppjoin.JaccardJoin(recs, th, nil)
+			got, err := ppjoin.JaccardJoin(recs, th, new(obs.FilterDelta))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +104,7 @@ func TestJaccardJoinMatchesBruteForce(t *testing.T) {
 
 func TestJaccardJoinRejectsBadThreshold(t *testing.T) {
 	for _, th := range []float64{0, -1, 1.5} {
-		if _, err := ppjoin.JaccardJoin(nil, th, nil); err == nil {
+		if _, err := ppjoin.JaccardJoin(nil, th, new(obs.FilterDelta)); err == nil {
 			t.Errorf("threshold %v accepted", th)
 		}
 	}
@@ -112,15 +113,15 @@ func TestJaccardJoinRejectsBadThreshold(t *testing.T) {
 func TestJaccardJoinStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	recs := ppjoin.BuildSetRecords(randSets(rng, 60, 8, 20))
-	var st ppjoin.Stats
+	var st obs.FilterDelta
 	got, err := ppjoin.JaccardJoin(recs, 0.5, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Results != int64(len(got)) {
-		t.Errorf("stats results %d vs %d", st.Results, len(got))
+	if st.Emitted != int64(len(got)) {
+		t.Errorf("stats results %d vs %d", st.Emitted, len(got))
 	}
-	if st.Candidates < st.Results {
-		t.Errorf("candidates %d < results %d", st.Candidates, st.Results)
+	if st.Generated < st.Emitted {
+		t.Errorf("candidates %d < results %d", st.Generated, st.Emitted)
 	}
 }

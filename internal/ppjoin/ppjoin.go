@@ -1,13 +1,14 @@
 // Package ppjoin provides the in-memory similarity-join kernels that
 // the distributed algorithms execute inside partitions: a brute-force
-// oracle, a nested-loop kernel with the position filter (the VJ-NL
+// oracle, a nested-loop kernel over the shared filter cascade (the VJ-NL
 // per-partition join of §4.1), a PPJoin-style prefix-index kernel (the
 // classic VJ per-partition join), and an R-S kernel across two lists
 // (used when repartitioned sub-partitions are joined pairwise, §6).
 //
 // All kernels emit canonical pairs (smaller id first), never pair a
-// ranking with itself, and take the threshold as an unnormalized
-// Footrule distance.
+// ranking with itself, take the threshold as an unnormalized Footrule
+// distance, and tally every candidate's fate into the caller's ledger
+// d, which must not be nil.
 package ppjoin
 
 import (
@@ -16,129 +17,60 @@ import (
 	"rankjoin/internal/rankings"
 )
 
-// Stats counts the work a kernel performed. Pass nil to skip counting.
-// Every candidate meets exactly one fate, so
-// Candidates == PrunedPrefix + PrunedSignature + PrunedPosition + Verified.
-type Stats struct {
-	// Candidates is the number of pairs the kernel enumerated.
-	Candidates int64
-	// PrunedPrefix is the number of candidates discarded by the
-	// single-item rank check at the indexed prefix token (PrefixIndex
-	// only).
-	PrunedPrefix int64
-	// PrunedSignature is the number of candidates discarded by the
-	// 64-bit item-signature overlap bound (filters.SignaturePrune),
-	// checked before the merged-pass position filter.
-	PrunedSignature int64
-	// PrunedPosition is the number of candidates discarded by the full
-	// merged-pass position filter.
-	PrunedPosition int64
-	// Verified is the number of pairs whose Footrule distance was
-	// computed.
-	Verified int64
-	// Results is the number of emitted pairs.
-	Results int64
-}
-
-func (s *Stats) add(o Stats) {
-	if s == nil {
-		return
-	}
-	s.Candidates += o.Candidates
-	s.PrunedPrefix += o.PrunedPrefix
-	s.PrunedSignature += o.PrunedSignature
-	s.PrunedPosition += o.PrunedPosition
-	s.Verified += o.Verified
-	s.Results += o.Results
-}
-
-// FilterDelta converts kernel stats into the engine-wide
-// filter-effectiveness delta folded into flow.Context.Filters.
-func (s Stats) FilterDelta() obs.FilterDelta {
-	return obs.FilterDelta{
-		Generated:       s.Candidates,
-		PrunedPrefix:    s.PrunedPrefix,
-		PrunedSignature: s.PrunedSignature,
-		PrunedPosition:  s.PrunedPosition,
-		Verified:        s.Verified,
-		Emitted:         s.Results,
-	}
-}
-
 // BruteForce verifies every pair — the correctness oracle for tests and
 // the baseline for the smallest inputs.
-func BruteForce(rs []*rankings.Ranking, maxDist int, st *Stats) []rankings.Pair {
-	var local Stats
+func BruteForce(rs []*rankings.Ranking, maxDist int, d *obs.FilterDelta) []rankings.Pair {
 	var out []rankings.Pair
 	for i := 0; i < len(rs); i++ {
 		for j := i + 1; j < len(rs); j++ {
 			if rs[i].ID == rs[j].ID {
 				continue
 			}
-			local.Candidates++
-			local.Verified++
-			if d, ok := rankings.FootruleWithin(rs[i], rs[j], maxDist); ok {
-				local.Results++
-				out = append(out, rankings.NewPair(rs[i].ID, rs[j].ID, d))
+			d.Generated++
+			d.Verified++
+			if dist, ok := rankings.FootruleWithin(rs[i], rs[j], maxDist); ok {
+				d.Emitted++
+				out = append(out, rankings.NewPair(rs[i].ID, rs[j].ID, dist))
 			}
 		}
 	}
-	st.add(local)
 	return out
 }
 
 // NestedLoop joins a partition by walking ordered pairs with an
-// iterator-style nested loop: position filter first, then early-exit
-// verification. This is the Spark-friendly kernel the paper advocates
-// in §4.1 — no per-partition index, no retained state beyond the two
+// iterator-style nested loop, resolving each through the shared filter
+// cascade. This is the Spark-friendly kernel the paper advocates in
+// §4.1 — no per-partition index, no retained state beyond the two
 // cursors.
-func NestedLoop(rs []*rankings.Ranking, maxDist int, st *Stats) []rankings.Pair {
-	var local Stats
+func NestedLoop(rs []*rankings.Ranking, maxDist int, d *obs.FilterDelta) []rankings.Pair {
 	var out []rankings.Pair
 	for i := 0; i < len(rs); i++ {
 		a := rs[i]
-		asig, apop := a.Signature()
-		ak := a.K()
 		for j := i + 1; j < len(rs); j++ {
 			b := rs[j]
 			if a.ID == b.ID {
 				continue
 			}
-			local.Candidates++
-			if b.K() == ak {
-				bsig, bpop := b.Signature()
-				if filters.SignaturePrune(asig, apop, bsig, bpop, ak, maxDist) {
-					local.PrunedSignature++
-					continue
-				}
-			}
-			if filters.PositionPrune(a, b, maxDist) {
-				local.PrunedPosition++
-				continue
-			}
-			local.Verified++
-			if d, ok := rankings.FootruleWithin(a, b, maxDist); ok {
-				local.Results++
-				out = append(out, rankings.NewPair(a.ID, b.ID, d))
+			d.Generated++
+			if dist, ok := filters.Resolve(a, b, maxDist, d); ok {
+				out = append(out, rankings.NewPair(a.ID, b.ID, dist))
 			}
 		}
 	}
-	st.add(local)
 	return out
 }
 
 // PrefixIndex joins a partition PPJoin-style: the canonical prefixes of
 // all rankings are indexed with an inverted index; only pairs sharing a
 // prefix item become candidates, pruned item-by-item with the position
-// filter while scanning posting lists, then verified. This mirrors the
+// filter while scanning posting lists, then resolved. This mirrors the
 // in-memory join Vernica et al. run inside each reducer, including the
 // memory profile the paper criticizes in §4.1: the whole partition is
 // indexed before any pair is emitted.
 //
 // prefix is the number of canonical-prefix items to index (derived by
 // the caller from maxDist via filters.PrefixOverlap).
-func PrefixIndex(rs []*rankings.Ranking, ord *rankings.Order, prefix, maxDist int, st *Stats) []rankings.Pair {
-	var local Stats
+func PrefixIndex(rs []*rankings.Ranking, ord *rankings.Order, prefix, maxDist int, d *obs.FilterDelta) []rankings.Pair {
 	// Posting list entry: ranking index plus the item's original rank,
 	// so the position filter applies without a Pos lookup.
 	type posting struct {
@@ -149,8 +81,6 @@ func PrefixIndex(rs []*rankings.Ranking, ord *rankings.Order, prefix, maxDist in
 	seen := make(map[[2]int64]struct{})
 	var out []rankings.Pair
 	for i, r := range rs {
-		rsig, rpop := r.Signature()
-		rk := r.K()
 		for _, it := range ord.Prefix(r, prefix) {
 			rank, _ := r.Pos(it)
 			for _, p := range index[it] {
@@ -166,67 +96,36 @@ func PrefixIndex(rs []*rankings.Ranking, ord *rankings.Order, prefix, maxDist in
 					continue
 				}
 				seen[key] = struct{}{}
-				local.Candidates++
+				d.Generated++
 				if filters.PositionPruneItem(rank, p.rank, maxDist) {
-					local.PrunedPrefix++
+					d.PrunedPrefix++
 					continue
 				}
-				if other.K() == rk {
-					osig, opop := other.Signature()
-					if filters.SignaturePrune(rsig, rpop, osig, opop, rk, maxDist) {
-						local.PrunedSignature++
-						continue
-					}
-				}
-				if filters.PositionPrune(r, other, maxDist) {
-					local.PrunedPosition++
-					continue
-				}
-				local.Verified++
-				if d, ok := rankings.FootruleWithin(r, other, maxDist); ok {
-					local.Results++
-					out = append(out, rankings.NewPair(r.ID, other.ID, d))
+				if dist, ok := filters.Resolve(r, other, maxDist, d); ok {
+					out = append(out, rankings.NewPair(r.ID, other.ID, dist))
 				}
 			}
 			index[it] = append(index[it], posting{idx: i, rank: rank})
 		}
 	}
-	st.add(local)
 	return out
 }
 
 // RS joins two lists against each other (no pairs within a list) —
 // the R-S join executed between two sub-partitions of a split posting
 // list (§6, Algorithm 3).
-func RS(r, s []*rankings.Ranking, maxDist int, st *Stats) []rankings.Pair {
-	var local Stats
+func RS(r, s []*rankings.Ranking, maxDist int, d *obs.FilterDelta) []rankings.Pair {
 	var out []rankings.Pair
 	for _, a := range r {
-		asig, apop := a.Signature()
-		ak := a.K()
 		for _, b := range s {
 			if a.ID == b.ID {
 				continue
 			}
-			local.Candidates++
-			if b.K() == ak {
-				bsig, bpop := b.Signature()
-				if filters.SignaturePrune(asig, apop, bsig, bpop, ak, maxDist) {
-					local.PrunedSignature++
-					continue
-				}
-			}
-			if filters.PositionPrune(a, b, maxDist) {
-				local.PrunedPosition++
-				continue
-			}
-			local.Verified++
-			if d, ok := rankings.FootruleWithin(a, b, maxDist); ok {
-				local.Results++
-				out = append(out, rankings.NewPair(a.ID, b.ID, d))
+			d.Generated++
+			if dist, ok := filters.Resolve(a, b, maxDist, d); ok {
+				out = append(out, rankings.NewPair(a.ID, b.ID, dist))
 			}
 		}
 	}
-	st.add(local)
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rankjoin/internal/filters"
+	"rankjoin/internal/obs"
 	"rankjoin/internal/ppjoin"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/testutil"
@@ -21,16 +22,16 @@ func TestKernelsAgreeWithBruteForce(t *testing.T) {
 		dom := k + rng.Intn(4*k)
 		rs := testutil.RandDataset(rng, n, k, dom)
 		maxDist := rng.Intn(rankings.MaxFootrule(k) + 1)
-		want := ppjoin.BruteForce(rs, maxDist, nil)
+		want := ppjoin.BruteForce(rs, maxDist, new(obs.FilterDelta))
 
-		if got := ppjoin.NestedLoop(rs, maxDist, nil); !rankings.SamePairs(got, want) {
+		if got := ppjoin.NestedLoop(rs, maxDist, new(obs.FilterDelta)); !rankings.SamePairs(got, want) {
 			a, b := rankings.DiffPairs(got, want)
 			t.Fatalf("NestedLoop trial %d (k=%d F=%d): extra %v missing %v", trial, k, maxDist, a, b)
 		}
 
 		ord := rankings.OrderFromDataset(rs)
 		prefix := filters.PrefixOverlap(maxDist, k)
-		if got := ppjoin.PrefixIndex(rs, ord, prefix, maxDist, nil); !rankings.SamePairs(got, want) {
+		if got := ppjoin.PrefixIndex(rs, ord, prefix, maxDist, new(obs.FilterDelta)); !rankings.SamePairs(got, want) {
 			a, b := rankings.DiffPairs(got, want)
 			t.Fatalf("PrefixIndex trial %d (k=%d F=%d p=%d): extra %v missing %v",
 				trial, k, maxDist, prefix, a, b)
@@ -46,16 +47,16 @@ func TestClusteredDatasets(t *testing.T) {
 		k := 5 + rng.Intn(8)
 		rs := testutil.ClusteredDataset(rng, 10, 4, k, 6*k)
 		maxDist := rankings.Threshold(0.2+0.3*rng.Float64(), k)
-		want := ppjoin.BruteForce(rs, maxDist, nil)
+		want := ppjoin.BruteForce(rs, maxDist, new(obs.FilterDelta))
 		if len(want) == 0 {
 			t.Fatalf("clustered dataset produced no close pairs — generator broken")
 		}
 		ord := rankings.OrderFromDataset(rs)
 		prefix := filters.PrefixOverlap(maxDist, k)
-		if got := ppjoin.PrefixIndex(rs, ord, prefix, maxDist, nil); !rankings.SamePairs(got, want) {
+		if got := ppjoin.PrefixIndex(rs, ord, prefix, maxDist, new(obs.FilterDelta)); !rankings.SamePairs(got, want) {
 			t.Fatalf("PrefixIndex diverges on clustered data (trial %d)", trial)
 		}
-		if got := ppjoin.NestedLoop(rs, maxDist, nil); !rankings.SamePairs(got, want) {
+		if got := ppjoin.NestedLoop(rs, maxDist, new(obs.FilterDelta)); !rankings.SamePairs(got, want) {
 			t.Fatalf("NestedLoop diverges on clustered data (trial %d)", trial)
 		}
 	}
@@ -84,7 +85,7 @@ func TestRSJoin(t *testing.T) {
 				}
 			}
 		}
-		got := ppjoin.RS(r, s, maxDist, nil)
+		got := ppjoin.RS(r, s, maxDist, new(obs.FilterDelta))
 		if !rankings.SamePairs(rankings.DedupPairs(got), rankings.DedupPairs(want)) {
 			t.Fatalf("RS trial %d diverges", trial)
 		}
@@ -94,7 +95,7 @@ func TestRSJoin(t *testing.T) {
 func TestRSSkipsSameID(t *testing.T) {
 	a := rankings.MustNew(7, []rankings.Item{1, 2, 3})
 	b := rankings.MustNew(7, []rankings.Item{1, 2, 3})
-	if got := ppjoin.RS([]*rankings.Ranking{a}, []*rankings.Ranking{b}, 100, nil); len(got) != 0 {
+	if got := ppjoin.RS([]*rankings.Ranking{a}, []*rankings.Ranking{b}, 100, new(obs.FilterDelta)); len(got) != 0 {
 		t.Errorf("RS paired a ranking with itself: %v", got)
 	}
 }
@@ -104,39 +105,42 @@ func TestStatsAccounting(t *testing.T) {
 	rs := testutil.RandDataset(rng, 50, 8, 24)
 	maxDist := rankings.Threshold(0.3, 8)
 
-	var st ppjoin.Stats
+	var st obs.FilterDelta
 	res := ppjoin.NestedLoop(rs, maxDist, &st)
-	if st.Results != int64(len(res)) {
-		t.Errorf("stats results %d, emitted %d", st.Results, len(res))
+	if st.Emitted != int64(len(res)) {
+		t.Errorf("ledger emitted %d, kernel returned %d", st.Emitted, len(res))
 	}
-	if st.Candidates != 50*49/2 {
-		t.Errorf("nested-loop candidates %d, want %d", st.Candidates, 50*49/2)
+	if st.Generated != 50*49/2 {
+		t.Errorf("nested-loop candidates %d, want %d", st.Generated, 50*49/2)
 	}
-	if st.Verified > st.Candidates {
-		t.Errorf("verified %d > candidates %d", st.Verified, st.Candidates)
+	if !st.Conserved() {
+		t.Errorf("nested-loop ledger not conserved: %v", st)
 	}
 
 	// The prefix index must generate no more candidates than the
 	// nested loop examines.
-	var ip ppjoin.Stats
+	var ip obs.FilterDelta
 	ord := rankings.OrderFromDataset(rs)
 	prefix := filters.PrefixOverlap(maxDist, 8)
 	ppjoin.PrefixIndex(rs, ord, prefix, maxDist, &ip)
-	if ip.Candidates > st.Candidates {
-		t.Errorf("prefix index candidates %d exceed nested loop %d", ip.Candidates, st.Candidates)
+	if ip.Generated > st.Generated {
+		t.Errorf("prefix index candidates %d exceed nested loop %d", ip.Generated, st.Generated)
+	}
+	if !ip.Conserved() {
+		t.Errorf("prefix-index ledger not conserved: %v", ip)
 	}
 }
 
 func TestEmptyAndSingleInputs(t *testing.T) {
-	if got := ppjoin.BruteForce(nil, 10, nil); len(got) != 0 {
+	if got := ppjoin.BruteForce(nil, 10, new(obs.FilterDelta)); len(got) != 0 {
 		t.Error("brute force on empty input")
 	}
 	one := []*rankings.Ranking{rankings.MustNew(0, []rankings.Item{1, 2})}
-	if got := ppjoin.NestedLoop(one, 10, nil); len(got) != 0 {
+	if got := ppjoin.NestedLoop(one, 10, new(obs.FilterDelta)); len(got) != 0 {
 		t.Error("nested loop on single ranking")
 	}
 	ord := rankings.OrderFromDataset(one)
-	if got := ppjoin.PrefixIndex(one, ord, 1, 10, nil); len(got) != 0 {
+	if got := ppjoin.PrefixIndex(one, ord, 1, 10, new(obs.FilterDelta)); len(got) != 0 {
 		t.Error("prefix index on single ranking")
 	}
 }
@@ -147,7 +151,7 @@ func TestEmptyAndSingleInputs(t *testing.T) {
 func TestDuplicateContentDistinctIDs(t *testing.T) {
 	a := rankings.MustNew(1, []rankings.Item{1, 2, 3})
 	b := rankings.MustNew(2, []rankings.Item{1, 2, 3})
-	got := ppjoin.NestedLoop([]*rankings.Ranking{a, b}, 0, nil)
+	got := ppjoin.NestedLoop([]*rankings.Ranking{a, b}, 0, new(obs.FilterDelta))
 	if len(got) != 1 || got[0].Dist != 0 {
 		t.Errorf("distance-0 pair not reported: %v", got)
 	}

@@ -203,6 +203,8 @@ func footruleWithinMerged(a, b *Ranking, maxDist int) (int, bool) {
 // core test of the position filter. When both rankings carry their
 // flat index the scan is one merged pass; otherwise it probes b per
 // item of a.
+//
+//ranklint:allocfree
 func SharedRankDiffExceeds(a, b *Ranking, bound int) bool {
 	if a.idxItems != nil && b.idxItems != nil {
 		ai, ar := a.idxItems, a.idxRanks

@@ -87,6 +87,43 @@ func (o *Order) Prefix(r *Ranking, p int) []Item {
 	return c[:p]
 }
 
+// MinCommon returns the canonically smallest item a and b share within
+// the first p canonical items of each, or CatchAllItem when those
+// prefixes are disjoint — the one group a duplicate-free pipeline
+// emits the pair in. p ≥ k compares whole rankings.
+func (o *Order) MinCommon(a, b *Ranking, p int) Item {
+	best, bestRank := CatchAllItem, int32(-1)
+	for _, it := range a.Items {
+		if b.Contains(it) {
+			if r := o.Rank(it); bestRank < 0 || r < bestRank {
+				best, bestRank = it, r
+			}
+		}
+	}
+	// If the prefixes share any item they share the smallest common
+	// one (everything canonically before a prefix item is in the
+	// prefix), so it suffices to place that one item.
+	if bestRank >= 0 && !(o.inPrefix(a, bestRank, p) && o.inPrefix(b, bestRank, p)) {
+		return CatchAllItem
+	}
+	return best
+}
+
+// inPrefix reports whether r's item at canonical rank `rank` is among
+// r's first p canonical items.
+func (o *Order) inPrefix(r *Ranking, rank int32, p int) bool {
+	if p >= len(r.Items) {
+		return true
+	}
+	before := 0
+	for _, it := range r.Items {
+		if o.Rank(it) < rank {
+			before++
+		}
+	}
+	return before < p
+}
+
 // IdentityOrder returns an ordering that sorts items by their id,
 // standing in for "no reordering" in the ordering-phase ablation.
 func IdentityOrder() *Order { return &Order{rank: map[Item]int32{}} }

@@ -92,3 +92,34 @@ func TestIdentityOrder(t *testing.T) {
 		t.Errorf("identity canonical = %v, want [1 3 5]", c)
 	}
 }
+
+// TestMinCommonMatchesPrefixIntersection holds MinCommon to its
+// definition: the first item of a's p-prefix (canonical order) that
+// b's p-prefix also holds, CatchAllItem when there is none — for every
+// p, including p ≥ k (whole rankings) and an order that has not seen
+// the items (the identity order).
+func TestMinCommonMatchesPrefixIntersection(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	ds := testutil.RandDataset(rng, 40, 6, 14)
+	for _, o := range []*rankings.Order{rankings.OrderFromDataset(ds), rankings.IdentityOrder()} {
+		for trial := 0; trial < 400; trial++ {
+			a, b := ds[rng.Intn(len(ds))], ds[rng.Intn(len(ds))]
+			for p := 1; p <= 8; p++ {
+				want := rankings.CatchAllItem
+				inB := map[rankings.Item]bool{}
+				for _, it := range o.Prefix(b, p) {
+					inB[it] = true
+				}
+				for _, it := range o.Prefix(a, p) {
+					if inB[it] {
+						want = it
+						break
+					}
+				}
+				if got := o.MinCommon(a, b, p); got != want {
+					t.Fatalf("MinCommon(%v, %v, %d) = %d, want %d", a, b, p, got, want)
+				}
+			}
+		}
+	}
+}

@@ -76,6 +76,26 @@ var ErrDuplicateItem = errors.New("rankings: duplicate item in ranking")
 // ErrEmpty reports a ranking without items.
 var ErrEmpty = errors.New("rankings: empty ranking")
 
+// ErrMixedLengths reports a dataset mixing ranking lengths. The
+// Footrule threshold θ·k(k+1) is only meaningful for a single k.
+var ErrMixedLengths = errors.New("rankjoin: rankings have mixed lengths")
+
+// UniformK returns the one length k every ranking of rs has (0 for an
+// empty dataset), or an error wrapping ErrMixedLengths — the input
+// check every join shares.
+func UniformK(rs []*Ranking) (k int, err error) {
+	if len(rs) == 0 {
+		return 0, nil
+	}
+	k = rs[0].K()
+	for _, r := range rs {
+		if r.K() != k {
+			return 0, fmt.Errorf("%w: %d and %d", ErrMixedLengths, k, r.K())
+		}
+	}
+	return k, nil
+}
+
 // Validate checks the structural invariants of a top-k list: at least
 // one item and no duplicates.
 func (r *Ranking) Validate() error {

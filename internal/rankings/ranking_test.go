@@ -2,6 +2,7 @@ package rankings_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -180,5 +181,20 @@ func TestReadSkipsCommentsAndAssignsIDs(t *testing.T) {
 func TestReadRejectsBadLine(t *testing.T) {
 	if _, err := rankings.Read(strings.NewReader("1 2\nbroken line\n")); err == nil {
 		t.Error("bad line accepted")
+	}
+}
+
+func TestUniformK(t *testing.T) {
+	three := rankings.MustNew(1, []rankings.Item{1, 2, 3})
+	alsoThree := rankings.MustNew(2, []rankings.Item{4, 5, 6})
+	two := rankings.MustNew(3, []rankings.Item{1, 2})
+	if k, err := rankings.UniformK(nil); k != 0 || err != nil {
+		t.Errorf("empty dataset: k=%d err=%v, want 0, nil", k, err)
+	}
+	if k, err := rankings.UniformK([]*rankings.Ranking{three, alsoThree}); k != 3 || err != nil {
+		t.Errorf("uniform dataset: k=%d err=%v, want 3, nil", k, err)
+	}
+	if _, err := rankings.UniformK([]*rankings.Ranking{three, alsoThree, two}); !errors.Is(err, rankings.ErrMixedLengths) {
+		t.Errorf("mixed dataset: err=%v, want ErrMixedLengths", err)
 	}
 }

@@ -27,6 +27,8 @@ type Sig struct {
 
 // SharedBits counts the bits set in both signatures (the popcount of
 // their intersection) — the core of the overlap upper bound.
+//
+//ranklint:allocfree
 func (s Sig) SharedBits(t Sig) int {
 	return bits.OnesCount64(s.Lo&t.Lo) + bits.OnesCount64(s.Hi&t.Hi)
 }
@@ -73,5 +75,13 @@ func (r *Ranking) Signature() (sig Sig, popcount int) {
 	if r.idxItems != nil {
 		return r.sig, int(r.sigPop)
 	}
-	return computeSignature(r.Items)
+	return r.signatureUnindexed()
 }
+
+// signatureUnindexed is Signature's slow path, kept out of line so the
+// cached read above stays inside the inlining budget: filters.Resolve
+// reads two signatures per candidate pair.
+//
+//go:noinline
+//ranklint:allocfree
+func (r *Ranking) signatureUnindexed() (Sig, int) { return computeSignature(r.Items) }

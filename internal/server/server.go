@@ -682,17 +682,15 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 			err: fmt.Errorf("ad-hoc join capped at %d rankings, got %d", s.maxJoin, len(req.Rankings))})
 	}
 	rs := req.Rankings
-	k := 0
 	for _, rk := range rs {
 		if rk == nil {
 			return finish(w, shard.ErrNilRanking)
 		}
-		if k == 0 {
-			k = rk.K()
-		} else if rk.K() != k {
-			return finish(w, badRequest(fmt.Errorf("mixed ranking lengths %d and %d", k, rk.K())))
-		}
 		rk.Index()
+	}
+	k, err := rankings.UniformK(rs)
+	if err != nil {
+		return finish(w, badRequest(err))
 	}
 	sp := ctxSpan(r.Context()).StartChild("serve/join",
 		obs.Int("rankings", int64(len(rs))))
@@ -700,8 +698,8 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 	if s.clustered() {
 		return s.clusterJoin(r.Context(), w, rs, *req.Theta)
 	}
-	var st ppjoin.Stats
-	pairs := ppjoin.BruteForce(rs, rankings.Threshold(*req.Theta, k), &st)
+	var d obs.FilterDelta
+	pairs := ppjoin.BruteForce(rs, rankings.Threshold(*req.Theta, k), &d)
 	pairs = rankings.DedupPairs(pairs)
 	sp.SetInt("pairs", int64(len(pairs)))
 	out := make([]pairJSON, len(pairs))
@@ -725,7 +723,7 @@ type Status struct {
 	Size          int                       `json:"size"`
 	Shards        []shard.Stats             `json:"shards"`
 	ShardSizes    string                    `json:"shard_sizes"`
-	Filters       obs.FiltersSnapshot       `json:"filters"`
+	Filters       obs.FilterDelta           `json:"filters"`
 	Cache         CacheStatus               `json:"cache"`
 	Batch         BatchStatus               `json:"batch"`
 	Requests      map[string]EndpointStatus `json:"requests"`

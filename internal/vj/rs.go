@@ -3,7 +3,7 @@ package vj
 import (
 	"rankjoin/internal/filters"
 	"rankjoin/internal/flow"
-	"rankjoin/internal/ppjoin"
+	"rankjoin/internal/obs"
 	"rankjoin/internal/rankings"
 )
 
@@ -23,7 +23,7 @@ type tagged struct {
 // JoinRS finds all pairs (r ∈ R, s ∈ S) with normalized Footrule
 // distance at most opts.Theta. The canonical item order is computed
 // over the union of both datasets. opts.Variant is ignored (the kernel
-// is always the nested cross loop with the position filter);
+// is always the nested cross loop over the shared filter cascade);
 // opts.Delta and opts.LeastTokenDedup are honored.
 func JoinRS(ctx *flow.Context, r, s []*rankings.Ranking, opts Options) ([]rankings.Pair, error) {
 	all := make([]*rankings.Ranking, 0, len(r)+len(s))
@@ -54,49 +54,29 @@ func JoinRS(ctx *flow.Context, r, s []*rankings.Ranking, opts Options) ([]rankin
 	ordB := flow.NewBroadcast(ctx, ord)
 
 	prefix := filters.PrefixOverlap(maxDist, k)
-	// Degenerate regime: thresholds admitting zero-overlap pairs need
-	// the catch-all group (see CatchAllItem); the kernels here are
-	// nested cross loops, so that group is handled completely.
-	needAll := filters.MinOverlap(maxDist, k) == 0
+	// The kernels here are nested cross loops, so the catch-all group
+	// is handled completely.
+	catchAll := filters.MinOverlap(maxDist, k) == 0
 	groups := PrefixGroups(ds, func(t tagged) []rankings.Item {
-		items := ordB.Value().Prefix(t.R, prefix)
-		if needAll {
-			items = append(append([]rankings.Item(nil), items...), rankings.CatchAllItem)
-		}
-		return items
+		return PrefixTokens(ordB.Value(), t.R, prefix, catchAll)
 	}, opts.Partitions)
 
-	// emit verifies one (R-side x, S-side y) candidate, tallying its
+	// emit resolves one (R-side x, S-side y) candidate, tallying its
 	// fate so R-S joins honor the same filter-counter conservation law
 	// as the self-joins.
-	emit := func(item rankings.Item, x, y tagged, st *ppjoin.Stats, out []rankings.Pair) []rankings.Pair {
-		if opts.LeastTokenDedup &&
-			minCommonToken(ordB.Value(), prefix, x.R, y.R) != item {
+	emit := func(item rankings.Item, x, y tagged, d *obs.FilterDelta, out []rankings.Pair) []rankings.Pair {
+		if opts.LeastTokenDedup && ordB.Value().MinCommon(x.R, y.R, prefix) != item {
 			return out
 		}
-		st.Candidates++
-		if xk := x.R.K(); y.R.K() == xk {
-			xsig, xpop := x.R.Signature()
-			ysig, ypop := y.R.Signature()
-			if filters.SignaturePrune(xsig, xpop, ysig, ypop, xk, maxDist) {
-				st.PrunedSignature++
-				return out
-			}
-		}
-		if filters.PositionPrune(x.R, y.R, maxDist) {
-			st.PrunedPosition++
-			return out
-		}
-		st.Verified++
-		if d, ok := rankings.FootruleWithin(x.R, y.R, maxDist); ok {
-			st.Results++
-			out = append(out, rankings.Pair{A: x.R.ID, B: y.R.ID, Dist: d})
+		d.Generated++
+		if dist, ok := filters.Resolve(x.R, y.R, maxDist, d); ok {
+			out = append(out, rankings.Pair{A: x.R.ID, B: y.R.ID, Dist: dist})
 		}
 		return out
 	}
 	fc := ctx.Filters()
 	selfKernel := func(item rankings.Item, members []tagged) []rankings.Pair {
-		var st ppjoin.Stats
+		var d obs.FilterDelta
 		var out []rankings.Pair
 		for _, a := range members {
 			if !a.FromR {
@@ -106,28 +86,26 @@ func JoinRS(ctx *flow.Context, r, s []*rankings.Ranking, opts Options) ([]rankin
 				if b.FromR {
 					continue
 				}
-				out = emit(item, a, b, &st, out)
+				out = emit(item, a, b, &d, out)
 			}
 		}
-		opts.Stats.AddKernel(st)
-		fc.Add(st.FilterDelta())
+		opts.Stats.Tally(fc, d)
 		return out
 	}
 	crossKernel := func(item rankings.Item, as, bs []tagged) []rankings.Pair {
-		var st ppjoin.Stats
+		var d obs.FilterDelta
 		var out []rankings.Pair
 		for _, a := range as {
 			for _, b := range bs {
 				switch {
 				case a.FromR && !b.FromR:
-					out = emit(item, a, b, &st, out)
+					out = emit(item, a, b, &d, out)
 				case !a.FromR && b.FromR:
-					out = emit(item, b, a, &st, out)
+					out = emit(item, b, a, &d, out)
 				}
 			}
 		}
-		opts.Stats.AddKernel(st)
-		fc.Add(st.FilterDelta())
+		opts.Stats.Tally(fc, d)
 		return out
 	}
 

@@ -67,14 +67,8 @@ func (o Options) validate(rs []*rankings.Ranking) (k int, err error) {
 	if !rankings.ThetaInRange(o.Theta) {
 		return 0, fmt.Errorf("vj: theta %v out of [0,1]", o.Theta)
 	}
-	if len(rs) == 0 {
-		return 0, nil
-	}
-	k = rs[0].K()
-	for _, r := range rs {
-		if r.K() != k {
-			return 0, fmt.Errorf("vj: mixed ranking lengths %d and %d (fixed-length rankings required)", k, r.K())
-		}
+	if k, err = rankings.UniformK(rs); err != nil {
+		return 0, fmt.Errorf("vj: %w", err)
 	}
 	return k, nil
 }
@@ -113,16 +107,9 @@ func JoinDataset(ds *flow.Dataset[*rankings.Ranking], rs []*rankings.Ranking, op
 	ordB := flow.NewBroadcast(ctx, ord)
 
 	prefix := filters.PrefixOverlap(maxDist, k)
-	// Degenerate regime: a threshold this loose admits zero-overlap
-	// result pairs, which no posting list can deliver — route every
-	// ranking through the catch-all group as well (see CatchAllItem).
-	needAll := filters.MinOverlap(maxDist, k) == 0
+	catchAll := filters.MinOverlap(maxDist, k) == 0
 	groups := PrefixGroups(ds, func(r *rankings.Ranking) []rankings.Item {
-		items := ordB.Value().Prefix(r, prefix)
-		if needAll {
-			items = append(append([]rankings.Item(nil), items...), rankings.CatchAllItem)
-		}
-		return items
+		return PrefixTokens(ordB.Value(), r, prefix, catchAll)
 	}, opts.Partitions)
 
 	pairs := JoinTokenGroups(groups, GroupJoinOptions[*rankings.Ranking, rankings.Pair]{
@@ -140,6 +127,20 @@ func JoinDataset(ds *flow.Dataset[*rankings.Ranking], rs []*rankings.Ranking, op
 		return pairs, nil
 	}
 	return flow.Distinct(pairs, opts.Partitions), nil
+}
+
+// PrefixTokens returns the tokens r is emitted under: its first p
+// canonical items, plus CatchAllItem when catchAll is set. Callers set
+// it in the degenerate regime MinOverlap(maxDist, k) == 0: a threshold
+// that loose admits zero-overlap result pairs, which no posting list
+// can deliver, so every record also goes to the catch-all group (whose
+// kernels must be complete nested loops).
+func PrefixTokens(ord *rankings.Order, r *rankings.Ranking, p int, catchAll bool) []rankings.Item {
+	items := ord.Prefix(r, p) // freshly allocated, safe to append to
+	if catchAll {
+		items = append(items, rankings.CatchAllItem)
+	}
+	return items
 }
 
 // ResolveOrder returns the canonical ordering the pipeline will use:
@@ -182,29 +183,25 @@ func ComputeOrder(ds *flow.Dataset[*rankings.Ranking], parts int) (*rankings.Ord
 }
 
 // selfKernel builds the within-partition kernel for the selected
-// variant. Kernel counters accumulate locally and fold once per
+// variant. The ledger accumulates locally and folds once per
 // invocation into both the caller's Stats and the engine-wide filter
 // counters fc.
 func selfKernel(ordB flow.Broadcast[*rankings.Order], fc *obs.FilterCounters, prefix, maxDist int, opts Options) func(rankings.Item, []*rankings.Ranking) []rankings.Pair {
 	return func(item rankings.Item, members []*rankings.Ranking) []rankings.Pair {
-		var st ppjoin.Stats
+		var d obs.FilterDelta
 		var out []rankings.Pair
-		switch {
-		case item == rankings.CatchAllItem:
+		if item == rankings.CatchAllItem || opts.Variant == NestedLoop {
 			// Members of the catch-all group need not share any item,
 			// so the prefix-index kernel would miss pairs; the nested
 			// loop is complete.
-			out = ppjoin.NestedLoop(members, maxDist, &st)
-		case opts.Variant == NestedLoop:
-			out = ppjoin.NestedLoop(members, maxDist, &st)
-		default:
-			out = ppjoin.PrefixIndex(members, ordB.Value(), prefix, maxDist, &st)
+			out = ppjoin.NestedLoop(members, maxDist, &d)
+		} else {
+			out = ppjoin.PrefixIndex(members, ordB.Value(), prefix, maxDist, &d)
 		}
 		if opts.LeastTokenDedup {
 			out = filterLeastToken(ordB.Value(), prefix, item, members, out)
 		}
-		opts.Stats.AddKernel(st)
-		fc.Add(st.FilterDelta())
+		opts.Stats.Tally(fc, d)
 		return out
 	}
 }
@@ -214,25 +211,26 @@ func selfKernel(ordB flow.Broadcast[*rankings.Order], fc *obs.FilterCounters, pr
 // only in the sub-partitions of its minimal shared prefix token.
 func crossKernel(ordB flow.Broadcast[*rankings.Order], fc *obs.FilterCounters, prefix, maxDist int, opts Options) func(rankings.Item, []*rankings.Ranking, []*rankings.Ranking) []rankings.Pair {
 	return func(item rankings.Item, a, b []*rankings.Ranking) []rankings.Pair {
-		var st ppjoin.Stats
-		out := ppjoin.RS(a, b, maxDist, &st)
+		var d obs.FilterDelta
+		out := ppjoin.RS(a, b, maxDist, &d)
 		if opts.LeastTokenDedup {
 			members := make([]*rankings.Ranking, 0, len(a)+len(b))
 			members = append(members, a...)
 			members = append(members, b...)
 			out = filterLeastToken(ordB.Value(), prefix, item, members, out)
 		}
-		opts.Stats.AddKernel(st)
-		fc.Add(st.FilterDelta())
+		opts.Stats.Tally(fc, d)
 		return out
 	}
 }
 
 // filterLeastToken keeps only the pairs whose group token is the
-// canonically smallest token shared by both rankings' prefixes.
-// Because every result pair co-occurs in exactly the groups of its
-// shared prefix tokens, this emits each pair exactly once across the
-// whole job, replacing the final dedup shuffle.
+// canonically smallest token shared by both rankings' prefixes
+// (CatchAllItem when the prefixes are disjoint — such a pair is only
+// ever generated in the catch-all group). Because every result pair
+// co-occurs in exactly the groups of its shared prefix tokens, this
+// emits each pair exactly once across the whole job, replacing the
+// final dedup shuffle.
 func filterLeastToken(ord *rankings.Order, prefix int, groupToken rankings.Item, members []*rankings.Ranking, pairs []rankings.Pair) []rankings.Pair {
 	if len(pairs) == 0 {
 		return pairs
@@ -243,28 +241,9 @@ func filterLeastToken(ord *rankings.Order, prefix int, groupToken rankings.Item,
 	}
 	out := pairs[:0]
 	for _, p := range pairs {
-		a, b := byID[p.A], byID[p.B]
-		if minCommonToken(ord, prefix, a, b) == groupToken {
+		if ord.MinCommon(byID[p.A], byID[p.B], prefix) == groupToken {
 			out = append(out, p)
 		}
 	}
 	return out
-}
-
-// minCommonToken returns the canonically smallest item shared by the
-// two rankings' prefixes, or CatchAllItem when the prefixes are
-// disjoint (such a pair is only ever generated in the catch-all
-// group).
-func minCommonToken(ord *rankings.Order, prefix int, a, b *rankings.Ranking) rankings.Item {
-	pa := ord.Prefix(a, prefix) // canonical order: rarest first
-	pb := make(map[rankings.Item]struct{}, prefix)
-	for _, it := range ord.Prefix(b, prefix) {
-		pb[it] = struct{}{}
-	}
-	for _, it := range pa {
-		if _, ok := pb[it]; ok {
-			return it
-		}
-	}
-	return rankings.CatchAllItem
 }

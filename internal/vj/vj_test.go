@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rankjoin/internal/flow"
+	"rankjoin/internal/obs"
 	"rankjoin/internal/ppjoin"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/testutil"
@@ -25,7 +26,7 @@ func TestJoinMatchesOracle(t *testing.T) {
 		dom := k + rng.Intn(5*k)
 		rs := testutil.RandDataset(rng, n, k, dom)
 		theta := 0.05 + 0.4*rng.Float64()
-		want := ppjoin.BruteForce(rs, rankings.Threshold(theta, k), nil)
+		want := ppjoin.BruteForce(rs, rankings.Threshold(theta, k), new(obs.FilterDelta))
 
 		for _, variant := range []vj.Variant{vj.IndexJoin, vj.NestedLoop} {
 			got, err := vj.Join(ctx(1+rng.Intn(4)), rs, vj.Options{
@@ -218,11 +219,14 @@ func TestStatsPlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := st.Snapshot()
-	if snap.Groups == 0 || snap.Candidates == 0 {
+	if snap.Groups == 0 || snap.Generated == 0 {
 		t.Errorf("stats empty: %v", snap)
 	}
-	if snap.Results < int64(len(got)) {
-		t.Errorf("kernel results %d < output %d", snap.Results, len(got))
+	if snap.Emitted < int64(len(got)) {
+		t.Errorf("kernel results %d < output %d", snap.Emitted, len(got))
+	}
+	if !snap.Conserved() {
+		t.Errorf("kernel ledger not conserved: %v", snap)
 	}
 	if snap.LargestGroup <= 0 {
 		t.Errorf("largest group %d", snap.LargestGroup)

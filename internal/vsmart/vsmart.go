@@ -46,11 +46,9 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	if len(rs) == 0 {
 		return nil, nil
 	}
-	k := rs[0].K()
-	for _, r := range rs {
-		if r.K() != k {
-			return nil, fmt.Errorf("vsmart: mixed ranking lengths %d and %d", k, r.K())
-		}
+	k, err := rankings.UniformK(rs)
+	if err != nil {
+		return nil, fmt.Errorf("vsmart: %w", err)
 	}
 	maxDist := rankings.Threshold(opts.Theta, k)
 	// Required total gain: F ≤ maxDist ⇔ gain ≥ k(k+1) − maxDist.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rankjoin/internal/flow"
+	"rankjoin/internal/obs"
 	"rankjoin/internal/ppjoin"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/testutil"
@@ -23,7 +24,7 @@ func TestVSMARTMatchesOracle(t *testing.T) {
 		k := 3 + rng.Intn(10)
 		rs := testutil.RandDataset(rng, 40+rng.Intn(80), k, k+rng.Intn(4*k))
 		theta := rng.Float64()
-		want := rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(theta, k), nil))
+		want := rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(theta, k), new(obs.FilterDelta)))
 		got, err := vsmart.Join(ctx(1+rng.Intn(4)), rs, vsmart.Options{
 			Theta:      theta,
 			Partitions: 1 + rng.Intn(6),
@@ -85,7 +86,7 @@ func TestVSMARTValidation(t *testing.T) {
 func TestVSMARTAgainstVJ(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rs := testutil.ClusteredDataset(rng, 15, 4, 8, 40)
-	want := rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(0.3, 8), nil))
+	want := rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(0.3, 8), new(obs.FilterDelta)))
 	got, err := vsmart.Join(ctx(4), rs, vsmart.Options{Theta: 0.3})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@ package rankjoin
 import (
 	"fmt"
 
-	"rankjoin/internal/ppjoin"
+	"rankjoin/internal/obs"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/vj"
 )
@@ -41,7 +41,7 @@ func (e *Engine) JoinRS(r, s []*Ranking, opts Options) (*Result, error) {
 	all := make([]*Ranking, 0, len(r)+len(s))
 	all = append(all, r...)
 	all = append(all, s...)
-	if err := checkUniform(all); err != nil {
+	if _, err := rankings.UniformK(all); err != nil {
 		return nil, err
 	}
 	if err := checkUniqueIDs(r); err != nil {
@@ -100,19 +100,19 @@ func bruteForceRS(e *Engine, r, s []*Ranking, theta float64) []Pair {
 		return nil
 	}
 	maxDist := rankings.Threshold(theta, r[0].K())
-	var st ppjoin.Stats
+	var d obs.FilterDelta
 	var pairs []Pair
 	for _, a := range r {
 		for _, b := range s {
-			st.Candidates++
-			st.Verified++
-			if d, ok := rankings.FootruleWithin(a, b, maxDist); ok {
-				st.Results++
-				pairs = append(pairs, Pair{A: a.ID, B: b.ID, Dist: d})
+			d.Generated++
+			d.Verified++
+			if dist, ok := rankings.FootruleWithin(a, b, maxDist); ok {
+				d.Emitted++
+				pairs = append(pairs, Pair{A: a.ID, B: b.ID, Dist: dist})
 			}
 		}
 	}
-	e.ctx.Filters().Add(st.FilterDelta())
+	e.ctx.Filters().Add(d)
 	rankings.SortPairs(pairs)
 	return pairs
 }

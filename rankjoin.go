@@ -203,7 +203,7 @@ type Result struct {
 }
 
 // FilterStats reports filter effectiveness; see Result.Filters.
-type FilterStats = obs.FiltersSnapshot
+type FilterStats = obs.FilterDelta
 
 // Tracer records hierarchical spans (pipeline phases, shuffles,
 // partition tasks) of the joins run on an engine it is attached to.
@@ -275,7 +275,7 @@ func (e *Engine) Join(rs []*Ranking, opts Options) (*Result, error) {
 	if !rankings.ThetaInRange(opts.Theta) {
 		return nil, fmt.Errorf("%w: got %v", ErrThetaRange, opts.Theta)
 	}
-	if err := checkUniform(rs); err != nil {
+	if _, err := rankings.UniformK(rs); err != nil {
 		return nil, err
 	}
 	if err := checkUniqueIDs(rs); err != nil {
@@ -293,9 +293,9 @@ func (e *Engine) Join(rs []*Ranking, opts Options) (*Result, error) {
 	case AlgBruteForce:
 		if len(rs) > 0 {
 			maxDist := rankings.Threshold(opts.Theta, rs[0].K())
-			var st ppjoin.Stats
-			pairs = ppjoin.BruteForce(rs, maxDist, &st)
-			e.ctx.Filters().Add(st.FilterDelta())
+			var d obs.FilterDelta
+			pairs = ppjoin.BruteForce(rs, maxDist, &d)
+			e.ctx.Filters().Add(d)
 		}
 	case AlgVJ, AlgVJNL:
 		variant := vj.IndexJoin
@@ -398,7 +398,7 @@ func Join(rs []*Ranking, opts Options) (*Result, error) {
 var (
 	// ErrMixedLengths reports a dataset mixing ranking lengths. The
 	// Footrule threshold θ·k(k+1) is only meaningful for a single k.
-	ErrMixedLengths = errors.New("rankjoin: rankings have mixed lengths")
+	ErrMixedLengths = rankings.ErrMixedLengths
 
 	// ErrDuplicateID reports two rankings in one dataset sharing an id.
 	ErrDuplicateID = errors.New("rankjoin: duplicate ranking id in dataset")
@@ -408,19 +408,6 @@ var (
 	// related-work baselines) being requested for an R-S join.
 	ErrSelfJoinOnly = errors.New("rankjoin: algorithm joins a dataset with itself only")
 )
-
-func checkUniform(rs []*Ranking) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	k := rs[0].K()
-	for _, r := range rs {
-		if r.K() != k {
-			return fmt.Errorf("%w: %d and %d", ErrMixedLengths, k, r.K())
-		}
-	}
-	return nil
-}
 
 func checkUniqueIDs(rs []*Ranking) error {
 	seen := make(map[int64]struct{}, len(rs))

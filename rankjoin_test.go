@@ -79,7 +79,7 @@ func TestStatsExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kernel == nil || res.Kernel.Candidates == 0 {
+	if res.Kernel == nil || res.Kernel.Generated == 0 {
 		t.Errorf("VJ kernel stats missing: %v", res.Kernel)
 	}
 }

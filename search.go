@@ -53,7 +53,7 @@ func BuildIndex(rs []*Ranking, numPivots int) (*Index, error) {
 	if len(rs) == 0 {
 		return nil, ErrEmptyIndex
 	}
-	if err := checkUniform(rs); err != nil {
+	if _, err := rankings.UniformK(rs); err != nil {
 		return nil, err
 	}
 	if err := checkUniqueIDs(rs); err != nil {

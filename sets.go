@@ -1,6 +1,9 @@
 package rankjoin
 
-import "rankjoin/internal/ppjoin"
+import (
+	"rankjoin/internal/obs"
+	"rankjoin/internal/ppjoin"
+)
 
 // This file exposes the paper's stated outlook (§8): the same
 // prefix-filtering machinery applied to plain sets under Jaccard
@@ -16,7 +19,7 @@ type SetPair = ppjoin.SetPair
 // filters. Duplicate tokens within a set are ignored.
 func JoinSets(sets map[int64][]int32, minSim float64) ([]SetPair, error) {
 	recs := ppjoin.BuildSetRecords(sets)
-	return ppjoin.JaccardJoin(recs, minSim, nil)
+	return ppjoin.JaccardJoin(recs, minSim, new(obs.FilterDelta))
 }
 
 // JaccardSim computes |a ∩ b| / |a ∪ b| for two token sets.
