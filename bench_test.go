@@ -101,7 +101,7 @@ func BenchmarkFig7Scalability(b *testing.B) {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", w.Name, workers), func(b *testing.B) {
 				benchCell(b, w, experiments.RunConfig{
-					Algo: experiments.AlgoCLP, Theta: 0.3, Workers: workers,
+					Algo: rankjoin.AlgCLP, Theta: 0.3, Workers: workers,
 				})
 			})
 		}
@@ -114,7 +114,7 @@ func BenchmarkFig8DatasetGrowth(b *testing.B) {
 		w := workload(b, dataset.DBLPLike, 10, scale)
 		for _, th := range experiments.Thetas {
 			b.Run(fmt.Sprintf("x%d/theta=%.1f", scale, th), func(b *testing.B) {
-				benchCell(b, w, experiments.RunConfig{Algo: experiments.AlgoCLP, Theta: th})
+				benchCell(b, w, experiments.RunConfig{Algo: rankjoin.AlgCLP, Theta: th})
 			})
 		}
 	}
@@ -127,7 +127,7 @@ func BenchmarkFig9ClusteringThreshold(b *testing.B) {
 		for _, th := range []float64{0.2, 0.4} {
 			b.Run(fmt.Sprintf("thetaC=%.2f/theta=%.1f", tc, th), func(b *testing.B) {
 				benchCell(b, w, experiments.RunConfig{
-					Algo: experiments.AlgoCL, Theta: th, ThetaC: tc,
+					Algo: rankjoin.AlgCL, Theta: th, ThetaC: tc,
 				})
 			})
 		}
@@ -141,7 +141,7 @@ func BenchmarkFig10PartitioningThreshold(b *testing.B) {
 	for _, delta := range []int{n / 32, n / 8, n / 2} {
 		b.Run(fmt.Sprintf("delta=%d", delta), func(b *testing.B) {
 			benchCell(b, w, experiments.RunConfig{
-				Algo: experiments.AlgoCLP, Theta: 0.3, Delta: delta,
+				Algo: rankjoin.AlgCLP, Theta: 0.3, Delta: delta,
 			})
 		})
 	}
@@ -164,7 +164,7 @@ func BenchmarkFig11K25(b *testing.B) {
 func BenchmarkFig12Partitions(b *testing.B) {
 	w := workload(b, dataset.DBLPLike, 10, 1)
 	for _, parts := range experiments.PartitionSweep {
-		for _, algo := range []experiments.Algo{experiments.AlgoVJ, experiments.AlgoVJNL, experiments.AlgoCL} {
+		for _, algo := range []rankjoin.Algorithm{rankjoin.AlgVJ, rankjoin.AlgVJNL, rankjoin.AlgCL} {
 			b.Run(fmt.Sprintf("parts=%d/%s", parts, algo), func(b *testing.B) {
 				benchCell(b, w, experiments.RunConfig{Algo: algo, Theta: 0.3, Partitions: parts})
 			})
@@ -178,7 +178,7 @@ func BenchmarkFig13PartitionsCLP(b *testing.B) {
 	w := workload(b, dataset.DBLPLike, 10, 5)
 	for _, parts := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
-			benchCell(b, w, experiments.RunConfig{Algo: experiments.AlgoCLP, Theta: 0.3, Partitions: parts})
+			benchCell(b, w, experiments.RunConfig{Algo: rankjoin.AlgCLP, Theta: 0.3, Partitions: parts})
 		})
 	}
 }
@@ -324,10 +324,10 @@ func BenchmarkAblationDedup(b *testing.B) {
 // the paper's algorithms at one representative threshold.
 func BenchmarkBaselines(b *testing.B) {
 	w := workload(b, dataset.ORKULike, 10, 1)
-	algos := append(append([]experiments.Algo(nil), experiments.AllAlgos...),
-		experiments.AlgoVSMART, experiments.AlgoClusterJoin, experiments.AlgoFSJoin)
+	algos := append(append([]rankjoin.Algorithm(nil), experiments.AllAlgos...),
+		rankjoin.AlgVSMART, rankjoin.AlgClusterJoin, rankjoin.AlgFSJoin)
 	for _, algo := range algos {
-		b.Run(string(algo), func(b *testing.B) {
+		b.Run(algo.String(), func(b *testing.B) {
 			benchCell(b, w, experiments.RunConfig{Algo: algo, Theta: 0.3})
 		})
 	}

@@ -42,7 +42,6 @@ func splitmix64(x uint64) uint64 {
 // even though membership is static today.
 type Ring struct {
 	points []ringPoint // sorted by hash
-	peers  int
 }
 
 type ringPoint struct {
@@ -60,7 +59,7 @@ func NewRing(peers, vnodes int) (*Ring, error) {
 	if vnodes <= 0 {
 		return nil, fmt.Errorf("cluster: ring needs positive virtual nodes, got %d", vnodes)
 	}
-	r := &Ring{points: make([]ringPoint, 0, peers*vnodes), peers: peers}
+	r := &Ring{points: make([]ringPoint, 0, peers*vnodes)}
 	for p := 0; p < peers; p++ {
 		for v := 0; v < vnodes; v++ {
 			// Double-hashed on purpose: ids are placed by a single
@@ -90,6 +89,3 @@ func (r *Ring) Owner(id int64) int {
 	}
 	return r.points[i].peer
 }
-
-// Peers returns the number of peers on the ring.
-func (r *Ring) Peers() int { return r.peers }

@@ -38,7 +38,7 @@ func TestOptionMatrix(t *testing.T) {
 						name: "matrix",
 						opts: core.Options{
 							Theta: theta, ThetaC: 0.05,
-							Delta: delta, ClusterDelta: delta,
+							Delta:                delta,
 							UniformJoinThreshold: uniform,
 							UnverifiedPartials:   unverified,
 						},

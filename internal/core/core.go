@@ -28,21 +28,11 @@ type Options struct {
 	ThetaC float64
 	// Partitions is the shuffle partition count (0 = context default).
 	Partitions int
-	// Variant selects the per-partition kernel of the clustering-phase
-	// VJ run. The paper's CL uses iterators, i.e. NestedLoop, which is
-	// the default.
-	Variant vj.Variant
 	// Delta is the §6 repartitioning threshold δ applied to the
 	// centroid-joining phase. Zero disables repartitioning: the
 	// algorithm is then plain CL; a positive value makes it CL-P;
 	// AutoDelta makes it CL-P with a planned δ.
 	Delta int
-	// ClusterDelta optionally applies repartitioning to the
-	// clustering-phase posting lists as well (rarely needed: θc is
-	// small, so clustering prefixes and posting lists stay short).
-	ClusterDelta int
-	// RepartitionFactor scales partition counts after a split (0 = 2).
-	RepartitionFactor int
 	// UniformJoinThreshold disables the Lemma 5.3 refinement and holds
 	// every centroid pair to θ+2θc — the ablation for Algorithm 1.
 	UniformJoinThreshold bool
@@ -162,18 +152,21 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 		opts.Stats.OrderingTime = time.Since(phaseStart)
 	}
 
-	// Phase 2: Clustering — VJ at θc over the pre-ordered dataset.
+	// Phase 2: Clustering — VJ at θc over the pre-ordered dataset, with
+	// the per-partition index kernel this phase has always run, and no
+	// repartitioning — θc is small, so clustering prefixes and posting
+	// lists stay short. The paper's CL clusters with iterators (§4.1),
+	// and vj.NestedLoop here is faster; ROADMAP 1(a) records why the swap
+	// waits on the benchmark's calibration.
 	phaseStart = time.Now()
 	clusterSpan := tr.StartScope("cl/clustering")
 	defer clusterSpan.End()
 	clusterPairsDS, err := vj.JoinDataset(ds, rs, vj.Options{
-		Theta:             opts.ThetaC,
-		Variant:           opts.Variant,
-		Partitions:        opts.Partitions,
-		Order:             ord,
-		Delta:             opts.ClusterDelta,
-		RepartitionFactor: opts.RepartitionFactor,
-		Stats:             statsClustering(opts.Stats),
+		Theta:      opts.ThetaC,
+		Variant:    vj.IndexJoin,
+		Partitions: opts.Partitions,
+		Order:      ord,
+		Stats:      statsClustering(opts.Stats),
 	})
 	if err != nil {
 		return nil, err
@@ -263,10 +256,9 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	}, opts.Partitions)
 	joinStats := statsJoining(opts.Stats)
 	cpairsRaw := vj.JoinTokenGroups(groups, vj.GroupJoinOptions[*Centroid, CPair]{
-		Partitions:        opts.Partitions,
-		Delta:             opts.Delta,
-		RepartitionFactor: opts.RepartitionFactor,
-		SubKey:            func(c *Centroid) int64 { return c.R.ID },
+		Partitions: opts.Partitions,
+		Delta:      opts.Delta,
+		SubKey:     func(c *Centroid) int64 { return c.R.ID },
 		Self: func(_ rankings.Item, members []*Centroid) []CPair {
 			var d obs.FilterDelta
 			out := centroidSelfJoin(members, t, opts.UniformJoinThreshold, &d)

@@ -68,14 +68,6 @@ func (s *Stats) DeltaReport() string {
 		s.Delta, s.PredictedListLen, mean, longest)
 }
 
-// TotalTime sums the phase durations.
-func (s *Stats) TotalTime() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.OrderingTime + s.ClusteringTime + s.JoiningTime + s.ExpansionTime
-}
-
 func (s *Stats) String() string {
 	if s == nil {
 		return "<nil stats>"

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"sort"
 
 	"rankjoin/internal/rankings"
@@ -270,34 +269,4 @@ func Scale(rs []*rankings.Ranking, times, domain int) []*rankings.Ranking {
 		}
 	}
 	return out
-}
-
-// LoadFile reads a ranking dataset from a file in the rankings text
-// format.
-func LoadFile(path string) ([]*rankings.Ranking, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
-	}
-	defer f.Close()
-	rs, err := rankings.Read(f)
-	if err != nil {
-		return nil, err
-	}
-	rankings.IndexAll(rs)
-	return rs, nil
-}
-
-// SaveFile writes a ranking dataset to a file in the rankings text
-// format.
-func SaveFile(path string, rs []*rankings.Ranking) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	if err := rankings.Write(f, rs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

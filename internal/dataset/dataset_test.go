@@ -2,11 +2,7 @@ package dataset_test
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
-
-	"rankjoin/internal/flow"
 
 	"rankjoin/internal/dataset"
 	"rankjoin/internal/obs"
@@ -208,81 +204,5 @@ func TestProfilesProduceDistinctRegimes(t *testing.T) {
 	small := dataset.DBLPLike.Config(1, 10, 1)
 	if small.Domain < 40 {
 		t.Errorf("domain clamp failed: %d", small.Domain)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	rs, err := dataset.Generate(dataset.GenConfig{N: 50, K: 6, Domain: 60, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ds.txt")
-	if err := dataset.SaveFile(path, rs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := dataset.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(rs) {
-		t.Fatalf("round trip %d vs %d", len(back), len(rs))
-	}
-	for i := range rs {
-		if back[i].ID != rs[i].ID || !rankings.Equal(back[i], rs[i]) {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
-	if _, err := dataset.LoadFile(filepath.Join(t.TempDir(), "missing.txt")); err == nil {
-		t.Error("loading a missing file should fail")
-	}
-}
-
-func TestLoadDistributedMatchesSequential(t *testing.T) {
-	rs, err := dataset.Generate(dataset.GenConfig{N: 500, K: 8, Domain: 300, Skew: 0.7, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "dist.txt")
-	if err := dataset.SaveFile(path, rs); err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{1, 3, 7, 16} {
-		ctx := flow.NewContext(flow.Config{Workers: 4})
-		ds, err := dataset.LoadDistributed(ctx, path, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ds.Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(rs) {
-			t.Fatalf("parts=%d: loaded %d, want %d", parts, len(got), len(rs))
-		}
-		byID := map[int64]*rankings.Ranking{}
-		for _, r := range got {
-			byID[r.ID] = r
-		}
-		for _, want := range rs {
-			r, ok := byID[want.ID]
-			if !ok || !rankings.Equal(r, want) {
-				t.Fatalf("parts=%d: ranking %d missing or changed", parts, want.ID)
-			}
-		}
-	}
-}
-
-func TestLoadDistributedBadInput(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.txt")
-	if err := os.WriteFile(path, []byte("1 2 3\nnot numbers\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ctx := flow.NewContext(flow.Config{Workers: 2})
-	ds, err := dataset.LoadDistributed(ctx, path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.Collect(); err == nil {
-		t.Error("bad line accepted")
 	}
 }

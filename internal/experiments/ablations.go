@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rankjoin"
 	"rankjoin/internal/core"
 	"rankjoin/internal/dataset"
 	"rankjoin/internal/flow"
@@ -227,29 +228,14 @@ func Baselines(p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	algos := append(append([]Algo(nil), AllAlgos...), AlgoVSMART, AlgoClusterJoin, AlgoFSJoin)
+	algos := append(append([]rankjoin.Algorithm(nil), AllAlgos...),
+		rankjoin.AlgVSMART, rankjoin.AlgClusterJoin, rankjoin.AlgFSJoin)
 	t := &Table{
-		Name:    "baselines",
-		Title:   fmt.Sprintf("paper algorithms vs §2 baselines, time (ms) — %s", w.Name),
-		Columns: []string{"theta"},
+		Name:  "baselines",
+		Title: fmt.Sprintf("paper algorithms vs §2 baselines, time (ms) — %s", w.Name),
 	}
-	for _, a := range algos {
-		t.Columns = append(t.Columns, string(a))
-	}
-	rows := make(map[Algo][]time.Duration)
-	for _, a := range algos {
-		times, _, err := series(p, w, a, Thetas, RunConfig{})
-		if err != nil {
-			return nil, err
-		}
-		rows[a] = times
-	}
-	for i, th := range Thetas {
-		row := []string{fmtF(th)}
-		for _, a := range algos {
-			row = append(row, fmtDur(rows[a][i]))
-		}
-		t.AddRow(row...)
+	if err := thetaSweep(p, w, t, algos, false); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

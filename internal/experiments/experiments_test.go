@@ -1,10 +1,12 @@
 package experiments_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"rankjoin"
 	"rankjoin/internal/dataset"
 	"rankjoin/internal/experiments"
 )
@@ -83,33 +85,56 @@ func TestMakeWorkloadCachesAndScales(t *testing.T) {
 	}
 }
 
-// TestRunAgreesAcrossAlgorithms: the harness runs every algorithm and
-// they agree on the result cardinality.
+// TestRunAgreesAcrossAlgorithms: the harness measures the join every
+// other caller runs. Each of the seven algorithms returns the
+// brute-force result size through the public entry point, CL statistics
+// come back exactly for the CL family, every algorithm shuffles, and the
+// public boundary's input checks apply — a duplicated id is refused
+// where the VJ drivers on their own skip it silently.
 func TestRunAgreesAcrossAlgorithms(t *testing.T) {
-	p := tinyParams()
-	w, err := experiments.MakeWorkload(p, dataset.ORKULike, 10, 1)
+	w, err := experiments.MakeWorkload(tinyParams(), dataset.ORKULike, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pairs []int
-	for _, algo := range experiments.AllAlgos {
-		m, err := experiments.Run(w, experiments.RunConfig{
-			Algo: algo, Theta: 0.3, Partitions: 4,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		pairs = append(pairs, m.Pairs)
-		if m.Wall <= 0 {
-			t.Errorf("%s: no wall time", algo)
-		}
-		if m.Engine.Tasks == 0 {
-			t.Errorf("%s: no engine tasks", algo)
-		}
+	want, err := rankjoin.Join(w.Rankings, rankjoin.Options{Algorithm: rankjoin.AlgBruteForce, Theta: 0.3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i] != pairs[0] {
-			t.Fatalf("algorithms disagree on result size: %v", pairs)
+	dup := w
+	dup.Rankings = append(append([]*rankjoin.Ranking(nil), w.Rankings...), w.Rankings[0])
+	for _, c := range []struct {
+		algo    rankjoin.Algorithm
+		w       experiments.Workload
+		cl      bool
+		wantErr error
+	}{
+		{algo: rankjoin.AlgVJ, w: w},
+		{algo: rankjoin.AlgVJNL, w: w},
+		{algo: rankjoin.AlgCL, w: w, cl: true},
+		{algo: rankjoin.AlgCLP, w: w, cl: true},
+		{algo: rankjoin.AlgVSMART, w: w},
+		{algo: rankjoin.AlgClusterJoin, w: w},
+		{algo: rankjoin.AlgFSJoin, w: w},
+		{algo: rankjoin.AlgVJNL, w: dup, wantErr: rankjoin.ErrDuplicateID},
+	} {
+		m, err := experiments.Run(c.w, experiments.RunConfig{Algo: c.algo, Theta: 0.3, Partitions: 4})
+		if c.wantErr != nil {
+			if !errors.Is(err, c.wantErr) {
+				t.Errorf("%s: err = %v, want %v", c.algo, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.algo, err)
+		}
+		if m.Pairs != len(want.Pairs) {
+			t.Errorf("%s: %d pairs, brute force finds %d", c.algo, m.Pairs, len(want.Pairs))
+		}
+		if (m.CLStats != nil) != c.cl {
+			t.Errorf("%s: CLStats = %v", c.algo, m.CLStats)
+		}
+		if m.Wall <= 0 || m.Engine.Tasks == 0 || m.Engine.ShuffleRecords == 0 {
+			t.Errorf("%s: wall %v, engine %v", c.algo, m.Wall, m.Engine)
 		}
 	}
 }
@@ -120,7 +145,7 @@ func TestRunRejectsUnknownAlgo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := experiments.Run(w, experiments.RunConfig{Algo: "bogus", Theta: 0.2}); err == nil {
+	if _, err := experiments.Run(w, experiments.RunConfig{Algo: rankjoin.Algorithm(99), Theta: 0.2}); err == nil {
 		t.Error("unknown algo accepted")
 	}
 }

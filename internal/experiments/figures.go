@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"rankjoin"
 	"rankjoin/internal/core"
 	"rankjoin/internal/dataset"
 )
@@ -17,28 +18,44 @@ func Figure6(p Params, prof dataset.Profile, scale int, name string) (*Table, er
 		return nil, err
 	}
 	t := &Table{
-		Name:    name,
-		Title:   fmt.Sprintf("execution time (ms) vs θ — %s, %d rankings", w.Name, len(w.Rankings)),
-		Columns: []string{"theta", "VJ", "VJ-NL", "CL", "CL-P", "pairs"},
+		Name:  name,
+		Title: fmt.Sprintf("execution time (ms) vs θ — %s, %d rankings", w.Name, len(w.Rankings)),
 	}
-	results := map[Algo][]time.Duration{}
-	var pairs []int
-	for _, algo := range AllAlgos {
-		times, ps, err := series(p, w, algo, Thetas, RunConfig{})
-		if err != nil {
-			return nil, err
-		}
-		results[algo] = times
-		pairs = ps
-	}
-	for i, th := range Thetas {
-		t.AddRow(fmtF(th),
-			fmtDur(results[AlgoVJ][i]), fmtDur(results[AlgoVJNL][i]),
-			fmtDur(results[AlgoCL][i]), fmtDur(results[AlgoCLP][i]),
-			fmt.Sprint(pairs[i]))
+	if err := thetaSweep(p, w, t, AllAlgos, true); err != nil {
+		return nil, err
 	}
 	t.AddNote("θc=0.03 for CL/CL-P; CL-P δ = n/4 = %d", defaultDelta(w))
 	return t, nil
+}
+
+// thetaSweep fills t with one row per θ of Thetas: θ, the wall time of
+// each algorithm under a column named by its String(), and, when
+// withPairs is set, the result size.
+func thetaSweep(p Params, w Workload, t *Table, algos []rankjoin.Algorithm, withPairs bool) error {
+	t.Columns = []string{"theta"}
+	times := make([][]time.Duration, len(algos))
+	var pairs []int
+	for i, algo := range algos {
+		t.Columns = append(t.Columns, algo.String())
+		var err error
+		if times[i], pairs, err = series(p, w, algo, Thetas, RunConfig{}); err != nil {
+			return err
+		}
+	}
+	if withPairs {
+		t.Columns = append(t.Columns, "pairs")
+	}
+	for j, th := range Thetas {
+		row := []string{fmtF(th)}
+		for i := range algos {
+			row = append(row, fmtDur(times[i][j]))
+		}
+		if withPairs {
+			row = append(row, fmt.Sprint(pairs[j]))
+		}
+		t.AddRow(row...)
+	}
+	return nil
 }
 
 // Figure7 reproduces the scalability experiment: CL-P wall time as the
@@ -60,11 +77,11 @@ func Figure7(p Params, prof dataset.Profile, scale int, name string) (*Table, er
 		Title:   fmt.Sprintf("CL-P scalability — %s, 4 vs 8 nodes (workers %d vs %d)", w.Name, small, big),
 		Columns: []string{"theta", fmt.Sprintf("4 nodes (W=%d)", small), fmt.Sprintf("8 nodes (W=%d)", big), "saving%"},
 	}
-	t4, _, err := series(p, w, AlgoCLP, Thetas, RunConfig{Workers: small})
+	t4, _, err := series(p, w, rankjoin.AlgCLP, Thetas, RunConfig{Workers: small})
 	if err != nil {
 		return nil, err
 	}
-	t8, _, err := series(p, w, AlgoCLP, Thetas, RunConfig{Workers: big})
+	t8, _, err := series(p, w, rankjoin.AlgCLP, Thetas, RunConfig{Workers: big})
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +111,7 @@ func Figure8(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		times, _, err := series(p, w, AlgoCLP, Thetas, RunConfig{})
+		times, _, err := series(p, w, rankjoin.AlgCLP, Thetas, RunConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +143,7 @@ func Figure9(p Params, prof dataset.Profile, scale int, name string) (*Table, er
 		t.Columns = append(t.Columns, fmt.Sprintf("θ=%.1f", th))
 	}
 	for _, tc := range ThetaCs {
-		times, _, err := series(p, w, AlgoCL, Thetas, RunConfig{ThetaC: tc})
+		times, _, err := series(p, w, rankjoin.AlgCL, Thetas, RunConfig{ThetaC: tc})
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +181,7 @@ func Figure10(p Params, prof dataset.Profile, scale int, thetas []float64, name 
 		if d < 1 {
 			continue
 		}
-		times, _, err := series(p, w, AlgoCLP, thetas, RunConfig{Delta: d})
+		times, _, err := series(p, w, rankjoin.AlgCLP, thetas, RunConfig{Delta: d})
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +193,7 @@ func Figure10(p Params, prof dataset.Profile, scale int, thetas []float64, name 
 	}
 	auto := []string{"auto"}
 	for _, th := range thetas {
-		m, err := Measure(p, w, RunConfig{Algo: AlgoCLP, Theta: th, Delta: core.AutoDelta})
+		m, err := Measure(p, w, RunConfig{Algo: rankjoin.AlgCLP, Theta: th, Delta: core.AutoDelta})
 		if err != nil {
 			return nil, err
 		}
@@ -195,25 +212,11 @@ func Figure11(p Params) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		Name:    "fig11",
-		Title:   fmt.Sprintf("execution time (ms) vs θ for k=25 — %s, %d rankings", w.Name, len(w.Rankings)),
-		Columns: []string{"theta", "VJ", "VJ-NL", "CL", "CL-P", "pairs"},
+		Name:  "fig11",
+		Title: fmt.Sprintf("execution time (ms) vs θ for k=25 — %s, %d rankings", w.Name, len(w.Rankings)),
 	}
-	results := map[Algo][]time.Duration{}
-	var pairs []int
-	for _, algo := range AllAlgos {
-		times, ps, err := series(p, w, algo, Thetas, RunConfig{})
-		if err != nil {
-			return nil, err
-		}
-		results[algo] = times
-		pairs = ps
-	}
-	for i, th := range Thetas {
-		t.AddRow(fmtF(th),
-			fmtDur(results[AlgoVJ][i]), fmtDur(results[AlgoVJNL][i]),
-			fmtDur(results[AlgoCL][i]), fmtDur(results[AlgoCLP][i]),
-			fmt.Sprint(pairs[i]))
+	if err := thetaSweep(p, w, t, AllAlgos, true); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -236,7 +239,7 @@ func Figure12(p Params, prof dataset.Profile, scale int, name string) (*Table, e
 	}
 	for _, parts := range PartitionSweep {
 		row := []string{fmt.Sprint(parts)}
-		for _, algo := range []Algo{AlgoVJ, AlgoVJNL, AlgoCL} {
+		for _, algo := range []rankjoin.Algorithm{rankjoin.AlgVJ, rankjoin.AlgVJNL, rankjoin.AlgCL} {
 			m, err := Measure(p, w, RunConfig{Algo: algo, Theta: 0.3, Partitions: parts})
 			if err != nil {
 				return nil, err
@@ -261,7 +264,7 @@ func Figure13(p Params) (*Table, error) {
 		Columns: []string{"partitions", "CL-P"},
 	}
 	for _, parts := range []int{8, 16, 32, 64, 128} {
-		m, err := Measure(p, w, RunConfig{Algo: AlgoCLP, Theta: 0.3, Partitions: parts})
+		m, err := Measure(p, w, RunConfig{Algo: rankjoin.AlgCLP, Theta: 0.3, Partitions: parts})
 		if err != nil {
 			return nil, err
 		}

@@ -5,15 +5,12 @@ import (
 	"sync"
 	"time"
 
-	"rankjoin/internal/clusterjoin"
+	"rankjoin"
 	"rankjoin/internal/core"
 	"rankjoin/internal/dataset"
 	"rankjoin/internal/flow"
-	"rankjoin/internal/fsjoin"
 	"rankjoin/internal/obs"
 	"rankjoin/internal/rankings"
-	"rankjoin/internal/vj"
-	"rankjoin/internal/vsmart"
 )
 
 // Params sizes the experiment suite. The paper's datasets have 1.2M
@@ -99,28 +96,13 @@ func MakeWorkload(p Params, prof dataset.Profile, k, scale int) (Workload, error
 	return w, nil
 }
 
-// Algo names one algorithm under investigation (§7 "Algorithms under
-// investigation").
-type Algo string
-
-const (
-	AlgoVJ   Algo = "VJ"
-	AlgoVJNL Algo = "VJ-NL"
-	AlgoCL   Algo = "CL"
-	AlgoCLP  Algo = "CL-P"
-	// AlgoVSMART and AlgoClusterJoin are the §2 baselines, used by the
-	// baseline-comparison experiment rather than the paper's figures.
-	AlgoVSMART      Algo = "V-SMART"
-	AlgoClusterJoin Algo = "ClusterJoin"
-	AlgoFSJoin      Algo = "FS-Join"
-)
-
-// AllAlgos is the paper's lineup, in its plotting order.
-var AllAlgos = []Algo{AlgoVJ, AlgoVJNL, AlgoCL, AlgoCLP}
+// AllAlgos is the paper's lineup (§7 "Algorithms under investigation"),
+// in its plotting order.
+var AllAlgos = []rankjoin.Algorithm{rankjoin.AlgVJ, rankjoin.AlgVJNL, rankjoin.AlgCL, rankjoin.AlgCLP}
 
 // RunConfig is one measurement cell.
 type RunConfig struct {
-	Algo       Algo
+	Algo       rankjoin.Algorithm
 	Theta      float64
 	ThetaC     float64 // 0 = paper default 0.03
 	Delta      int     // CL-P repartitioning threshold: 0 = defaultDelta, core.AutoDelta = planned by the join
@@ -139,79 +121,40 @@ type Measurement struct {
 	CLStats *core.Stats
 }
 
-// Run executes one measurement cell on a fresh engine.
+// Run executes one measurement cell on a fresh engine, through the
+// public join entry point every other caller uses.
 func Run(w Workload, cfg RunConfig) (Measurement, error) {
-	ctx := flow.NewContext(flow.Config{
+	e := rankjoin.NewEngine(rankjoin.EngineConfig{
 		Workers:           cfg.Workers,
 		DefaultPartitions: cfg.Partitions,
 	})
-	defer ctx.Close()
-	ctx.SetTracer(cfg.Tracer)
+	defer e.Close()
+	e.SetTracer(cfg.Tracer)
 
-	thetaC := cfg.ThetaC
-	if thetaC == 0 {
-		thetaC = 0.03
+	opts := rankjoin.Options{
+		Algorithm:  cfg.Algo,
+		Theta:      cfg.Theta,
+		ThetaC:     cfg.ThetaC,
+		Partitions: cfg.Partitions,
+		Stats:      true,
+	}
+	if cfg.Algo == rankjoin.AlgCLP {
+		opts.Delta = cfg.Delta
+		if opts.Delta == 0 {
+			opts.Delta = defaultDelta(w)
+		}
 	}
 	start := time.Now()
-	var (
-		pairs []rankings.Pair
-		err   error
-		m     Measurement
-	)
-	switch cfg.Algo {
-	case AlgoVSMART:
-		pairs, err = vsmart.Join(ctx, w.Rankings, vsmart.Options{
-			Theta:      cfg.Theta,
-			Partitions: cfg.Partitions,
-		})
-	case AlgoClusterJoin:
-		pairs, _, err = clusterjoin.Join(ctx, w.Rankings, clusterjoin.Options{
-			Theta:      cfg.Theta,
-			Partitions: cfg.Partitions,
-			Seed:       1,
-		})
-	case AlgoFSJoin:
-		pairs, err = fsjoin.Join(ctx, w.Rankings, fsjoin.Options{
-			Theta:      cfg.Theta,
-			Partitions: cfg.Partitions,
-		})
-	case AlgoVJ, AlgoVJNL:
-		variant := vj.IndexJoin
-		if cfg.Algo == AlgoVJNL {
-			variant = vj.NestedLoop
-		}
-		pairs, err = vj.Join(ctx, w.Rankings, vj.Options{
-			Theta:      cfg.Theta,
-			Variant:    variant,
-			Partitions: cfg.Partitions,
-		})
-	case AlgoCL, AlgoCLP:
-		delta := 0
-		if cfg.Algo == AlgoCLP {
-			delta = cfg.Delta
-			if delta == 0 {
-				delta = defaultDelta(w)
-			}
-		}
-		st := &core.Stats{}
-		pairs, err = core.Join(ctx, w.Rankings, core.Options{
-			Theta:      cfg.Theta,
-			ThetaC:     thetaC,
-			Partitions: cfg.Partitions,
-			Delta:      delta,
-			Stats:      st,
-		})
-		m.CLStats = st
-	default:
-		return m, fmt.Errorf("experiments: unknown algorithm %q", cfg.Algo)
-	}
+	res, err := e.Join(w.Rankings, opts)
 	if err != nil {
-		return m, err
+		return Measurement{}, err
 	}
-	m.Wall = time.Since(start)
-	m.Pairs = len(pairs)
-	m.Engine = ctx.Snapshot()
-	return m, nil
+	return Measurement{
+		Wall:    time.Since(start),
+		Pairs:   len(res.Pairs),
+		Engine:  res.Engine,
+		CLStats: res.CL,
+	}, nil
 }
 
 // defaultDelta scales the paper's per-dataset δ choices to the
@@ -264,7 +207,7 @@ func Measure(p Params, w Workload, cfg RunConfig) (Measurement, error) {
 // series runs a θ sweep for one algorithm, honoring the cell budget:
 // once a cell exceeds it, the remaining cells render as DNF (-1), like
 // the paper's 10-hour cap.
-func series(p Params, w Workload, algo Algo, thetas []float64, cfg RunConfig) ([]time.Duration, []int, error) {
+func series(p Params, w Workload, algo rankjoin.Algorithm, thetas []float64, cfg RunConfig) ([]time.Duration, []int, error) {
 	times := make([]time.Duration, len(thetas))
 	pairs := make([]int, len(thetas))
 	for i, th := range thetas {

@@ -3,6 +3,7 @@ package flow
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Dataset is a lazily evaluated, partitioned, immutable collection — the
@@ -37,9 +38,6 @@ type cacheState[T any] struct {
 
 // Context returns the engine context the dataset is bound to.
 func (d *Dataset[T]) Context() *Context { return d.ctx }
-
-// NumPartitions returns the dataset's partition count.
-func (d *Dataset[T]) NumPartitions() int { return d.parts }
 
 // Parallelize distributes data over parts partitions (round-robin by
 // block) — the engine's entry point for driver-side collections. A
@@ -219,24 +217,27 @@ func Union[T any](a, b *Dataset[T]) *Dataset[T] {
 }
 
 // Collect materializes the whole dataset on the driver, preserving
-// partition order. In distributed mode it is an all-gather: every
-// worker computes its owned partitions and receives the rest, so each
-// worker's driver sees the identical full dataset.
+// partition order. Every worker computes the partitions it owns — all of
+// them in a world of one — and in distributed mode all-gathers the rest,
+// so each worker's driver sees the identical full dataset.
 func (d *Dataset[T]) Collect() ([]T, error) {
-	if d.ctx.distributed() {
-		return collectDistributed(d, d.ctx.nextCollective())
-	}
+	owned := d.ownedPartitions()
 	outs := make([][]T, d.parts)
-	err := d.ctx.tracedDo("collect", d.parts, func(p int) error {
-		part, err := d.partition(p)
+	err := d.ctx.tracedDo("collect", len(owned), func(i int) error {
+		part, err := d.partition(owned[i])
 		if err != nil {
 			return err
 		}
-		outs[p] = part
+		outs[owned[i]] = part
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	if d.ctx.distributed() {
+		if err := gatherPartitions(d.ctx, d.ctx.nextCollective(), owned, outs); err != nil {
+			return nil, err
+		}
 	}
 	var total int
 	for _, o := range outs {
@@ -249,39 +250,25 @@ func (d *Dataset[T]) Collect() ([]T, error) {
 	return all, nil
 }
 
-// Count returns the number of elements. In distributed mode the
-// per-worker counts are all-gathered and summed on every worker.
+// Count returns the number of elements: the sum over the partitions this
+// worker owns, and in distributed mode the all-gathered sum of every
+// worker's share.
 func (d *Dataset[T]) Count() (int64, error) {
-	if d.ctx.distributed() {
-		return countDistributed(d, d.ctx.nextCollective())
-	}
-	var n int64
-	var mu sync.Mutex
-	err := d.ctx.tracedDo("count", d.parts, func(p int) error {
-		part, err := d.partition(p)
+	owned := d.ownedPartitions()
+	var n atomic.Int64
+	err := d.ctx.tracedDo("count", len(owned), func(i int) error {
+		part, err := d.partition(owned[i])
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		n += int64(len(part))
-		mu.Unlock()
+		n.Add(int64(len(part)))
 		return nil
 	})
-	return n, err
-}
-
-// ForEachPartition runs fn over every partition for its side effects
-// (writing results to disk, collecting statistics, ...). In
-// distributed mode only the partitions owned by this worker are
-// visited — side effects stay worker-local and are not gathered.
-func (d *Dataset[T]) ForEachPartition(fn func(p int, in []T) error) error {
-	ps := d.ownedPartitions()
-	return d.ctx.tracedDo("foreach", len(ps), func(i int) error {
-		p := ps[i]
-		in, err := d.partition(p)
-		if err != nil {
-			return err
-		}
-		return fn(p, in)
-	})
+	if err != nil {
+		return 0, err
+	}
+	if d.ctx.distributed() {
+		return gatherSum(d.ctx, d.ctx.nextCollective(), n.Load())
+	}
+	return n.Load(), nil
 }

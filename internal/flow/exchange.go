@@ -283,105 +283,67 @@ func sortChunks[T any](cs []shuffleChunk[T]) {
 	})
 }
 
-// collectDistributed is Collect in SPMD mode: every worker computes
-// its owned partitions, all-gathers them, and reconstructs the full
-// dataset in partition order — so each worker returns the identical
-// slice and driver code downstream stays in lockstep.
-func collectDistributed[T any](d *Dataset[T], id int64) ([]T, error) {
-	ctx := d.ctx
-	ex := ctx.cfg.Exchange
-	self, world := ex.World()
-	owned := d.ownedPartitions()
-
-	outs := make([][]T, d.parts)
-	err := ctx.tracedDo("collect", len(owned), func(i int) error {
-		p := owned[i]
-		part, err := d.partition(p)
-		if err != nil {
-			return err
-		}
-		outs[p] = part
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// allGather sends frame to every worker and returns what each worker
+// sent, indexed by rank.
+func (c *Context) allGather(action string, id int64, frame []byte) ([][]byte, error) {
+	_, world := c.world()
+	out := make([][]byte, world)
+	for w := range out {
+		out[w] = frame
 	}
+	inbound, err := c.cfg.Exchange.Alltoall(id, out)
+	if err != nil {
+		return nil, fmt.Errorf("flow: %s collective %d: %w", action, id, err)
+	}
+	return inbound, nil
+}
+
+// gatherPartitions is the wire half of Collect: this worker's owned
+// partitions of outs go to every peer and theirs fill the rest, so each
+// worker ends with the identical outs and driver code downstream stays
+// in lockstep.
+func gatherPartitions[T any](ctx *Context, id int64, owned []int, outs [][]T) error {
 	chunks := make([]gatherChunk[T], 0, len(owned))
 	for _, p := range owned {
 		chunks = append(chunks, gatherChunk[T]{P: p, Recs: outs[p]})
 	}
 	frame, err := encodeGob(chunks)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([][]byte, world)
-	for w := range out {
-		out[w] = frame
-	}
-	inbound, err := ex.Alltoall(id, out)
+	inbound, err := ctx.allGather("collect", id, frame)
 	if err != nil {
-		return nil, fmt.Errorf("flow: collect collective %d: %w", id, err)
+		return err
 	}
+	self, _ := ctx.world()
 	for w, payload := range inbound {
 		if w == self {
 			continue
 		}
 		var cs []gatherChunk[T]
 		if err := decodeGob(payload, &cs); err != nil {
-			return nil, fmt.Errorf("flow: collect collective %d, frame from worker %d: %w", id, w, err)
+			return fmt.Errorf("flow: collect collective %d, frame from worker %d: %w", id, w, err)
 		}
 		for _, c := range cs {
-			if c.P < 0 || c.P >= d.parts {
-				return nil, fmt.Errorf("flow: collect collective %d: partition %d out of range", id, c.P)
+			if c.P < 0 || c.P >= len(outs) {
+				return fmt.Errorf("flow: collect collective %d: partition %d out of range", id, c.P)
 			}
 			outs[c.P] = c.Recs
 		}
 	}
-	var total int
-	for _, o := range outs {
-		total += len(o)
-	}
-	all := make([]T, 0, total)
-	for _, o := range outs {
-		all = append(all, o...)
-	}
-	return all, nil
+	return nil
 }
 
-// countDistributed is Count in SPMD mode: local counts over owned
-// partitions, then an all-gather sum.
-func countDistributed[T any](d *Dataset[T], id int64) (int64, error) {
-	ctx := d.ctx
-	ex := ctx.cfg.Exchange
-	_, world := ex.World()
-	owned := d.ownedPartitions()
-
-	var local int64
-	var mu sync.Mutex
-	err := ctx.tracedDo("count", len(owned), func(i int) error {
-		part, err := d.partition(owned[i])
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		local += int64(len(part))
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
+// gatherSum is the wire half of Count: every worker's local count,
+// summed on every worker.
+func gatherSum(ctx *Context, id int64, local int64) (int64, error) {
 	frame, err := encodeGob(local)
 	if err != nil {
 		return 0, err
 	}
-	out := make([][]byte, world)
-	for w := range out {
-		out[w] = frame
-	}
-	inbound, err := ex.Alltoall(id, out)
+	inbound, err := ctx.allGather("count", id, frame)
 	if err != nil {
-		return 0, fmt.Errorf("flow: count collective %d: %w", id, err)
+		return 0, err
 	}
 	var n int64
 	for w, payload := range inbound {

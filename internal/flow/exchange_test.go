@@ -246,7 +246,7 @@ func TestDistributedShuffleClampsPartitionsToWorld(t *testing.T) {
 		if _, err := sh.Collect(); err != nil {
 			return 0, err
 		}
-		return sh.NumPartitions(), nil
+		return sh.parts, nil
 	})
 	for w, got := range results {
 		if got != 4 {

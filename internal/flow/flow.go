@@ -59,8 +59,7 @@ type Config struct {
 	// context in distributed SPMD mode: shuffles go over the Exchanger
 	// instead of process memory and actions become all-gathers. See
 	// Exchanger for the execution model. Spilling is disabled for
-	// distributed shuffle buckets, and ForEachPartition visits only the
-	// partitions owned by this worker.
+	// distributed shuffle buckets.
 	Exchange Exchanger
 }
 
@@ -123,9 +122,6 @@ func (c *Context) Filters() *obs.FilterCounters { return &c.metrics.Filters }
 // "cl/cluster_members"); all registered histograms appear in
 // MetricsSnapshot.Histograms.
 func (c *Context) Histogram(name string) *obs.Histogram { return c.metrics.histogram(name) }
-
-// Workers returns the executor budget of the context.
-func (c *Context) Workers() int { return c.cfg.Workers }
 
 // world returns this context's rank and world size; a context without
 // an Exchanger is the sole member of a world of one.

@@ -22,6 +22,11 @@ type KV[K comparable, V any] struct {
 // on.
 var hashSeed = maphash.MakeSeed()
 
+// partitionOf routes a key inside one process. Collect and Count treat
+// local execution as a world of one; the shuffle does not, and keeps
+// this second router beside stablePartitionOf on purpose: the hash every
+// peer must agree on reflects over struct keys (Pair, CPair, subKey),
+// a tax every local Distinct would pay for agreement it does not need.
 func partitionOf[K comparable](key K, parts int) int {
 	return int(maphash.Comparable(hashSeed, key) % uint64(parts))
 }
@@ -402,9 +407,4 @@ func DistinctBy[T any, K comparable](d *Dataset[T], parts int, key func(T) K) *D
 // Keys projects the keys of a keyed dataset.
 func Keys[K comparable, V any](d *Dataset[KV[K, V]]) *Dataset[K] {
 	return Map(d, func(kv KV[K, V]) K { return kv.K })
-}
-
-// Values projects the values of a keyed dataset.
-func Values[K comparable, V any](d *Dataset[KV[K, V]]) *Dataset[V] {
-	return Map(d, func(kv KV[K, V]) V { return kv.V })
 }

@@ -69,11 +69,11 @@ func TestCompleteRetroactiveTrace(t *testing.T) {
 	tr := NewTracerAt(base)
 	s := tr.Complete("http /knn", base.Add(100*time.Millisecond), 50*time.Millisecond,
 		String("request_id", "rid-1"))
-	if !s.Done() || s.Duration() != 50*time.Millisecond {
-		t.Fatalf("span = done=%v dur=%v", s.Done(), s.Duration())
+	if !s.done || s.Duration() != 50*time.Millisecond {
+		t.Fatalf("span = done=%v dur=%v", s.done, s.Duration())
 	}
-	if s.Start() != 100*time.Millisecond {
-		t.Fatalf("start = %v", s.Start())
+	if s.start != 100*time.Millisecond {
+		t.Fatalf("start = %v", s.start)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("retroactive trace invalid: %v", err)
@@ -87,8 +87,8 @@ func TestCompleteRetroactiveTrace(t *testing.T) {
 	}
 	// Starts before the tracer base clamp to 0 rather than rendering
 	// negative timestamps.
-	if s2 := tr.Complete("early", base.Add(-time.Hour), time.Millisecond); s2.Start() != 0 {
-		t.Fatalf("pre-base start = %v", s2.Start())
+	if s2 := tr.Complete("early", base.Add(-time.Hour), time.Millisecond); s2.start != 0 {
+		t.Fatalf("pre-base start = %v", s2.start)
 	}
 	var nilT *Tracer
 	if nilT.Complete("x", base, 0) != nil {

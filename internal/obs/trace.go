@@ -245,14 +245,6 @@ func (s *Span) Name() string {
 	return s.name
 }
 
-// Start returns the span start relative to the tracer epoch.
-func (s *Span) Start() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.start
-}
-
 // Duration returns the recorded duration (0 while the span is open).
 func (s *Span) Duration() time.Duration {
 	if s == nil {
@@ -261,24 +253,6 @@ func (s *Span) Duration() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dur
-}
-
-// Done reports whether End was called.
-func (s *Span) Done() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.done
-}
-
-// Track returns the span's render track (the Chrome trace tid).
-func (s *Span) Track() int {
-	if s == nil {
-		return 0
-	}
-	return s.track
 }
 
 // Attrs returns a copy of the span attributes.

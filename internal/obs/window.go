@@ -42,14 +42,6 @@ func NewWindow(span time.Duration, start time.Time) *Window {
 	return &Window{span: span, start: start}
 }
 
-// Span returns the window length.
-func (w *Window) Span() time.Duration {
-	if w == nil {
-		return 0
-	}
-	return w.span
-}
-
 // Record appends one cumulative snapshot taken at t and prunes entries
 // that can no longer serve as a delta base: everything older than
 // t−span except the newest such entry (the base for the next Delta).

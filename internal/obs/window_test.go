@@ -98,14 +98,11 @@ func TestWindowOutOfOrderAndNil(t *testing.T) {
 
 	var nilW *Window
 	nilW.Record(t0, s) // no-op
-	if sp := nilW.Span(); sp != 0 {
-		t.Fatalf("nil window span = %v", sp)
-	}
 	if elapsed, d := nilW.Delta(t0, s); elapsed != 0 || d.Count != 0 {
 		t.Fatalf("nil window delta = %v over %v", d, elapsed)
 	}
 
-	if NewWindow(0, t0).Span() != time.Minute {
+	if NewWindow(0, t0).span != time.Minute {
 		t.Fatal("zero span should default to one minute")
 	}
 }

@@ -29,7 +29,7 @@ func TestKernelsAgreeWithBruteForce(t *testing.T) {
 			t.Fatalf("NestedLoop trial %d (k=%d F=%d): extra %v missing %v", trial, k, maxDist, a, b)
 		}
 
-		ord := rankings.OrderFromDataset(rs)
+		ord := rankings.NewOrder(rankings.ItemCounts(rs))
 		prefix := filters.PrefixOverlap(maxDist, k)
 		if got := ppjoin.PrefixIndex(rs, ord, prefix, maxDist, new(obs.FilterDelta)); !rankings.SamePairs(got, want) {
 			a, b := rankings.DiffPairs(got, want)
@@ -51,7 +51,7 @@ func TestClusteredDatasets(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("clustered dataset produced no close pairs — generator broken")
 		}
-		ord := rankings.OrderFromDataset(rs)
+		ord := rankings.NewOrder(rankings.ItemCounts(rs))
 		prefix := filters.PrefixOverlap(maxDist, k)
 		if got := ppjoin.PrefixIndex(rs, ord, prefix, maxDist, new(obs.FilterDelta)); !rankings.SamePairs(got, want) {
 			t.Fatalf("PrefixIndex diverges on clustered data (trial %d)", trial)
@@ -120,7 +120,7 @@ func TestStatsAccounting(t *testing.T) {
 	// The prefix index must generate no more candidates than the
 	// nested loop examines.
 	var ip obs.FilterDelta
-	ord := rankings.OrderFromDataset(rs)
+	ord := rankings.NewOrder(rankings.ItemCounts(rs))
 	prefix := filters.PrefixOverlap(maxDist, 8)
 	ppjoin.PrefixIndex(rs, ord, prefix, maxDist, &ip)
 	if ip.Generated > st.Generated {
@@ -139,7 +139,7 @@ func TestEmptyAndSingleInputs(t *testing.T) {
 	if got := ppjoin.NestedLoop(one, 10, new(obs.FilterDelta)); len(got) != 0 {
 		t.Error("nested loop on single ranking")
 	}
-	ord := rankings.OrderFromDataset(one)
+	ord := rankings.NewOrder(rankings.ItemCounts(one))
 	if got := ppjoin.PrefixIndex(one, ord, 1, 10, new(obs.FilterDelta)); len(got) != 0 {
 		t.Error("prefix index on single ranking")
 	}

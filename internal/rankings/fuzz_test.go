@@ -2,8 +2,12 @@ package rankings_test
 
 import (
 	"encoding/hex"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/testutil/wirecheck"
@@ -108,6 +112,77 @@ func FuzzFootruleMetric(f *testing.F) {
 		}
 		if _, ok := rankings.FootruleWithin(a, b, d-1); ok && d > 0 {
 			t.Fatal("FootruleWithin(d-1) accepted")
+		}
+	})
+}
+
+// FuzzTextRankings drives arbitrary bytes through the dataset-loading
+// path the daemon and the CLIs share: rankings.Read over the whole
+// input, rankings.ParseLine per line. Three properties must hold for
+// any input:
+//
+//  1. nothing panics — malformed server input (rankserved -data, HTTP
+//     "line" queries) must surface as errors, never crash the process;
+//  2. fragmentation is lossless — a file or socket that delivers the
+//     bytes one at a time, or half a buffer at a time, yields what one
+//     read of the whole input yields;
+//  3. Read is all-or-nothing and agrees with the per-line verdicts: on
+//     success it returns exactly the lines ParseLine accepts.
+func FuzzTextRankings(f *testing.F) {
+	if data, err := os.ReadFile(filepath.Join("..", "..", "examples", "quickstart", "rankings.txt")); err == nil {
+		f.Add(string(data), uint8(2))
+	}
+	for _, seed := range []string{
+		"2 5 4 3 1\n1 4 5 9 0\n",
+		"7: 2 5 4 3 1\n8: 1,4,5,9,0\n",
+		"# comment\n\n1: 1 2 3\n",
+		"1: 1 2 3",   // no trailing newline
+		"\n\n\n",     // blank lines only
+		"1: 1 1 1\n", // duplicate items — must error, not panic
+		"x: 1 2 3\n999999999999999999999999: 1\n",
+		"1: 99999999999999999999\n-5: 3 2 1\n",
+		"\xff\xfe garbage \x00\n1: 1 2\r\n",
+		strings.Repeat("9", 1<<10) + "\n",
+	} {
+		for _, fragments := range []uint8{0, 1, 2} {
+			f.Add(seed, fragments)
+		}
+	}
+	f.Fuzz(func(t *testing.T, content string, fragments uint8) {
+		// Every non-blank, non-comment line goes through the ranking
+		// parser; it may reject, it must not panic.
+		parsed := 0
+		for i, line := range strings.Split(content, "\n") {
+			line = strings.TrimSpace(line)
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			if r, err := rankings.ParseLine(line, int64(i)); err == nil {
+				if r == nil || r.K() == 0 {
+					t.Fatalf("line %q: ParseLine returned %v with nil error", line, r)
+				}
+				parsed++
+			}
+		}
+		whole, wholeErr := rankings.Read(strings.NewReader(content))
+		if wholeErr == nil && len(whole) != parsed {
+			t.Fatalf("Read parsed %d rankings, per-line parse accepted %d", len(whole), parsed)
+		}
+		var r io.Reader = strings.NewReader(content)
+		switch fragments % 3 {
+		case 1:
+			r = iotest.OneByteReader(r)
+		case 2:
+			r = iotest.HalfReader(r)
+		}
+		got, err := rankings.Read(r)
+		if (err == nil) != (wholeErr == nil) || len(got) != len(whole) {
+			t.Fatalf("fragmented read: %d rankings, err %v; whole read: %d, err %v", len(got), err, len(whole), wholeErr)
+		}
+		for i := range got {
+			if got[i].ID != whole[i].ID || !rankings.Equal(got[i], whole[i]) {
+				t.Fatalf("fragmented read: ranking %d is %v, whole read %v", i, got[i], whole[i])
+			}
 		}
 	})
 }

@@ -48,11 +48,6 @@ func NewOrder(counts map[Item]int64) *Order {
 	return &Order{rank: rank}
 }
 
-// OrderFromDataset is shorthand for NewOrder(ItemCounts(rs)).
-func OrderFromDataset(rs []*Ranking) *Order {
-	return NewOrder(ItemCounts(rs))
-}
-
 // Len returns the number of distinct items in the ordering.
 func (o *Order) Len() int { return len(o.rank) }
 

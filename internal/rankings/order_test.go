@@ -16,7 +16,7 @@ func TestOrderSortsByFrequencyThenID(t *testing.T) {
 	}
 	// freq: 1→1, 2→2, 3→3, 4→2, 5→1. Canonical: 1,5 (freq 1, id asc),
 	// then 2,4 (freq 2), then 3.
-	o := rankings.OrderFromDataset(ds)
+	o := rankings.NewOrder(rankings.ItemCounts(ds))
 	want := []rankings.Item{1, 5, 2, 4, 3}
 	for i, it := range want {
 		if got := o.Rank(it); got != int32(i) {
@@ -31,7 +31,7 @@ func TestOrderSortsByFrequencyThenID(t *testing.T) {
 func TestCanonicalPreservesMultiset(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ds := testutil.RandDataset(rng, 30, 10, 60)
-	o := rankings.OrderFromDataset(ds)
+	o := rankings.NewOrder(rankings.ItemCounts(ds))
 	for _, r := range ds {
 		c := o.Canonical(r)
 		if len(c) != r.K() {
@@ -64,7 +64,7 @@ func TestCanonicalPreservesMultiset(t *testing.T) {
 
 func TestPrefixClamps(t *testing.T) {
 	r := rankings.MustNew(0, []rankings.Item{4, 2, 9})
-	o := rankings.OrderFromDataset([]*rankings.Ranking{r})
+	o := rankings.NewOrder(rankings.ItemCounts([]*rankings.Ranking{r}))
 	if got := len(o.Prefix(r, 2)); got != 2 {
 		t.Errorf("prefix(2) length %d", got)
 	}
@@ -75,7 +75,7 @@ func TestPrefixClamps(t *testing.T) {
 
 func TestUnknownItemsSortLast(t *testing.T) {
 	ds := []*rankings.Ranking{rankings.MustNew(0, []rankings.Item{1, 2})}
-	o := rankings.OrderFromDataset(ds)
+	o := rankings.NewOrder(rankings.ItemCounts(ds))
 	if o.Rank(99) <= o.Rank(1) || o.Rank(99) <= o.Rank(2) {
 		t.Error("unknown item does not sort after known items")
 	}
@@ -101,7 +101,7 @@ func TestIdentityOrder(t *testing.T) {
 func TestMinCommonMatchesPrefixIntersection(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ds := testutil.RandDataset(rng, 40, 6, 14)
-	for _, o := range []*rankings.Order{rankings.OrderFromDataset(ds), rankings.IdentityOrder()} {
+	for _, o := range []*rankings.Order{rankings.NewOrder(rankings.ItemCounts(ds)), rankings.IdentityOrder()} {
 		for trial := 0; trial < 400; trial++ {
 			a, b := ds[rng.Intn(len(ds))], ds[rng.Intn(len(ds))]
 			for p := 1; p <= 8; p++ {

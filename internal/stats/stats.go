@@ -13,16 +13,6 @@ import (
 	"rankjoin/internal/rankings"
 )
 
-// ZipfPMF returns f(i; s, v): the probability of the item with
-// frequency rank i (1-based) under a Zipf distribution with skew s over
-// v distinct items.
-func ZipfPMF(i int, s float64, v int) float64 {
-	if i < 1 || i > v || v <= 0 {
-		return 0
-	}
-	return math.Pow(float64(i), -s) / harmonic(v, s)
-}
-
 // harmonic computes the generalized harmonic number H(v, s).
 func harmonic(v int, s float64) float64 {
 	h := 0.0
@@ -41,11 +31,10 @@ func harmonic(v int, s float64) float64 {
 // average length of a prefix-index posting list, the quantity the
 // partitioning threshold δ should be calibrated against.
 //
-// H(v', s) does not depend on i and is computed once: calling ZipfPMF
-// per term would recompute it and make the sum O(v'²) math.Pow calls,
-// seconds on the auto-δ join's critical path at v' ≈ 10⁵. Each term is
-// the ZipfPMF expression, so the result is bit-identical to summing
-// n · ZipfPMF(i, s, v')².
+// f(i; s, v') = i^-s / H(v', s) is the Zipf probability of the item
+// with frequency rank i. H does not depend on i and is computed once:
+// recomputing it per term would make the sum O(v'²) math.Pow calls,
+// seconds on the auto-δ join's critical path at v' ≈ 10⁵.
 func ExpectedPostingListLength(n int, s float64, vPrime int) float64 {
 	if n <= 0 || vPrime <= 0 {
 		return 0
@@ -59,32 +48,20 @@ func ExpectedPostingListLength(n int, s float64, vPrime int) float64 {
 	return sum
 }
 
-// SuggestDelta turns the Equation 4 estimate into a partitioning
-// threshold: a small multiple of the expected posting-list length, so
-// that only genuinely skew-inflated lists are split (the paper warns
-// against very small δ). prefixTokens is the total number of emitted
-// prefix tokens (n · prefix size).
-func SuggestDelta(prefixTokens int, s float64, vPrime int) int {
-	return deltaFor(ExpectedPostingListLength(prefixTokens, s, vPrime))
-}
-
-// deltaFor scales an Equation 4 estimate to a threshold, floored at 16.
-func deltaFor(est float64) int {
-	return max(int(4*est), 16)
-}
-
 // PlanDelta derives the CL-P partitioning threshold for a dataset from
 // its item frequency counts, the canonical order built from them and
 // the prefix size of the join threshold: Equation 4 under the fitted
-// skew over the prefix vocabulary, scaled as in SuggestDelta. It is
-// the one planner behind both the public SuggestDelta and the auto-δ
-// CL-P join, which calls it with the counts and order its ordering
-// phase already holds. The Equation 4 estimate is returned with δ so a
-// run can report the prediction next to the lists it actually built.
+// skew over the prefix vocabulary, times four and floored at 16 so that
+// only genuinely skew-inflated lists are split (the paper warns against
+// very small δ). It is the one planner behind both the public
+// SuggestDelta and the auto-δ CL-P join, which calls it with the counts
+// and order its ordering phase already holds. The Equation 4 estimate
+// is returned with δ so a run can report the prediction next to the
+// lists it actually built.
 func PlanDelta(rs []*rankings.Ranking, counts map[rankings.Item]int64, ord *rankings.Order, prefix int) (delta int, predictedLen float64) {
 	vPrime := PrefixVocabulary(rs, ord, prefix)
 	predictedLen = ExpectedPostingListLength(len(rs)*prefix, EstimateSkew(counts), vPrime)
-	return deltaFor(predictedLen), predictedLen
+	return max(int(4*predictedLen), 16), predictedLen
 }
 
 // EstimateSkew fits a Zipf skew parameter to observed item frequencies
@@ -142,34 +119,4 @@ func PrefixVocabulary(rs []*rankings.Ranking, ord *rankings.Order, p int) int {
 		}
 	}
 	return len(seen)
-}
-
-// FrequencyHistogram buckets item frequencies into powers of two,
-// returning bucket upper bounds and counts — a quick skew diagnostic
-// for experiment reports.
-func FrequencyHistogram(counts map[rankings.Item]int64) (bounds []int64, tallies []int64) {
-	if len(counts) == 0 {
-		return nil, nil
-	}
-	var maxC int64
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	for b := int64(1); ; b *= 2 {
-		bounds = append(bounds, b)
-		if b >= maxC {
-			break
-		}
-	}
-	tallies = make([]int64, len(bounds))
-	for _, c := range counts {
-		idx := 0
-		for b := int64(1); b < c; b *= 2 {
-			idx++
-		}
-		tallies[idx]++
-	}
-	return bounds, tallies
 }

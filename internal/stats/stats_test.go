@@ -2,7 +2,6 @@ package stats_test
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -10,33 +9,6 @@ import (
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/stats"
 )
-
-func TestZipfPMFNormalizes(t *testing.T) {
-	for _, s := range []float64{0, 0.5, 1, 1.5} {
-		for _, v := range []int{1, 10, 100} {
-			sum := 0.0
-			for i := 1; i <= v; i++ {
-				p := stats.ZipfPMF(i, s, v)
-				if p < 0 || p > 1 {
-					t.Fatalf("pmf(%d;%v,%d) = %v out of range", i, s, v, p)
-				}
-				sum += p
-			}
-			if math.Abs(sum-1) > 1e-9 {
-				t.Errorf("s=%v v=%d: pmf sums to %v", s, v, sum)
-			}
-		}
-	}
-	if stats.ZipfPMF(0, 1, 10) != 0 || stats.ZipfPMF(11, 1, 10) != 0 {
-		t.Error("out-of-range ranks should have probability 0")
-	}
-	// Monotone decreasing in rank for s > 0.
-	for i := 1; i < 50; i++ {
-		if stats.ZipfPMF(i, 0.8, 50) < stats.ZipfPMF(i+1, 0.8, 50) {
-			t.Fatalf("pmf not decreasing at rank %d", i)
-		}
-	}
-}
 
 func TestExpectedPostingListLength(t *testing.T) {
 	// Uniform items: E = Σ n·(1/v)² = n/v — the obvious average.
@@ -58,14 +30,19 @@ func TestExpectedPostingListLength(t *testing.T) {
 }
 
 // TestExpectedPostingListLengthMatchesDefinition holds the O(v') sum to
-// the paper's definition, Σ n·f(i; s, v')² with f = ZipfPMF — the
-// quadratic form the planner used to evaluate — bit for bit: hoisting
-// H(v', s) out of the sum must not move a single δ.
+// the paper's definition, Σ n·f(i; s, v')² with f the Zipf probability
+// i^-s / H(v', s) evaluated per term — the quadratic form the planner
+// used to evaluate — bit for bit: hoisting H(v', s) out of the sum must
+// not move a single δ.
 func TestExpectedPostingListLengthMatchesDefinition(t *testing.T) {
 	naive := func(n int, s float64, v int) float64 {
 		sum := 0.0
 		for i := 1; i <= v; i++ {
-			f := stats.ZipfPMF(i, s, v)
+			h := 0.0
+			for j := 1; j <= v; j++ {
+				h += math.Pow(float64(j), -s)
+			}
+			f := math.Pow(float64(i), -s) / h
 			sum += float64(n) * f * f
 		}
 		return sum
@@ -93,18 +70,18 @@ func TestExpectedPostingListLengthMatchesDefinition(t *testing.T) {
 // still four orders of magnitude below the quadratic cost.
 func TestPlannerScalesLinearly(t *testing.T) {
 	start := time.Now()
-	d := stats.SuggestDelta(10_000_000, 0.9, 200_000)
+	est := stats.ExpectedPostingListLength(10_000_000, 0.9, 200_000)
 	if took := time.Since(start); took > 100*time.Millisecond {
 		t.Errorf("planning v'=200000 took %v, want well under 100ms", took)
 	}
-	if d < 16 {
-		t.Errorf("delta %d below floor", d)
+	if est <= 0 {
+		t.Errorf("estimate %v, want positive", est)
 	}
 }
 
 // TestPlanDeltaAgreesWithItsParts: the plan is exactly Equation 4 over
 // the fitted skew and the prefix vocabulary — the vocabulary being what
-// ord.Prefix enumerates — scaled as SuggestDelta scales it.
+// ord.Prefix enumerates — times four, floored at 16.
 func TestPlanDeltaAgreesWithItsParts(t *testing.T) {
 	rs, err := dataset.Generate(dataset.DBLPLike.Config(1200, 10, 3))
 	if err != nil {
@@ -127,7 +104,7 @@ func TestPlanDeltaAgreesWithItsParts(t *testing.T) {
 		if want := stats.ExpectedPostingListLength(len(rs)*prefix, skew, len(seen)); predicted != want {
 			t.Errorf("prefix %d: predicted %v, want %v", prefix, predicted, want)
 		}
-		if want := stats.SuggestDelta(len(rs)*prefix, skew, len(seen)); delta != want {
+		if want := max(int(4*predicted), 16); delta != want {
 			t.Errorf("prefix %d: delta %d, want %d", prefix, delta, want)
 		}
 	}
@@ -164,20 +141,6 @@ func TestEstimateAgainstEmpiricalPostingLists(t *testing.T) {
 	}
 }
 
-func TestSuggestDelta(t *testing.T) {
-	d := stats.SuggestDelta(100000, 0.9, 5000)
-	if d < 16 {
-		t.Errorf("delta %d below floor", d)
-	}
-	if floor := stats.SuggestDelta(10, 0, 100); floor != 16 {
-		t.Errorf("tiny input delta = %d, want floor 16", floor)
-	}
-	// More skew, larger suggested delta.
-	if stats.SuggestDelta(100000, 1.2, 5000) <= stats.SuggestDelta(100000, 0.2, 5000) {
-		t.Error("delta not increasing with skew")
-	}
-}
-
 func TestEstimateSkewRecoversGenerator(t *testing.T) {
 	for _, s := range []float64{0.6, 0.9, 1.2} {
 		rs, err := dataset.Generate(dataset.GenConfig{
@@ -204,7 +167,7 @@ func TestPrefixVocabulary(t *testing.T) {
 		rankings.MustNew(0, []rankings.Item{1, 2, 3}),
 		rankings.MustNew(1, []rankings.Item{2, 3, 4}),
 	}
-	ord := rankings.OrderFromDataset(rs)
+	ord := rankings.NewOrder(rankings.ItemCounts(rs))
 	if got := stats.PrefixVocabulary(rs, ord, 3); got != 4 {
 		t.Errorf("full vocabulary = %d, want 4", got)
 	}
@@ -212,23 +175,4 @@ func TestPrefixVocabulary(t *testing.T) {
 	if v1 < 1 || v1 > 2 {
 		t.Errorf("prefix-1 vocabulary = %d", v1)
 	}
-}
-
-func TestFrequencyHistogram(t *testing.T) {
-	counts := map[rankings.Item]int64{1: 1, 2: 2, 3: 3, 4: 100}
-	bounds, tallies := stats.FrequencyHistogram(counts)
-	if len(bounds) != len(tallies) {
-		t.Fatalf("bounds %d vs tallies %d", len(bounds), len(tallies))
-	}
-	var total int64
-	for _, n := range tallies {
-		total += n
-	}
-	if total != 4 {
-		t.Errorf("histogram covers %d items, want 4", total)
-	}
-	if b, tl := stats.FrequencyHistogram(nil); b != nil || tl != nil {
-		t.Error("empty histogram should be nil")
-	}
-	_ = rand.Int
 }

@@ -30,10 +30,6 @@ type GroupJoinOptions[T, R any] struct {
 	// than Delta are split into sub-partitions of at most Delta
 	// records. Zero or negative disables repartitioning.
 	Delta int
-	// RepartitionFactor scales the partition count of the
-	// post-repartitioning stages (the paper increases the number of
-	// partitions when splitting); zero means 2.
-	RepartitionFactor int
 	// SubKey must return a stable identity for a record; it seeds the
 	// deterministic "random" secondary key assignment of records to
 	// sub-partitions.
@@ -102,10 +98,9 @@ func JoinTokenGroups[T, R any](groups *flow.Dataset[flow.KV[rankings.Item, []T]]
 		})
 	}
 
-	factor := opts.RepartitionFactor
-	if factor <= 0 {
-		factor = 2
-	}
+	// The paper increases the number of partitions when splitting; the
+	// post-repartitioning stages run on twice as many.
+	const factor = 2
 
 	// Both branches below traverse the grouped dataset; cache it so the
 	// group-building pass runs once (the iterative-processing idiom the

@@ -110,9 +110,8 @@ func JoinRS(ctx *flow.Context, r, s []*rankings.Ranking, opts Options) ([]rankin
 	}
 
 	pairs := JoinTokenGroups(groups, GroupJoinOptions[tagged, rankings.Pair]{
-		Partitions:        opts.Partitions,
-		Delta:             opts.Delta,
-		RepartitionFactor: opts.RepartitionFactor,
+		Partitions: opts.Partitions,
+		Delta:      opts.Delta,
 		SubKey: func(t tagged) int64 {
 			// Disambiguate colliding ids across sides so sub-partition
 			// assignment stays deterministic per record.

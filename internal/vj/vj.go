@@ -51,8 +51,6 @@ type Options struct {
 	SkipReorder bool
 	// Delta is the §6 repartitioning threshold δ; 0 disables splitting.
 	Delta int
-	// RepartitionFactor scales partition counts after a split (0 = 2).
-	RepartitionFactor int
 	// LeastTokenDedup, when true, emits each result pair only in the
 	// group of the canonically smallest common prefix token instead of
 	// deduplicating with a final shuffle — an engine-level alternative
@@ -113,13 +111,12 @@ func JoinDataset(ds *flow.Dataset[*rankings.Ranking], rs []*rankings.Ranking, op
 	}, opts.Partitions)
 
 	pairs := JoinTokenGroups(groups, GroupJoinOptions[*rankings.Ranking, rankings.Pair]{
-		Partitions:        opts.Partitions,
-		Delta:             opts.Delta,
-		RepartitionFactor: opts.RepartitionFactor,
-		SubKey:            func(r *rankings.Ranking) int64 { return r.ID },
-		Self:              selfKernel(ordB, ctx.Filters(), prefix, maxDist, opts),
-		Cross:             crossKernel(ordB, ctx.Filters(), prefix, maxDist, opts),
-		Stats:             opts.Stats,
+		Partitions: opts.Partitions,
+		Delta:      opts.Delta,
+		SubKey:     func(r *rankings.Ranking) int64 { return r.ID },
+		Self:       selfKernel(ordB, ctx.Filters(), prefix, maxDist, opts),
+		Cross:      crossKernel(ordB, ctx.Filters(), prefix, maxDist, opts),
+		Stats:      opts.Stats,
 	})
 
 	if opts.LeastTokenDedup {

@@ -156,7 +156,7 @@ func TestSkipReorderStillCorrect(t *testing.T) {
 func TestPrecomputedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	rs := testutil.RandDataset(rng, 100, 8, 30)
-	ord := rankings.OrderFromDataset(rs)
+	ord := rankings.NewOrder(rankings.ItemCounts(rs))
 	want, err := vj.Join(ctx(4), rs, vj.Options{Theta: 0.25})
 	if err != nil {
 		t.Fatal(err)

@@ -384,9 +384,6 @@ func (m *Manager) RecordsSince(i int, sinceEpoch uint64) (recs []Record, ok bool
 	return recs, true, nil
 }
 
-// SnapshotEpoch returns shard i's newest durable snapshot epoch.
-func (m *Manager) SnapshotEpoch(i int) uint64 { return m.snapEpochs[i].Load() }
-
 // Close stops the snapshot loop and flushes, fsyncs and closes every
 // log — the drain path: after Close returns, every acknowledged write
 // and every buffered-but-unacknowledged one is on disk.

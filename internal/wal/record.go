@@ -48,12 +48,6 @@ type Record struct {
 	Frame []byte
 }
 
-// Ranking materializes an insert record's subject, validating it the
-// same way the public API does.
-func (rec *Record) Ranking() (*rankings.Ranking, error) {
-	return rankings.New(rec.ID, rec.Items)
-}
-
 // appendRecord appends rec's frame to buf. The payload is op (byte),
 // epoch (uvarint), then the ranking for an insert or the id (varint)
 // for a delete.

@@ -598,7 +598,7 @@ func TestTornSnapshotPlusWALReplay(t *testing.T) {
 		for _, rec := range recs {
 			switch rec.Op {
 			case OpInsert:
-				r, err := rec.Ranking()
+				r, err := rankings.New(rec.ID, rec.Items)
 				if err != nil {
 					t.Fatal(err)
 				}
