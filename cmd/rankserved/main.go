@@ -10,23 +10,27 @@
 //
 //	rankserved -addr localhost:7357 -data rankings.txt
 //
-// Cluster mode — boot N processes with the identical ordered -peers
-// list and distinct -self ranks to form one logical service; any peer
-// answers the full public API by scatter-gathering across all of them:
+// A daemon is always a peer of a ring; without -peers the ring has one
+// member, which owns every id — the same handlers, the same
+// /v1/cluster/* plane and the same cluster metrics, with nobody else to
+// talk to. Boot N processes with the identical ordered -peers list and
+// distinct -self ranks to form one logical service; any peer answers
+// the full public API by scatter-gathering across all of them:
 //
 //	rankserved -addr localhost:7001 -peers localhost:7001,localhost:7002,localhost:7003 -self 0
 //	rankserved -addr localhost:7002 -peers localhost:7001,localhost:7002,localhost:7003 -self 1
 //	rankserved -addr localhost:7003 -peers localhost:7001,localhost:7002,localhost:7003 -self 2
 //
-// With -data in cluster mode each peer loads only the rankings it owns
-// on the placement ring, so the dataset is sharded, not replicated.
+// With -data each peer loads only the rankings it owns on the placement
+// ring, so the dataset is sharded, not replicated.
 //
 // Durability — -wal-dir turns on the write-ahead log and periodic epoch
 // snapshots: every acked insert/delete is fsynced within the -fsync
 // group-commit window, and a crashed process recovers its exact acked
 // state on the next boot. A second process started with
 // -follower-of <leader> replicates the leader continuously and serves
-// /v1/search and /v1/knn read-only:
+// /v1/search and /v1/knn read-only (every write endpoint, the
+// peer-local /v1/cluster/insert|delete included, answers 403):
 //
 //	rankserved -addr localhost:7001 -wal-dir /var/lib/rankserved
 //	rankserved -addr localhost:7002 -follower-of localhost:7001
@@ -138,7 +142,7 @@ func main() {
 	// epochs line up, then replicate instead of preloading.
 	if *followerOf != "" {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		leaderShards, leaderK, err := server.ProbeLeader(ctx, nil, *followerOf)
+		leaderShards, leaderK, err := server.ProbeLeader(ctx, *followerOf)
 		cancel()
 		if err != nil {
 			fatal("probe leader", err)
@@ -234,7 +238,7 @@ func main() {
 	// polling in the background.
 	var replica *server.Replica
 	if *followerOf != "" {
-		replica = server.NewReplica(*followerOf, idx, *replEvery, nil, logger)
+		replica = server.NewReplica(*followerOf, idx, *replEvery, logger)
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		err := replica.SyncOnce(ctx)
 		cancel()

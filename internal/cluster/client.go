@@ -34,7 +34,6 @@ type peerClient struct {
 	http       *http.Client
 	rpcTimeout time.Duration
 	hedgeDelay time.Duration
-	downAfter  int64
 	probeEvery time.Duration
 
 	rpcs    atomic.Int64
@@ -47,8 +46,11 @@ type peerClient struct {
 	lastErr   atomic.Pointer[string]
 }
 
+// downAfter is the consecutive-failure count that marks a peer down.
+const downAfter = 3
+
 // down reports whether the peer is past the failure threshold.
-func (p *peerClient) down() bool { return p.fails.Load() >= p.downAfter }
+func (p *peerClient) down() bool { return p.fails.Load() >= downAfter }
 
 // admit decides whether an RPC may go out. Healthy peers always pass;
 // a down peer admits one probe per probeEvery window (half-open) and

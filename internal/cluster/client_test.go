@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rankjoin/internal/shard"
 )
 
 func testClient(t *testing.T, handler http.Handler, hedgeDelay time.Duration) *peerClient {
@@ -19,7 +21,6 @@ func testClient(t *testing.T, handler http.Handler, hedgeDelay time.Duration) *p
 		http:       srv.Client(),
 		rpcTimeout: time.Second,
 		hedgeDelay: hedgeDelay,
-		downAfter:  3,
 		probeEvery: 10 * time.Millisecond,
 	}
 }
@@ -56,7 +57,6 @@ func TestClientRetriesFastFailure(t *testing.T) {
 		http:       &http.Client{},
 		rpcTimeout: 200 * time.Millisecond,
 		hedgeDelay: time.Hour, // timer never fires; only fast-fail retry
-		downAfter:  3,
 		probeEvery: time.Hour,
 	}
 	if _, err := p.do(context.Background(), "/x", "text/plain", nil, 0); err == nil {
@@ -152,7 +152,6 @@ func TestMutateNoFastFailRetry(t *testing.T) {
 		http:       &http.Client{},
 		rpcTimeout: 200 * time.Millisecond,
 		hedgeDelay: time.Nanosecond, // would retry instantly on the hedged path
-		downAfter:  3,
 		probeEvery: time.Hour,
 	}
 	if _, err := p.doMutate(context.Background(), "/x", "application/json", nil, 0); err == nil {
@@ -163,5 +162,26 @@ func TestMutateNoFastFailRetry(t *testing.T) {
 	}
 	if p.rpcs.Load() != 1 {
 		t.Fatalf("rpcs = %d, want 1", p.rpcs.Load())
+	}
+}
+
+// TestScatterRingOfOneAllocationFree: a world of one is its local leg —
+// Scatter adds no allocation of its own, so every single-node search
+// can go through it.
+func TestScatterRingOfOneAllocationFree(t *testing.T) {
+	c, err := New(Config{Peers: []string{"self"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []shard.Neighbor{{ID: 7, Dist: 2}}
+	local := func(context.Context) ([]shard.Neighbor, error) { return want, nil }
+	ctx := context.Background()
+	if avg := testing.AllocsPerRun(100, func() {
+		res, err := c.Scatter(ctx, SearchReq{KNN: 1}, local)
+		if err != nil || res.Partial || len(res.Hits) != 1 || res.Hits[0] != want[0] {
+			t.Fatalf("ring-of-one scatter = %+v, %v", res, err)
+		}
+	}); avg != 0 {
+		t.Errorf("ring-of-one scatter: %.2f allocs/op beyond the local leg, want 0", avg)
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"log/slog"
-	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,10 +20,8 @@ type Config struct {
 	// Self is this peer's index into Peers.
 	Self int
 	// Peers is the ordered list of peer addresses (host:port). A
-	// one-element list is a degenerate but valid single-peer cluster.
+	// one-element list is a ring of one — what a single node runs on.
 	Peers []string
-	// VirtualNodes per peer on the placement ring. Default 64.
-	VirtualNodes int
 	// RPCTimeout bounds one serving-plane RPC (search, get, upsert,
 	// delete), including its hedge. Default 2s.
 	RPCTimeout time.Duration
@@ -34,9 +31,6 @@ type Config struct {
 	// JoinTimeout bounds a whole distributed join, including every
 	// shuffle wait. Default 2m.
 	JoinTimeout time.Duration
-	// DownAfter is the consecutive-failure count that marks a peer
-	// down. Default 3.
-	DownAfter int
 	// ProbeEvery is the half-open probe interval for down peers.
 	// Default 1s.
 	ProbeEvery time.Duration
@@ -45,8 +39,6 @@ type Config struct {
 	JoinWorkers int
 	// Logger receives cluster events. Default slog.Default().
 	Logger *slog.Logger
-	// Client overrides the HTTP client for peer RPCs (tests).
-	Client *http.Client
 }
 
 // Cluster is one peer's runtime: the placement ring, outbound links to
@@ -88,9 +80,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		seen[addr] = i
 	}
-	if cfg.VirtualNodes == 0 {
-		cfg.VirtualNodes = 64
-	}
 	if cfg.RPCTimeout == 0 {
 		cfg.RPCTimeout = 2 * time.Second
 	}
@@ -99,9 +88,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.JoinTimeout == 0 {
 		cfg.JoinTimeout = 2 * time.Minute
-	}
-	if cfg.DownAfter == 0 {
-		cfg.DownAfter = 3
 	}
 	if cfg.ProbeEvery == 0 {
 		cfg.ProbeEvery = time.Second
@@ -112,11 +98,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	httpc := cfg.Client
-	if httpc == nil {
-		httpc = defaultHTTPClient()
-	}
-	ring, err := NewRing(len(cfg.Peers), cfg.VirtualNodes)
+	httpc := defaultHTTPClient()
+	ring, err := NewRing(len(cfg.Peers), virtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +120,6 @@ func New(cfg Config) (*Cluster, error) {
 			http:       httpc,
 			rpcTimeout: cfg.RPCTimeout,
 			hedgeDelay: cfg.HedgeDelay,
-			downAfter:  int64(cfg.DownAfter),
 			probeEvery: cfg.ProbeEvery,
 		}
 	}
@@ -149,9 +131,6 @@ func (c *Cluster) Self() int { return c.cfg.Self }
 
 // Size returns the number of peers.
 func (c *Cluster) Size() int { return len(c.cfg.Peers) }
-
-// Addr returns peer p's address.
-func (c *Cluster) Addr(p int) string { return c.cfg.Peers[p] }
 
 // Owner returns the peer that owns ranking id on the placement ring.
 func (c *Cluster) Owner(id int64) int { return c.ring.Owner(id) }

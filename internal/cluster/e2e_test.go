@@ -174,6 +174,36 @@ func TestClusterInsertDeleteRouting(t *testing.T) {
 		t.Fatalf("cluster holds %d rankings, want 30", total)
 	}
 
+	// The query cache sits under the scatter: each peer caches its own
+	// leg under its own epochs. A repeat is a hit on the coordinator...
+	query := map[string]any{"items": []int{1, 2, 3, 4, 6}, "k": 3}
+	var first, repeat, after searchResp
+	postJSON(t, f.URL(0)+"/v1/knn", query, &first)
+	hits0 := f.Peers[0].Server.Status().Cache.Hits
+	postJSON(t, f.URL(0)+"/v1/knn", query, &repeat)
+	if got := f.Peers[0].Server.Status().Cache.Hits; got != hits0+1 {
+		t.Fatalf("repeated scatter moved peer 0's cache hits %d -> %d, want one more", hits0, got)
+	}
+	if !repeat.Cached || !reflect.DeepEqual(repeat.Hits, first.Hits) {
+		t.Fatalf("repeat cached=%v hits=%v, want the cached copy of %v", repeat.Cached, repeat.Hits, first.Hits)
+	}
+	// ...and a write owned by another peer moves that peer's epoch, so
+	// its leg misses and the new nearest neighbour shows up at once.
+	nearer := int64(1000)
+	for ring.Owner(nearer) != 1 {
+		nearer++
+	}
+	postJSON(t, f.URL(0)+"/v1/insert", map[string]any{"rankings": []map[string]any{
+		{"id": nearer, "items": []int{1, 2, 3, 4, 6}}}}, nil)
+	postJSON(t, f.URL(0)+"/v1/knn", query, &after)
+	if len(after.Hits) == 0 || after.Hits[0] != (shard.Neighbor{ID: nearer, Dist: 0}) {
+		t.Fatalf("after inserting %d on peer 1 the scatter answered %v", nearer, after.Hits)
+	}
+	if !after.Cached {
+		t.Fatal("peer 0's own leg was untouched by peer 1's write, yet it missed")
+	}
+	postJSON(t, f.URL(0)+"/v1/delete", map[string]any{"ids": []int64{nearer}}, nil)
+
 	ids := make([]int64, 30)
 	for i := range ids {
 		ids[i] = int64(i + 1)
@@ -281,6 +311,53 @@ func getBody(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// TestClusterTracesValid: a head-sampled scatter retains a well-formed
+// trace — the local sweep nests under serve/scatter. (When the ring had
+// its own handler body the sweep hung off the request root beside the
+// scatter span, and every sampled trace on a coordinator was invalid.)
+func TestClusterTracesValid(t *testing.T) {
+	f, err := clustertest.Boot(3, clustertest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Load(testutil.RandDataset(rand.New(rand.NewSource(13)), 30, 5, 40)); err != nil {
+		t.Fatal(err)
+	}
+	// The first request of each endpoint is always head-sampled.
+	for _, req := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/search", map[string]any{"items": []int{1, 2, 3, 4, 5}, "theta": 0.4}},
+		{"/v1/knn", map[string]any{"items": []int{1, 2, 3, 4, 5}, "k": 3}},
+	} {
+		postJSON(t, f.URL(0)+req.path, req.body, nil)
+		if lt := f.Peers[0].Server.Status().LastTrace; !lt.Present || !lt.Valid {
+			t.Fatalf("%s through peer 0: last trace present=%v valid=%v (%s)", req.path, lt.Present, lt.Valid, lt.Error)
+		}
+	}
+}
+
+// TestClusterJoinRejectsDuplicateID: malformed join input is the
+// client's fault on every ring size — 400, as server.TestValidationErrors
+// pins for a single node — not a 502 blamed on a peer.
+func TestClusterJoinRejectsDuplicateID(t *testing.T) {
+	f, err := clustertest.Boot(3, clustertest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out struct {
+		Error string `json:"error"`
+	}
+	resp := postJSON(t, f.URL(0)+"/v1/join", map[string]any{"theta": 0.3, "rankings": []map[string]any{
+		{"id": 1, "items": []int{1, 2, 3}}, {"id": 1, "items": []int{3, 2, 1}}}}, &out)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, "duplicate ranking id") {
+		t.Fatalf("duplicated id on a ring of three: status %d (%s), want 400", resp.StatusCode, out.Error)
+	}
 }
 
 // TestDistributedJoinIdenticalOn50Seeds is the acceptance gate for the

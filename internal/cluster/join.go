@@ -165,6 +165,10 @@ var _ flow.Exchanger = (*wireExchange)(nil)
 // agreement. A peer that fails mid-join surfaces here as a shuffle
 // error, not a hang.
 func (c *Cluster) DistributedJoin(ctx context.Context, rs []*rankings.Ranking, opts rankjoin.Options) (*rankjoin.Result, error) {
+	// A ring of one joins on an engine with no exchanger — flow's world
+	// of one — instead of a wireExchange that would post to nobody: the
+	// job id, the join-start body and the inbox exist to agree with
+	// other peers, and there are none.
 	if c.Size() == 1 {
 		eng := rankjoin.NewEngine(rankjoin.EngineConfig{Workers: c.cfg.JoinWorkers})
 		return eng.Join(rs, opts)

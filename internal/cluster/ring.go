@@ -49,6 +49,9 @@ type ringPoint struct {
 	peer int
 }
 
+// virtualNodes is each peer's point count on the placement ring.
+const virtualNodes = 64
+
 // NewRing builds a ring over peers×vnodes virtual points. vnodes must
 // be positive and collisions across distinct peers are resolved by the
 // lower peer index (deterministic on every member).

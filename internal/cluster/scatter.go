@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sort"
 	"sync"
 
@@ -10,8 +12,11 @@ import (
 )
 
 // Peer-local RPC paths. These are registered by internal/server on
-// every peer and answered against that peer's own index only — no
-// further fan-out, so a scatter never amplifies.
+// every node, a ring of one included, and answered against that node's
+// own index only. They stay beside the public endpoints instead of
+// being folded into them because they never fan out: a scatter is
+// depth-one by construction, even when two peers disagree about the
+// ring.
 const (
 	PathSearch  = "/v1/cluster/search"
 	PathGet     = "/v1/cluster/get"
@@ -19,11 +24,9 @@ const (
 	PathDelete  = "/v1/cluster/delete"
 	PathShuffle = "/v1/cluster/shuffle"
 	PathJoin    = "/v1/cluster/join"
-	PathInfo    = "/v1/cluster/info"
 	// PathReplicate is the durability plane's pull endpoint: a follower
 	// posts its per-shard epoch vector and receives, per shard, either
-	// the WAL records above its epoch or a full snapshot. Registered
-	// even without a peer ring — replication works on a single node.
+	// the WAL records above its epoch or a full snapshot.
 	PathReplicate = "/v1/cluster/replicate"
 )
 
@@ -74,15 +77,6 @@ type OKResp struct {
 	OK bool `json:"ok"`
 }
 
-// InfoResp describes a peer for the cluster status page.
-type InfoResp struct {
-	Self     int    `json:"self"`
-	Peers    int    `json:"peers"`
-	Rankings int    `json:"rankings"`
-	K        int    `json:"k"`
-	Addr     string `json:"addr"`
-}
-
 // ScatterResult is a merged scatter-gather answer. Partial is true
 // when at least one peer failed and its shard of the data is missing
 // from Hits; Failed names those peers.
@@ -117,33 +111,44 @@ func (c *Cluster) DeletePeer(ctx context.Context, p int, ids []int64) (int, erro
 	return resp.Deleted, err
 }
 
+// ErrAllShardsFailed wraps the first failure of a scatter over more
+// than one peer in which no leg answered — 502 at the HTTP layer. A
+// ring of one returns its only leg's error unwrapped: nothing but this
+// node failed, and the error keeps the status it has on its own.
+var ErrAllShardsFailed = errors.New("all cluster shards failed")
+
 // Scatter fans req out to every peer — the local index via the local
-// callback, remote peers via the peer-local search RPC — waits for all
-// of them, and merges. A failed remote peer degrades the answer to
-// partial instead of failing the query; only when every shard fails
-// (local included) does Scatter return an error, the first one seen.
+// callback, run on the calling goroutine, remote peers via the
+// peer-local search RPC — waits for all of them, and merges. A failed
+// peer degrades the answer to partial instead of failing the query;
+// only when every shard fails does Scatter return an error. A world of
+// one is its local leg and nothing else: it returns before anything is
+// allocated, as DistributedJoin returns its local engine's result.
 func (c *Cluster) Scatter(ctx context.Context, req SearchReq, local func(context.Context) ([]shard.Neighbor, error)) (ScatterResult, error) {
 	n := c.Size()
+	if n == 1 {
+		hits, err := local(ctx)
+		return ScatterResult{Hits: hits}, err
+	}
 	hits := make([][]shard.Neighbor, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
+		if p == c.cfg.Self {
+			continue
+		}
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			if p == c.cfg.Self {
-				hits[p], errs[p] = local(ctx)
-				return
-			}
 			resp, err := c.SearchPeer(ctx, p, req)
 			hits[p], errs[p] = resp.Hits, err
 		}(p)
 	}
+	hits[c.cfg.Self], errs[c.cfg.Self] = local(ctx)
 	wg.Wait()
 
 	var res ScatterResult
 	var firstErr error
-	ok := 0
 	for p := 0; p < n; p++ {
 		if errs[p] != nil {
 			if firstErr == nil {
@@ -153,11 +158,10 @@ func (c *Cluster) Scatter(ctx context.Context, req SearchReq, local func(context
 			c.logger.Warn("cluster: scatter shard failed", "peer", c.cfg.Peers[p], "err", errs[p])
 			continue
 		}
-		ok++
 		res.Hits = append(res.Hits, hits[p]...)
 	}
-	if ok == 0 {
-		return res, firstErr
+	if len(res.Failed) == n {
+		return res, fmt.Errorf("%w: %w", ErrAllShardsFailed, firstErr)
 	}
 	res.Partial = len(res.Failed) > 0
 	if res.Partial {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -8,84 +9,93 @@ import (
 	"net/http"
 	"sync"
 
-	"rankjoin"
 	"rankjoin/internal/cluster"
-	"rankjoin/internal/obs"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/shard"
 )
 
-// Clustered serving. When Config.Cluster is set, the public endpoints
-// change shape:
+// The peer-local plane. Every server is a peer of a ring — a single
+// node is a ring of one — and the public endpoints in server.go are
+// written against the ring: /v1/search and /v1/knn scatter to every
+// peer's /v1/cluster/search (the local leg answers in-process) and
+// merge, degrading to a partial answer when a peer is down rather than
+// failing; /v1/insert and /v1/delete route each ranking to its ring
+// owner; /v1/join runs the SPMD distributed join.
 //
-//   - /v1/search and /v1/knn scatter to every peer's /v1/cluster/search
-//     (the local shard answers in-process) and merge, degrading to a
-//     partial answer when a peer is down rather than failing;
-//   - /v1/insert and /v1/delete route each ranking to its ring owner;
-//   - /v1/join ships the dataset to all peers and runs the SPMD
-//     distributed join.
-//
-// The /v1/cluster/* endpoints are strictly peer-local: they answer
-// from this peer's own index and never fan out again, so a scatter is
+// The /v1/cluster/* endpoints below are what those fan out to. They
+// are strictly peer-local: they answer from this peer's own index
+// through the same localSearch/insertLocal/deleteLocal the public
+// endpoints' self share uses, and never fan out again, so a scatter is
 // depth-one by construction.
 
-// clustered reports whether this server is part of a multi-peer
-// cluster. A nil cluster or a one-peer cluster serves single-node.
-func (s *Server) clustered() bool { return s.cluster != nil && s.cluster.Size() > 1 }
-
-// localSearch answers one peer-local query against this server's own
-// index through the coalescing batcher.
-func (s *Server) localSearch(ctx context.Context, q shard.Query) ([]shard.Neighbor, error) {
-	return s.batch.do(ctx, q, ctxSpan(ctx))
+// lookup finds an indexed ranking by id: here or, failing that, on its
+// ring owner — /v1/search {"id":N} must work no matter which peer
+// receives it. On a ring of one the owner is this node and its miss
+// stands.
+func (s *Server) lookup(ctx context.Context, id int64) (*rankings.Ranking, error) {
+	if r, ok := s.idx.Get(id); ok {
+		return r, nil
+	}
+	if owner := s.cluster.Owner(id); owner != s.cluster.Self() {
+		resp, err := s.cluster.GetPeer(ctx, owner, id)
+		if err != nil {
+			return nil, &httpError{status: http.StatusBadGateway,
+				err: fmt.Errorf("resolve id %d on owner peer: %w", id, err)}
+		}
+		if resp.Ranking != nil {
+			resp.Ranking.Index()
+			return resp.Ranking, nil
+		}
+	}
+	return nil, &httpError{status: http.StatusNotFound,
+		err: fmt.Errorf("no indexed ranking with id %d", id)}
 }
 
-// scatter answers a public search/kNN across the whole cluster.
-func (s *Server) scatter(ctx context.Context, w http.ResponseWriter, q shard.Query, theta float64) error {
-	req := cluster.SearchReq{Items: q.R.Items, Theta: theta, KNN: q.KNN, Exclude: q.Exclude}
-	sp := ctxSpan(ctx).StartChild("serve/scatter", obs.Int("peers", int64(s.cluster.Size())))
-	defer sp.End()
-	res, err := s.cluster.Scatter(ctx, req, func(ctx context.Context) ([]shard.Neighbor, error) {
-		return s.localSearch(ctx, q)
-	})
+// routed applies a mutation grouped by ring owner: remote shares go out
+// concurrently through remote (UpsertPeer/DeletePeer — one attempt
+// each, never hedged), the self share is applied by local on this
+// goroutine meanwhile, and the applied counts are summed. All-or-error:
+// a local failure keeps its own status, any peer failure is a 502
+// (shares that reached healthy peers stay applied; the caller retries
+// idempotently). On a ring of one there is one group and no goroutine.
+func routed[T any](c *cluster.Cluster, what string, groups map[int][]T,
+	local func([]T) (int, error), remote func(peer int, share []T) (int, error)) (int, error) {
+	// Per-peer slots keep the tally race-free and failure reporting
+	// deterministic whatever order the map range or the goroutines run.
+	counts := make([]int, c.Size())
+	errs := make([]error, c.Size())
+	var wg sync.WaitGroup
+	for peer, share := range groups {
+		if peer == c.Self() {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counts[peer], errs[peer] = remote(peer, share)
+		}()
+	}
+	var err error
+	if share := groups[c.Self()]; len(share) > 0 {
+		counts[c.Self()], err = local(share)
+	}
+	wg.Wait()
 	if err != nil {
-		return finish(w, &httpError{status: http.StatusBadGateway,
-			err: fmt.Errorf("all cluster shards failed: %w", err)})
+		return 0, err
 	}
-	sp.SetInt("hits", int64(len(res.Hits)))
-	sp.SetInt("peers_failed", int64(len(res.Failed)))
-	return writeJSON(w, searchResponse{
-		Hits:        nonNil(res.Hits),
-		Partial:     res.Partial,
-		PeersFailed: res.Failed,
-	})
-}
-
-// resolveClusterQuery resolves an id-form query against the ring owner
-// when the ranking is not indexed locally — in a cluster, /v1/search
-// {"id":N} must work no matter which peer receives it.
-func (s *Server) resolveClusterQuery(ctx context.Context, req *queryRequest) (*rankings.Ranking, int64, error) {
-	q, exclude, err := s.parseQuery(req)
-	if err == nil || req.ID == nil || !s.clustered() {
-		return q, exclude, err
+	n, failed := 0, 0
+	for peer := range errs {
+		n += counts[peer]
+		if errs[peer] != nil {
+			failed++
+			err = cmp.Or(err, errs[peer]) // the first in peer-rank order
+		}
 	}
-	var he *httpError
-	if !errors.As(err, &he) || he.status != http.StatusNotFound {
-		return nil, 0, err
+	if failed > 0 {
+		return 0, &httpError{status: http.StatusBadGateway,
+			err: fmt.Errorf("%s routed to %d peers, %d failed: %w", what, len(groups), failed, err)}
 	}
-	owner := s.cluster.Owner(*req.ID)
-	if owner == s.cluster.Self() {
-		return nil, 0, err // we are the owner and we don't have it
-	}
-	resp, gerr := s.cluster.GetPeer(ctx, owner, *req.ID)
-	if gerr != nil {
-		return nil, 0, &httpError{status: http.StatusBadGateway,
-			err: fmt.Errorf("resolve id %d on owner peer: %w", *req.ID, gerr)}
-	}
-	if resp.Ranking == nil {
-		return nil, 0, err // authoritative miss
-	}
-	resp.Ranking.Index()
-	return resp.Ranking, *req.ID, nil
+	return n, nil
 }
 
 // --- peer-local endpoints ---
@@ -105,18 +115,14 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) err
 	if err := s.checkQueryK(q); err != nil {
 		return finish(w, err)
 	}
-	k := s.idx.K()
-	if k == 0 {
-		return writeJSON(w, cluster.SearchResp{Hits: []shard.Neighbor{}})
-	}
 	sq := shard.Query{R: q, KNN: req.KNN, Exclude: req.Exclude}
 	if req.KNN <= 0 {
 		if !rankings.ThetaInRange(req.Theta) {
 			return finish(w, badRequest(fmt.Errorf("theta %v out of [0,1]", req.Theta)))
 		}
-		sq.MaxDist = rankings.Threshold(req.Theta, k)
+		sq.MaxDist = rankings.Threshold(req.Theta, q.K())
 	}
-	hits, err := s.localSearch(r.Context(), sq)
+	hits, _, err := s.localSearch(r.Context(), sq)
 	if err != nil {
 		return finish(w, err)
 	}
@@ -140,10 +146,8 @@ func (s *Server) handleClusterInsert(w http.ResponseWriter, r *http.Request) err
 	if err := decode(r, &req); err != nil {
 		return finish(w, err)
 	}
-	for _, rk := range req.Rankings {
-		if err := s.idx.Insert(rk); err != nil {
-			return finish(w, err)
-		}
+	if _, err := s.insertLocal(req.Rankings); err != nil {
+		return finish(w, err)
 	}
 	return writeJSON(w, cluster.OKResp{OK: true})
 }
@@ -154,15 +158,9 @@ func (s *Server) handleClusterDelete(w http.ResponseWriter, r *http.Request) err
 	if err := decode(r, &req); err != nil {
 		return finish(w, err)
 	}
-	n := 0
-	for _, id := range req.IDs {
-		ok, err := s.idx.Delete(id)
-		if err != nil {
-			return finish(w, fmt.Errorf("delete %d: %w", id, err))
-		}
-		if ok {
-			n++
-		}
+	n, err := s.deleteLocal(req.IDs)
+	if err != nil {
+		return finish(w, err)
 	}
 	return writeJSON(w, cluster.DeleteResp{Deleted: n})
 }
@@ -195,162 +193,4 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) error
 		return finish(w, &httpError{status: http.StatusInternalServerError, err: err})
 	}
 	return writeJSON(w, cluster.OKResp{OK: true})
-}
-
-// handleClusterInfo describes this peer.
-func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) error {
-	var req struct{}
-	if err := decode(r, &req); err != nil {
-		return finish(w, err)
-	}
-	return writeJSON(w, cluster.InfoResp{
-		Self:     s.cluster.Self(),
-		Peers:    s.cluster.Size(),
-		Rankings: s.idx.Len(),
-		K:        s.idx.K(),
-		Addr:     s.cluster.Addr(s.cluster.Self()),
-	})
-}
-
-// --- clustered public mutations ---
-
-// clusterInsert ring-routes validated rankings to their owner peers.
-// All-or-error: any peer failure fails the request (rankings shipped
-// to healthy peers stay inserted; the caller retries idempotently).
-func (s *Server) clusterInsert(ctx context.Context, w http.ResponseWriter, rs []*rankings.Ranking) error {
-	groups := s.cluster.GroupByOwner(rs)
-	// Per-peer error slots keep failure reporting deterministic no
-	// matter which order the map range or the goroutines run in.
-	perPeer := make([]error, s.cluster.Size())
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
-	// The local share is applied on this goroutine while remote fan-out
-	// runs; it must keep its own tally (merged after Wait) so the main
-	// goroutine never touches n concurrently with the peer goroutines.
-	local := 0
-	var localErr error
-	n := 0
-	for peer, group := range groups {
-		if peer == s.cluster.Self() {
-			for _, rk := range group {
-				if err := s.idx.Insert(rk); err != nil {
-					localErr = err
-					break
-				}
-				local++
-			}
-			continue
-		}
-		wg.Add(1)
-		go func(peer int, group []*rankings.Ranking) {
-			defer wg.Done()
-			err := s.cluster.UpsertPeer(ctx, peer, group)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				perPeer[peer] = err
-				return
-			}
-			n += len(group)
-		}(peer, group)
-	}
-	wg.Wait()
-	if localErr != nil {
-		return finish(w, localErr)
-	}
-	n += local
-	if failed, first := countErrs(perPeer); failed > 0 {
-		return finish(w, &httpError{status: http.StatusBadGateway,
-			err: fmt.Errorf("insert routed to %d peers, %d failed: %w", len(groups), failed, first)})
-	}
-	return writeJSON(w, map[string]any{"inserted": n, "size": s.idx.Len()})
-}
-
-// clusterDelete ring-routes deletions to their owner peers.
-func (s *Server) clusterDelete(ctx context.Context, w http.ResponseWriter, ids []int64) error {
-	groups := s.cluster.GroupIDsByOwner(ids)
-	perPeer := make([]error, s.cluster.Size())
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
-	// As in clusterInsert: the local tally stays off n until Wait.
-	local := 0
-	var localErr error
-	n := 0
-	for peer, group := range groups {
-		if peer == s.cluster.Self() {
-			for _, id := range group {
-				ok, err := s.idx.Delete(id)
-				if err != nil {
-					localErr = fmt.Errorf("delete %d: %w", id, err)
-					break
-				}
-				if ok {
-					local++
-				}
-			}
-			continue
-		}
-		wg.Add(1)
-		go func(peer int, group []int64) {
-			defer wg.Done()
-			deleted, err := s.cluster.DeletePeer(ctx, peer, group)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				perPeer[peer] = err
-				return
-			}
-			n += deleted
-		}(peer, group)
-	}
-	wg.Wait()
-	if localErr != nil {
-		return finish(w, localErr)
-	}
-	n += local
-	if failed, first := countErrs(perPeer); failed > 0 {
-		return finish(w, &httpError{status: http.StatusBadGateway,
-			err: fmt.Errorf("delete routed to %d peers, %d failed: %w", len(groups), failed, first)})
-	}
-	return writeJSON(w, map[string]any{"deleted": n, "size": s.idx.Len()})
-}
-
-// countErrs counts non-nil entries and returns the first in peer-rank
-// order (deterministic across runs).
-func countErrs(perPeer []error) (int, error) {
-	var first error
-	n := 0
-	for _, err := range perPeer {
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-			n++
-		}
-	}
-	return n, first
-}
-
-// clusterJoin runs the ad-hoc join as a cluster-wide SPMD job. VJ is
-// exact, so the pairs are identical to the single-node brute-force
-// handler's — but the prefix-index stages run on flow, which means the
-// job's shuffles genuinely cross the wire instead of degenerating into
-// N independent local computations the way brute force would.
-func (s *Server) clusterJoin(ctx context.Context, w http.ResponseWriter, rs []*rankings.Ranking, theta float64) error {
-	res, err := s.cluster.DistributedJoin(context.WithoutCancel(ctx), rs, rankjoin.Options{
-		Algorithm: rankjoin.AlgVJ,
-		Theta:     theta,
-	})
-	if err != nil {
-		return finish(w, &httpError{status: http.StatusBadGateway, err: err})
-	}
-	out := make([]pairJSON, len(res.Pairs))
-	for i, p := range res.Pairs {
-		out[i] = pairJSON{A: p.A, B: p.B, Dist: p.Dist}
-	}
-	return writeJSON(w, map[string]any{"pairs": out, "distributed": true})
 }

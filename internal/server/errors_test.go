@@ -13,19 +13,22 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"rankjoin"
 	"rankjoin/internal/cluster"
 	"rankjoin/internal/shard"
 )
 
-// newClusteredTestServer builds a server with a single-member cluster
-// attached: the /v1/cluster routes register, but nothing fans out, so
-// the peer-local endpoints can be probed without booting a fleet.
+// newClusteredTestServer builds a server over an explicit ring of one —
+// what New builds for itself when Config.Cluster is nil; the two must
+// be indistinguishable (TestRingOfOneIsTheSingleNode).
 func newClusteredTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	clu, err := cluster.New(cluster.Config{Self: 0, Peers: []string{"127.0.0.1:1"}})
@@ -74,7 +77,7 @@ func assertTypedError(t *testing.T, resp *http.Response, wantStatus int, label s
 var jsonPostPaths = []string{
 	"/v1/search", "/v1/knn", "/v1/insert", "/v1/delete", "/v1/join",
 	cluster.PathSearch, cluster.PathGet, cluster.PathInsert,
-	cluster.PathDelete, cluster.PathInfo,
+	cluster.PathDelete,
 }
 
 // binaryPostPaths take length-prefixed binary frames, not JSON.
@@ -141,6 +144,13 @@ func TestTypedErrorMappingUnit(t *testing.T) {
 		{badRequest(shard.ErrKMismatch), http.StatusBadRequest},
 		{&httpError{status: http.StatusRequestEntityTooLarge, err: shard.ErrNilRanking}, http.StatusRequestEntityTooLarge},
 		{shard.ErrKMismatch, http.StatusBadRequest},
+		{fmt.Errorf("job 1: %w: id 7", rankjoin.ErrDuplicateID), http.StatusBadRequest},
+		{rankjoin.ErrMixedLengths, http.StatusBadRequest},
+		{errReadOnly, http.StatusForbidden},
+		// 502 is for a ring whose every peer failed, whatever of; one
+		// node's own deadline stays a 504.
+		{context.DeadlineExceeded, http.StatusGatewayTimeout},
+		{fmt.Errorf("%w: %w", cluster.ErrAllShardsFailed, context.DeadlineExceeded), http.StatusBadGateway},
 		{nil, http.StatusOK},
 	}
 	for _, c := range cases {

@@ -123,62 +123,60 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
 	m.Metric("rankserved_slow_requests_total", "counter", "Requests over the slow threshold (tail-sampled).")
 	m.Int("rankserved_slow_requests_total", s.slowTotal.Load())
 
-	// --- cluster (only when this server is a peer) ---
-	if s.cluster != nil {
-		cs := s.cluster.StatusSnapshot()
-		lat := s.cluster.PeerLatencySnapshots()
-		m.Metric("rankserved_peer_rpc_total", "counter", "Outbound peer RPCs (hedged duplicates count once), by peer.")
-		for _, p := range cs.Peers {
-			if p.Self {
-				continue
-			}
-			m.Int("rankserved_peer_rpc_total", p.RPCs, peerLabel(p.Addr))
+	// --- cluster (a ring of one has no peer series: the loops skip self) ---
+	cs := s.cluster.StatusSnapshot()
+	lat := s.cluster.PeerLatencySnapshots()
+	m.Metric("rankserved_peer_rpc_total", "counter", "Outbound peer RPCs (hedged duplicates count once), by peer.")
+	for _, p := range cs.Peers {
+		if p.Self {
+			continue
 		}
-		m.Metric("rankserved_peer_rpc_errors_total", "counter", "Peer RPCs that failed after retry, by peer.")
-		for _, p := range cs.Peers {
-			if p.Self {
-				continue
-			}
-			m.Int("rankserved_peer_rpc_errors_total", p.Errors, peerLabel(p.Addr))
-		}
-		m.Metric("rankserved_peer_rpc_hedges_total", "counter", "Second attempts launched (tail hedge or fast-fail retry), by peer.")
-		for _, p := range cs.Peers {
-			if p.Self {
-				continue
-			}
-			m.Int("rankserved_peer_rpc_hedges_total", p.Hedges, peerLabel(p.Addr))
-		}
-		m.Metric("rankserved_peer_rpc_duration_seconds", "histogram", "Peer RPC latency (whole hedged call), by peer.")
-		for i, p := range cs.Peers {
-			if p.Self {
-				continue
-			}
-			m.Histogram("rankserved_peer_rpc_duration_seconds", lat[i], 1e6, peerLabel(p.Addr))
-		}
-		m.Metric("rankserved_peer_up", "gauge", "1 when the peer link is healthy, 0 when marked down.")
-		for _, p := range cs.Peers {
-			if p.Self {
-				continue
-			}
-			up := int64(1)
-			if p.Down {
-				up = 0
-			}
-			m.Int("rankserved_peer_up", up, peerLabel(p.Addr))
-		}
-		m.Metric("rankserved_cluster_partial_responses_total", "counter", "Scatter-gather answers served degraded because a peer failed.")
-		m.Int("rankserved_cluster_partial_responses_total", cs.Partials)
-		m.Metric("rankserved_cluster_joins_total", "counter", "Distributed join jobs started on this peer.")
-		m.Int("rankserved_cluster_joins_total", cs.Joins)
-		m.Metric("rankserved_cluster_shuffle_frames_sent_total", "counter", "Shuffle frames posted to peers.")
-		m.Int("rankserved_cluster_shuffle_frames_sent_total", cs.FramesSent)
-		m.Metric("rankserved_cluster_shuffle_bytes_sent_total", "counter", "Shuffle frame bytes posted to peers.")
-		m.Int("rankserved_cluster_shuffle_bytes_sent_total", cs.BytesSent)
-		m.Metric("rankserved_cluster_inbox_depth", "gauge", "Buffered shuffle frame slots awaiting their worker.")
-		m.Int("rankserved_cluster_inbox_depth", int64(cs.InboxDepth))
-		m.Metric("rankserved_cluster_peers", "gauge", "Configured cluster size.")
-		m.Int("rankserved_cluster_peers", int64(len(cs.Peers)))
+		m.Int("rankserved_peer_rpc_total", p.RPCs, peerLabel(p.Addr))
 	}
+	m.Metric("rankserved_peer_rpc_errors_total", "counter", "Peer RPCs that failed after retry, by peer.")
+	for _, p := range cs.Peers {
+		if p.Self {
+			continue
+		}
+		m.Int("rankserved_peer_rpc_errors_total", p.Errors, peerLabel(p.Addr))
+	}
+	m.Metric("rankserved_peer_rpc_hedges_total", "counter", "Second attempts launched (tail hedge or fast-fail retry), by peer.")
+	for _, p := range cs.Peers {
+		if p.Self {
+			continue
+		}
+		m.Int("rankserved_peer_rpc_hedges_total", p.Hedges, peerLabel(p.Addr))
+	}
+	m.Metric("rankserved_peer_rpc_duration_seconds", "histogram", "Peer RPC latency (whole hedged call), by peer.")
+	for i, p := range cs.Peers {
+		if p.Self {
+			continue
+		}
+		m.Histogram("rankserved_peer_rpc_duration_seconds", lat[i], 1e6, peerLabel(p.Addr))
+	}
+	m.Metric("rankserved_peer_up", "gauge", "1 when the peer link is healthy, 0 when marked down.")
+	for _, p := range cs.Peers {
+		if p.Self {
+			continue
+		}
+		up := int64(1)
+		if p.Down {
+			up = 0
+		}
+		m.Int("rankserved_peer_up", up, peerLabel(p.Addr))
+	}
+	m.Metric("rankserved_cluster_partial_responses_total", "counter", "Scatter-gather answers served degraded because a peer failed.")
+	m.Int("rankserved_cluster_partial_responses_total", cs.Partials)
+	m.Metric("rankserved_cluster_joins_total", "counter", "Distributed join jobs started on this peer.")
+	m.Int("rankserved_cluster_joins_total", cs.Joins)
+	m.Metric("rankserved_cluster_shuffle_frames_sent_total", "counter", "Shuffle frames posted to peers.")
+	m.Int("rankserved_cluster_shuffle_frames_sent_total", cs.FramesSent)
+	m.Metric("rankserved_cluster_shuffle_bytes_sent_total", "counter", "Shuffle frame bytes posted to peers.")
+	m.Int("rankserved_cluster_shuffle_bytes_sent_total", cs.BytesSent)
+	m.Metric("rankserved_cluster_inbox_depth", "gauge", "Buffered shuffle frame slots awaiting their worker.")
+	m.Int("rankserved_cluster_inbox_depth", int64(cs.InboxDepth))
+	m.Metric("rankserved_cluster_peers", "gauge", "Configured cluster size.")
+	m.Int("rankserved_cluster_peers", int64(len(cs.Peers)))
 
 	// --- durability (only when a WAL is attached) ---
 	if s.wal != nil {

@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"rankjoin/internal/cluster"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/shard"
 	"rankjoin/internal/testutil"
@@ -41,7 +43,7 @@ func leaderWithWAL(t *testing.T, shards int) (*Server, string, *shard.Index) {
 func follower(t *testing.T, addr string, shards int) (*Replica, string) {
 	t.Helper()
 	idx := shard.New(shard.Config{Shards: shards})
-	rep := NewReplica(addr, idx, time.Second, nil, nil)
+	rep := NewReplica(addr, idx, time.Second, nil)
 	_, ts := newTestServer(t, Config{Index: idx, Replica: rep})
 	return rep, ts.URL
 }
@@ -62,13 +64,29 @@ func TestFollowerReadOnly(t *testing.T) {
 	if hits, _ := searchHits(t, fURL, map[string]any{"items": rs[0].Items, "theta": 0.3}); len(hits) == 0 {
 		t.Fatal("follower answered no hits over replicated data")
 	}
-	code, out := post(t, fURL+"/v1/insert", map[string]any{"rankings": rs[:1]})
-	if code != http.StatusForbidden {
-		t.Fatalf("follower insert returned %d (%s), want 403", code, out["error"])
+	// Every write endpoint, public and peer-local, is refused and moves
+	// no epoch: the check lives where the index is written, not in the
+	// handlers that used to be the only way in.
+	before := rep.idx.Epochs()
+	for path, body := range map[string]any{
+		"/v1/insert":       map[string]any{"rankings": rs[:1]},
+		"/v1/delete":       map[string]any{"ids": []int64{rs[0].ID}},
+		cluster.PathInsert: cluster.UpsertReq{Rankings: rs[:1]},
+		cluster.PathDelete: cluster.DeleteReq{IDs: []int64{rs[0].ID}},
+	} {
+		if code, out := post(t, fURL+path, body); code != http.StatusForbidden {
+			t.Errorf("follower %s returned %d (%s), want 403", path, code, out["error"])
+		}
 	}
-	code, out = post(t, fURL+"/v1/delete", map[string]any{"ids": []int64{rs[0].ID}})
-	if code != http.StatusForbidden {
-		t.Fatalf("follower delete returned %d (%s), want 403", code, out["error"])
+	if after := rep.idx.Epochs(); !slices.Equal(after, before) {
+		t.Fatalf("refused writes moved the follower's epochs %v -> %v", before, after)
+	}
+
+	// The peer-local read answers what the public one does.
+	want := queryHits(t, fURL+"/v1/knn", map[string]any{"items": rs[0].Items, "k": 4})
+	got := queryHits(t, fURL+cluster.PathSearch, cluster.SearchReq{Items: rs[0].Items, KNN: 4, Exclude: shard.NoExclude})
+	if len(want) == 0 || !sameNeighbors(got, want) {
+		t.Fatalf("follower %s answered %v, /v1/knn %v", cluster.PathSearch, got, want)
 	}
 }
 
@@ -238,7 +256,7 @@ func FuzzReplicateResponse(f *testing.F) {
 	f.Add(image, true)
 	f.Add([]byte("RKS1"), true)
 	f.Fuzz(func(t *testing.T, body []byte, full bool) {
-		rep := NewReplica("unused", shard.New(shard.Config{Shards: 1}), time.Second, nil, nil)
+		rep := NewReplica("unused", shard.New(shard.Config{Shards: 1}), time.Second, nil)
 		defer rep.Close()
 		wire, err := json.Marshal(replicateResponse{Version: rankings.WireVersion, NumShards: 1,
 			Payloads: []replicateShard{{Epoch: 7, Full: full, Body: body}}})

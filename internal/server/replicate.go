@@ -146,13 +146,10 @@ type Replica struct {
 var ErrLeaderShape = errors.New("server: leader shape mismatch")
 
 // NewReplica builds a follower of the leader at addr (host:port).
-// every is the poll interval (0 = 1s); client may be nil.
-func NewReplica(addr string, idx *shard.Index, every time.Duration, client *http.Client, logger *slog.Logger) *Replica {
+// every is the poll interval (0 = 1s).
+func NewReplica(addr string, idx *shard.Index, every time.Duration, logger *slog.Logger) *Replica {
 	if every <= 0 {
 		every = time.Second
-	}
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
 	}
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -161,7 +158,7 @@ func NewReplica(addr string, idx *shard.Index, every time.Duration, client *http
 		leader: addr,
 		idx:    idx,
 		every:  every,
-		client: client,
+		client: &http.Client{Timeout: 30 * time.Second},
 		logger: logger,
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -172,11 +169,8 @@ func NewReplica(addr string, idx *shard.Index, every time.Duration, client *http
 
 // ProbeLeader asks the leader at addr for its index shape — the
 // handshake a booting follower sizes its own index from.
-func ProbeLeader(ctx context.Context, client *http.Client, addr string) (numShards, k int, err error) {
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	resp, err := postReplicate(ctx, client, addr, replicateRequest{Probe: true})
+func ProbeLeader(ctx context.Context, addr string) (numShards, k int, err error) {
+	resp, err := postReplicate(ctx, &http.Client{Timeout: 10 * time.Second}, addr, replicateRequest{Probe: true})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -29,6 +29,7 @@
 //	POST /v1/insert  {"rankings":[{"id":1,"items":[...]}, ...]}
 //	POST /v1/delete  {"ids":[...]}
 //	POST /v1/join    {"rankings":[...], "theta":0.2}   (small ad-hoc self-join)
+//	POST /v1/cluster/*  the peer-local plane behind the five above (cluster.go)
 //	GET  /healthz    liveness probe
 //	GET  /statusz    JSON status: shards, cache, filters, latency, windows
 //	GET  /metrics    Prometheus text exposition
@@ -49,9 +50,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rankjoin"
 	"rankjoin/internal/cluster"
 	"rankjoin/internal/obs"
-	"rankjoin/internal/ppjoin"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/shard"
 	"rankjoin/internal/wal"
@@ -68,8 +69,6 @@ type Config struct {
 	MaxBatch int
 	// RequestTimeout bounds each request (0 = 5s).
 	RequestTimeout time.Duration
-	// MaxJoinRankings caps the ad-hoc /v1/join input (0 = 2048).
-	MaxJoinRankings int
 	// MaxBodyBytes bounds request bodies (0 = 16 MiB).
 	MaxBodyBytes int64
 	// Logger receives structured request and lifecycle logs; nil
@@ -88,11 +87,11 @@ type Config struct {
 	// /statusz QPS and last-minute quantiles (0 = 5s, negative disables
 	// the window loop — windowed stats then degrade to since-boot).
 	WindowInterval time.Duration
-	// Cluster, when non-nil, makes this server one peer of a rankjoin
-	// cluster: /v1/search and /v1/knn scatter-gather across all peers,
-	// /v1/insert and /v1/delete route rankings to their ring owner,
-	// /v1/join runs as a distributed SPMD join, and the peer-local
-	// /v1/cluster/* endpoints are registered. Nil serves single-node.
+	// Cluster is the ring this server is a peer of: /v1/search and
+	// /v1/knn scatter-gather across its peers, /v1/insert and /v1/delete
+	// route rankings to their ring owner, /v1/join runs as an SPMD join
+	// over it. Nil is a ring of one — the same code with no other peer
+	// to talk to.
 	Cluster *cluster.Cluster
 	// WAL, when non-nil, is the index's attached write-ahead log
 	// manager: /v1/cluster/replicate serves epoch deltas from its
@@ -100,9 +99,10 @@ type Config struct {
 	// The caller owns its lifecycle (Open/Recover/Attach/Close); the
 	// server only reads from it.
 	WAL *wal.Manager
-	// Replica, when non-nil, puts the server in follower mode: writes
-	// are rejected with 403 (read-only), and the replica's lag and sync
-	// counters are exported. The caller owns its lifecycle.
+	// Replica, when non-nil, puts the server in follower mode: writes,
+	// public and peer-local, are rejected with 403 (read-only), and the
+	// replica's lag and sync counters are exported. The caller owns its
+	// lifecycle.
 	Replica *Replica
 }
 
@@ -113,11 +113,10 @@ type Server struct {
 	// baseCtx is the server's lifecycle root: hooks and other
 	// non-request callbacks that need a context log against it instead
 	// of minting their own.
-	baseCtx context.Context
-	cache   *queryCache
-	batch   *batcher
+	baseCtx  context.Context
+	cache    *queryCache
+	batch    *batcher
 	timeout  time.Duration
-	maxJoin  int
 	maxBody  int64
 	start    time.Time
 	mux      *http.ServeMux
@@ -141,7 +140,7 @@ type Server struct {
 	rePivotTotal atomic.Int64
 	rePivotDur   obs.Histogram // microseconds
 
-	cluster *cluster.Cluster // nil when single-node
+	cluster *cluster.Cluster // never nil: a single node is a ring of one
 	wal     *wal.Manager     // nil without durability
 	replica *Replica         // nil unless follower
 }
@@ -182,10 +181,6 @@ func New(cfg Config) *Server {
 	if timeout == 0 {
 		timeout = 5 * time.Second
 	}
-	maxJoin := cfg.MaxJoinRankings
-	if maxJoin == 0 {
-		maxJoin = 2048
-	}
 	maxBody := cfg.MaxBodyBytes
 	if maxBody == 0 {
 		maxBody = 16 << 20
@@ -216,13 +211,22 @@ func New(cfg Config) *Server {
 	if winInterval == 0 {
 		winInterval = defaultWindowInterval
 	}
+	clu := cfg.Cluster
+	if clu == nil {
+		// A single node is a ring of one, not a second program: every
+		// endpoint below has one body, and this is the one place the
+		// package asks whether it was given a ring.
+		var err error
+		if clu, err = cluster.New(cluster.Config{Peers: []string{"self"}, Logger: logger}); err != nil {
+			panic(err) // a one-peer list is valid by construction
+		}
+	}
 	now := time.Now()
 	s := &Server{
 		idx:         idx,
 		baseCtx:     context.Background(),
 		cache:       newQueryCache(cacheSize),
 		timeout:     timeout,
-		maxJoin:     maxJoin,
 		maxBody:     maxBody,
 		start:       now,
 		mux:         http.NewServeMux(),
@@ -234,7 +238,7 @@ func New(cfg Config) *Server {
 		traces:      obs.NewTraceRing(ringSize),
 		winInterval: winInterval,
 		ridPrefix:   fmt.Sprintf("%08x-", uint32(now.UnixNano())),
-		cluster:     cfg.Cluster,
+		cluster:     clu,
 		wal:         cfg.WAL,
 		replica:     cfg.Replica,
 	}
@@ -258,18 +262,14 @@ func New(cfg Config) *Server {
 	s.route("/debug/traces", http.MethodGet, s.handleTraces)
 	s.route("/debug/trace", http.MethodGet, s.handleTrace)
 	s.route("/debug/trace/{id}", http.MethodGet, s.handleTraceByID)
-	if s.cluster != nil {
-		s.route(cluster.PathSearch, http.MethodPost, s.handleClusterSearch)
-		s.route(cluster.PathGet, http.MethodPost, s.handleClusterGet)
-		s.route(cluster.PathInsert, http.MethodPost, s.handleClusterInsert)
-		s.route(cluster.PathDelete, http.MethodPost, s.handleClusterDelete)
-		s.route(cluster.PathShuffle, http.MethodPost, s.handleClusterShuffle)
-		s.route(cluster.PathJoin, http.MethodPost, s.handleClusterJoin)
-		s.route(cluster.PathInfo, http.MethodPost, s.handleClusterInfo)
-	}
-	// The replication endpoint needs no peer ring: a single leader with
-	// a WAL (or even without one — full snapshots still work) can feed
-	// followers, and a follower can chain further followers.
+	s.route(cluster.PathSearch, http.MethodPost, s.handleClusterSearch)
+	s.route(cluster.PathGet, http.MethodPost, s.handleClusterGet)
+	s.route(cluster.PathInsert, http.MethodPost, s.handleClusterInsert)
+	s.route(cluster.PathDelete, http.MethodPost, s.handleClusterDelete)
+	s.route(cluster.PathShuffle, http.MethodPost, s.handleClusterShuffle)
+	s.route(cluster.PathJoin, http.MethodPost, s.handleClusterJoin)
+	// A leader with a WAL (or without one — full snapshots still work)
+	// feeds followers, and a follower can chain further followers.
 	s.route(cluster.PathReplicate, http.MethodPost, s.handleReplicate)
 	if winInterval > 0 {
 		s.winStop = make(chan struct{})
@@ -379,13 +379,16 @@ func statusOf(err error) int {
 	switch {
 	case errors.As(err, &he):
 		return he.status
+	case errors.Is(err, cluster.ErrAllShardsFailed):
+		return http.StatusBadGateway // whatever the legs died of, deadlines included
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, errServerClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, errReadOnly):
 		return http.StatusForbidden
-	case errors.Is(err, shard.ErrKMismatch), errors.Is(err, shard.ErrNilRanking):
+	case errors.Is(err, shard.ErrKMismatch), errors.Is(err, shard.ErrNilRanking),
+		errors.Is(err, rankjoin.ErrDuplicateID), errors.Is(err, rankjoin.ErrMixedLengths):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
@@ -397,15 +400,15 @@ func finish(w http.ResponseWriter, err error) error {
 	if err == nil {
 		return nil
 	}
-	msg := err
+	status, msg := statusOf(err), err
 	var he *httpError
 	switch {
 	case errors.As(err, &he):
 		msg = he.err
-	case errors.Is(err, context.DeadlineExceeded):
+	case status == http.StatusGatewayTimeout:
 		msg = errors.New("request deadline exceeded")
 	}
-	writeError(w, statusOf(err), msg)
+	writeError(w, status, msg)
 	return err
 }
 
@@ -425,10 +428,11 @@ type queryRequest struct {
 }
 
 type searchResponse struct {
-	Hits   []shard.Neighbor `json:"hits"`
-	Cached bool             `json:"cached"`
-	// Partial marks a clustered answer that is missing the shards of
-	// the peers named in PeersFailed (degraded, not failed).
+	Hits []shard.Neighbor `json:"hits"`
+	// Cached reports the answering node's own leg of the scatter.
+	Cached bool `json:"cached"`
+	// Partial marks an answer that is missing the shards of the peers
+	// named in PeersFailed (degraded, not failed).
 	Partial     bool     `json:"partial,omitempty"`
 	PeersFailed []string `json:"peers_failed,omitempty"`
 }
@@ -436,18 +440,17 @@ type searchResponse struct {
 // parseQuery resolves the three accepted query spellings into a
 // validated, indexed ranking plus the id to exclude from results
 // (self-exclusion when querying by indexed id).
-func (s *Server) parseQuery(req *queryRequest) (*rankings.Ranking, int64, error) {
+func (s *Server) parseQuery(ctx context.Context, req *queryRequest) (*rankings.Ranking, int64, error) {
 	switch {
 	case req.ID != nil:
 		if len(req.Items) > 0 || req.Line != "" {
 			return nil, 0, badRequest(errors.New("give exactly one of items, line, id"))
 		}
-		r, ok := s.idx.Get(*req.ID)
-		if !ok {
-			return nil, 0, &httpError{status: http.StatusNotFound,
-				err: fmt.Errorf("no indexed ranking with id %d", *req.ID)}
+		r, err := s.lookup(ctx, *req.ID)
+		if err != nil {
+			return nil, 0, err
 		}
-		return r, r.ID, nil
+		return r, *req.ID, nil
 	case req.Line != "":
 		if len(req.Items) > 0 {
 			return nil, 0, badRequest(errors.New("give exactly one of items, line, id"))
@@ -507,28 +510,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) error {
 	if !rankings.ThetaInRange(theta) {
 		return finish(w, badRequest(fmt.Errorf("theta %v out of [0,1]", theta)))
 	}
-	q, exclude, err := s.resolveClusterQuery(r.Context(), &req)
+	q, exclude, err := s.parseQuery(r.Context(), &req)
 	if err != nil {
 		return finish(w, err)
 	}
 	if err := s.checkQueryK(q); err != nil {
 		return finish(w, err)
 	}
-	if s.clustered() {
-		// The query's own k is the cluster-wide k (inserts enforce
-		// uniformity on every peer), so each shard derives the same
-		// cutoff. The epoch-tagged query cache only sees the local
-		// index, so clustered answers bypass it.
-		maxDist := rankings.Threshold(theta, q.K())
-		return s.scatter(r.Context(), w, shard.Query{R: q, MaxDist: maxDist, Exclude: exclude}, theta)
-	}
-	k := s.idx.K()
-	if k == 0 {
-		return writeJSON(w, searchResponse{Hits: []shard.Neighbor{}})
-	}
-	maxDist := rankings.Threshold(theta, k)
-	return s.answer(r.Context(), w, shard.Query{R: q, MaxDist: maxDist, Exclude: exclude},
-		cacheKey("s", q, maxDist, exclude))
+	// The query's own k is the ring-wide k (inserts enforce uniformity
+	// on every peer), so each peer derives the same cutoff from theta.
+	return s.search(r.Context(), w, shard.Query{R: q, MaxDist: rankings.Threshold(theta, q.K()), Exclude: exclude}, theta)
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
@@ -539,39 +530,69 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 	if req.K <= 0 {
 		return finish(w, badRequest(fmt.Errorf("k must be positive, got %d", req.K)))
 	}
-	q, exclude, err := s.resolveClusterQuery(r.Context(), &req)
+	q, exclude, err := s.parseQuery(r.Context(), &req)
 	if err != nil {
 		return finish(w, err)
 	}
 	if err := s.checkQueryK(q); err != nil {
 		return finish(w, err)
 	}
-	if s.clustered() {
-		return s.scatter(r.Context(), w, shard.Query{R: q, KNN: req.K, Exclude: exclude}, 0)
-	}
-	if s.idx.K() == 0 {
-		return writeJSON(w, searchResponse{Hits: []shard.Neighbor{}})
-	}
-	return s.answer(r.Context(), w, shard.Query{R: q, KNN: req.K, Exclude: exclude},
-		cacheKey("k", q, req.K, exclude))
+	return s.search(r.Context(), w, shard.Query{R: q, KNN: req.K, Exclude: exclude}, 0)
 }
 
-// answer serves a query through the cache and, on a miss, the batcher.
-// A head-sampled request's root span rides the context into the
-// batcher, where the sweep that answers it records its shard tasks as
-// children.
-func (s *Server) answer(ctx context.Context, w http.ResponseWriter, q shard.Query, key string) error {
-	epochs := s.idx.Epochs()
-	if hits, ok := s.cache.get(key, epochs); ok {
-		ctxSpan(ctx).SetAttr("cache", "hit")
-		return writeJSON(w, searchResponse{Hits: nonNil(hits), Cached: true})
+// search answers a public search/kNN: a scatter over the ring whose
+// local leg is localSearch. On a ring of one that leg is the answer.
+func (s *Server) search(ctx context.Context, w http.ResponseWriter, q shard.Query, theta float64) error {
+	// Opened only under a head-sampled root — the variadic attribute
+	// would otherwise allocate on every request — and carried in the
+	// context, so the local sweep nests under it instead of beside it.
+	var sp *obs.Span
+	if root := ctxSpan(ctx); root != nil {
+		sp = root.StartChild("serve/scatter", obs.Int("peers", int64(s.cluster.Size())))
+		defer sp.End()
+		ctx = context.WithValue(ctx, spanKey{}, sp)
 	}
-	hits, err := s.batch.do(ctx, q, ctxSpan(ctx))
+	cached := false
+	req := cluster.SearchReq{Items: q.R.Items, Theta: theta, KNN: q.KNN, Exclude: q.Exclude}
+	res, err := s.cluster.Scatter(ctx, req, func(ctx context.Context) (hits []shard.Neighbor, err error) {
+		hits, cached, err = s.localSearch(ctx, q)
+		return hits, err
+	})
 	if err != nil {
 		return finish(w, err)
 	}
+	sp.SetInt("hits", int64(len(res.Hits)))
+	sp.SetInt("peers_failed", int64(len(res.Failed)))
+	return writeJSON(w, searchResponse{Hits: nonNil(res.Hits), Cached: cached, Partial: res.Partial, PeersFailed: res.Failed})
+}
+
+// localSearch is the only place a peer answers a query from its own
+// index — the local leg of a scatter and the peer-local endpoint alike:
+// the epoch-tagged cache, then the batcher. The cache sits under the
+// scatter because that is the one position correct for every ring size:
+// an entry is keyed by this peer's epochs and holds this peer's leg, so
+// no mutation on another peer can make it stale. A head-sampled
+// request's span rides the context into the batcher, where the sweep
+// that answers it records its shard tasks as children.
+func (s *Server) localSearch(ctx context.Context, q shard.Query) (hits []shard.Neighbor, cached bool, err error) {
+	if s.idx.K() == 0 {
+		return nil, false, nil // nothing indexed yet, so no k to sweep at
+	}
+	kind, param := "s", q.MaxDist
+	if q.KNN > 0 {
+		kind, param = "k", q.KNN
+	}
+	key := cacheKey(kind, q.R, param, q.Exclude)
+	epochs := s.idx.Epochs()
+	if hits, ok := s.cache.get(key, epochs); ok {
+		ctxSpan(ctx).SetAttr("cache", "hit")
+		return hits, true, nil
+	}
+	if hits, err = s.batch.do(ctx, q, ctxSpan(ctx)); err != nil {
+		return nil, false, err
+	}
 	s.cache.put(key, epochs, hits)
-	return writeJSON(w, searchResponse{Hits: nonNil(hits)})
+	return hits, false, nil
 }
 
 func nonNil(ns []shard.Neighbor) []shard.Neighbor {
@@ -591,27 +612,22 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return finish(w, err)
 	}
-	if s.replica != nil {
-		return finish(w, errReadOnly)
-	}
 	if len(req.Rankings) == 0 {
 		return finish(w, badRequest(errors.New("missing rankings")))
 	}
-	sp := ctxSpan(r.Context()).StartChild("serve/insert",
+	ctx := r.Context()
+	sp := ctxSpan(ctx).StartChild("serve/insert",
 		obs.Int("rankings", int64(len(req.Rankings))))
 	defer sp.End()
 	if slices.Contains(req.Rankings, nil) {
 		return finish(w, shard.ErrNilRanking)
 	}
-	if s.clustered() {
-		return s.clusterInsert(r.Context(), w, req.Rankings)
-	}
-	n := 0
-	for _, rk := range req.Rankings {
-		if err := s.idx.Insert(rk); err != nil {
-			return finish(w, err)
-		}
-		n++
+	n, err := routed(s.cluster, "insert", s.cluster.GroupByOwner(req.Rankings), s.insertLocal,
+		func(peer int, share []*rankings.Ranking) (int, error) {
+			return len(share), s.cluster.UpsertPeer(ctx, peer, share)
+		})
+	if err != nil {
+		return finish(w, err)
 	}
 	sp.SetInt("inserted", int64(n))
 	return writeJSON(w, map[string]any{"inserted": n, "size": s.idx.Len()})
@@ -626,30 +642,56 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return finish(w, err)
 	}
-	if s.replica != nil {
-		return finish(w, errReadOnly)
-	}
 	if len(req.IDs) == 0 {
 		return finish(w, badRequest(errors.New("missing ids")))
 	}
-	sp := ctxSpan(r.Context()).StartChild("serve/delete",
+	ctx := r.Context()
+	sp := ctxSpan(ctx).StartChild("serve/delete",
 		obs.Int("ids", int64(len(req.IDs))))
 	defer sp.End()
-	if s.clustered() {
-		return s.clusterDelete(r.Context(), w, req.IDs)
+	n, err := routed(s.cluster, "delete", s.cluster.GroupIDsByOwner(req.IDs), s.deleteLocal,
+		func(peer int, share []int64) (int, error) {
+			return s.cluster.DeletePeer(ctx, peer, share)
+		})
+	if err != nil {
+		return finish(w, err)
+	}
+	sp.SetInt("deleted", int64(n))
+	return writeJSON(w, map[string]any{"deleted": n, "size": s.idx.Len()})
+}
+
+// insertLocal and deleteLocal are the package's only writers to the
+// index: the self share of a routed mutation and the peer-local
+// endpoints both end here, so a follower's read-only rule is decided
+// once, whichever plane the write arrived on.
+func (s *Server) insertLocal(rs []*rankings.Ranking) (int, error) {
+	if s.replica != nil {
+		return 0, errReadOnly
+	}
+	for i, rk := range rs {
+		if err := s.idx.Insert(rk); err != nil {
+			return i, err
+		}
+	}
+	return len(rs), nil
+}
+
+// deleteLocal reports how many of ids were present.
+func (s *Server) deleteLocal(ids []int64) (int, error) {
+	if s.replica != nil {
+		return 0, errReadOnly
 	}
 	n := 0
-	for _, id := range req.IDs {
+	for _, id := range ids {
 		ok, err := s.idx.Delete(id)
 		if err != nil {
-			return finish(w, fmt.Errorf("delete %d: %w", id, err))
+			return n, fmt.Errorf("delete %d: %w", id, err)
 		}
 		if ok {
 			n++
 		}
 	}
-	sp.SetInt("deleted", int64(n))
-	return writeJSON(w, map[string]any{"deleted": n, "size": s.idx.Len()})
+	return n, nil
 }
 
 type joinRequest struct {
@@ -662,6 +704,9 @@ type pairJSON struct {
 	B    int64 `json:"b"`
 	Dist int   `json:"dist"`
 }
+
+// maxJoinInput caps the ad-hoc /v1/join input.
+const maxJoinInput = 2048
 
 // handleJoin runs a small ad-hoc self-join over request-supplied
 // rankings — the "try the join on my data" path; heavy joins belong in
@@ -677,9 +722,9 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 	if len(req.Rankings) == 0 {
 		return finish(w, badRequest(errors.New("missing rankings")))
 	}
-	if len(req.Rankings) > s.maxJoin {
+	if len(req.Rankings) > maxJoinInput {
 		return finish(w, &httpError{status: http.StatusRequestEntityTooLarge,
-			err: fmt.Errorf("ad-hoc join capped at %d rankings, got %d", s.maxJoin, len(req.Rankings))})
+			err: fmt.Errorf("ad-hoc join capped at %d rankings, got %d", maxJoinInput, len(req.Rankings))})
 	}
 	rs := req.Rankings
 	for _, rk := range rs {
@@ -688,25 +733,32 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) error {
 		}
 		rk.Index()
 	}
-	k, err := rankings.UniformK(rs)
-	if err != nil {
-		return finish(w, badRequest(err))
-	}
-	sp := ctxSpan(r.Context()).StartChild("serve/join",
+	ctx := r.Context()
+	sp := ctxSpan(ctx).StartChild("serve/join",
 		obs.Int("rankings", int64(len(rs))))
 	defer sp.End()
-	if s.clustered() {
-		return s.clusterJoin(r.Context(), w, rs, *req.Theta)
+	// VJ is exact, and its prefix-index stages run on flow, so on a ring
+	// of more than one the shuffles genuinely cross the wire instead of
+	// degenerating into N independent local computations the way brute
+	// force would; a ring of one runs the same job on a local engine.
+	// The join outlives the request deadline by design (JoinTimeout
+	// bounds it), hence WithoutCancel.
+	res, err := s.cluster.DistributedJoin(context.WithoutCancel(ctx), rs, rankjoin.Options{
+		Algorithm: rankjoin.AlgVJ,
+		Theta:     *req.Theta,
+	})
+	if err != nil {
+		if statusOf(err) != http.StatusBadRequest { // not the input's fault: a peer or a shuffle failed
+			err = &httpError{status: http.StatusBadGateway, err: err}
+		}
+		return finish(w, err)
 	}
-	var d obs.FilterDelta
-	pairs := ppjoin.BruteForce(rs, rankings.Threshold(*req.Theta, k), &d)
-	pairs = rankings.DedupPairs(pairs)
-	sp.SetInt("pairs", int64(len(pairs)))
-	out := make([]pairJSON, len(pairs))
-	for i, p := range pairs {
+	sp.SetInt("pairs", int64(len(res.Pairs)))
+	out := make([]pairJSON, len(res.Pairs))
+	for i, p := range res.Pairs {
 		out[i] = pairJSON{A: p.A, B: p.B, Dist: p.Dist}
 	}
-	return writeJSON(w, map[string]any{"pairs": out})
+	return writeJSON(w, map[string]any{"pairs": out, "distributed": s.cluster.Size() > 1})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
@@ -731,8 +783,9 @@ type Status struct {
 	RePivots      RePivotStatus             `json:"re_pivots"`
 	Traces        TracesStatus              `json:"traces"`
 	LastTrace     TraceStatus               `json:"last_trace"`
-	// Cluster is present only when this server is a cluster peer.
-	Cluster *cluster.Status `json:"cluster,omitempty"`
+	// Cluster is this node's view of its ring (one peer, itself, on a
+	// single node).
+	Cluster cluster.Status `json:"cluster"`
 	// WAL is present only when a write-ahead log is attached.
 	WAL *WALStatus `json:"wal,omitempty"`
 	// Replica is present only in follower mode.
@@ -864,12 +917,9 @@ func (s *Server) Status() Status {
 			Recent:       len(s.traces.Recent()),
 			Slow:         len(s.traces.Slow()),
 		},
+		Cluster:  s.cluster.StatusSnapshot(),
 		Requests: make(map[string]EndpointStatus, len(s.requests)),
 		Windows:  make(map[string]WindowStatus, len(s.requests)),
-	}
-	if s.cluster != nil {
-		cs := s.cluster.StatusSnapshot()
-		st.Cluster = &cs
 	}
 	if s.wal != nil {
 		ws := s.wal.Stats()

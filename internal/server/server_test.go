@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"rankjoin/internal/cluster"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/shard"
 	"rankjoin/internal/testutil"
@@ -297,30 +299,37 @@ func TestCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestValidationErrors: malformed requests get 4xx, never 5xx.
+// statusTable is the API's error contract over an index holding one
+// ranking of k = 3: malformed requests get 4xx, never 5xx.
+var statusTable = []struct {
+	path string
+	body any
+	want int
+}{
+	{"/v1/search", map[string]any{"items": []int{1, 2, 3}}, http.StatusBadRequest},                                  // missing theta
+	{"/v1/search", map[string]any{"items": []int{1, 2, 3}, "theta": 7.0}, http.StatusBadRequest},                    // theta range
+	{"/v1/search", map[string]any{"theta": 0.2}, http.StatusBadRequest},                                             // no query
+	{"/v1/search", map[string]any{"items": []int{1, 1, 2}, "theta": 0.2}, http.StatusBadRequest},                    // duplicate item
+	{"/v1/search", map[string]any{"items": []int{1, 2}, "theta": 0.2}, http.StatusBadRequest},                       // k mismatch
+	{"/v1/search", map[string]any{"id": 99, "theta": 0.2}, http.StatusNotFound},                                     // unknown id
+	{"/v1/knn", map[string]any{"items": []int{1, 2, 3}}, http.StatusBadRequest},                                     // missing k
+	{"/v1/insert", map[string]any{}, http.StatusBadRequest},                                                         // no rankings
+	{"/v1/insert", map[string]any{"rankings": []map[string]any{{"id": 9}}}, http.StatusBadRequest},                  // empty ranking
+	{"/v1/delete", map[string]any{}, http.StatusBadRequest},                                                         // no ids
+	{"/v1/join", map[string]any{"rankings": []map[string]any{{"id": 1, "items": []int{1}}}}, http.StatusBadRequest}, // no theta
+	{"/v1/join", map[string]any{"theta": 0.3, "rankings": []map[string]any{
+		{"id": 1, "items": []int{1, 2, 3}}, {"id": 1, "items": []int{3, 2, 1}}}}, http.StatusBadRequest}, // duplicated id
+	{"/v1/join", map[string]any{"theta": 0.3, "rankings": []map[string]any{
+		{"id": 1, "items": []int{1, 2, 3}}, {"id": 2, "items": []int{2, 1}}}}, http.StatusBadRequest}, // mixed lengths
+}
+
+// TestValidationErrors holds a single node to statusTable.
 func TestValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	insertRankings(t, ts.URL, []*rankings.Ranking{
 		rankings.MustNew(1, []rankings.Item{1, 2, 3}),
 	})
-	cases := []struct {
-		path string
-		body any
-		want int
-	}{
-		{"/v1/search", map[string]any{"items": []int{1, 2, 3}}, http.StatusBadRequest},                                  // missing theta
-		{"/v1/search", map[string]any{"items": []int{1, 2, 3}, "theta": 7.0}, http.StatusBadRequest},                    // theta range
-		{"/v1/search", map[string]any{"theta": 0.2}, http.StatusBadRequest},                                             // no query
-		{"/v1/search", map[string]any{"items": []int{1, 1, 2}, "theta": 0.2}, http.StatusBadRequest},                    // duplicate item
-		{"/v1/search", map[string]any{"items": []int{1, 2}, "theta": 0.2}, http.StatusBadRequest},                       // k mismatch
-		{"/v1/search", map[string]any{"id": 99, "theta": 0.2}, http.StatusNotFound},                                     // unknown id
-		{"/v1/knn", map[string]any{"items": []int{1, 2, 3}}, http.StatusBadRequest},                                     // missing k
-		{"/v1/insert", map[string]any{}, http.StatusBadRequest},                                                         // no rankings
-		{"/v1/insert", map[string]any{"rankings": []map[string]any{{"id": 9}}}, http.StatusBadRequest},                  // empty ranking
-		{"/v1/delete", map[string]any{}, http.StatusBadRequest},                                                         // no ids
-		{"/v1/join", map[string]any{"rankings": []map[string]any{{"id": 1, "items": []int{1}}}}, http.StatusBadRequest}, // no theta
-	}
-	for _, c := range cases {
+	for _, c := range statusTable {
 		code, _ := post(t, ts.URL+c.path, c.body)
 		if code != c.want {
 			t.Errorf("%s %v: code %d, want %d", c.path, c.body, code, c.want)
@@ -334,6 +343,48 @@ func TestValidationErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/search = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestRingOfOneIsTheSingleNode: Config.Cluster == nil and an explicit
+// ring of one are one program — the same script of reads, writes, a
+// join and every row of the status table is answered with the same
+// status and the same bytes.
+func TestRingOfOneIsTheSingleNode(t *testing.T) {
+	_, implicit := newTestServer(t, Config{})
+	_, explicit := newClusteredTestServer(t, Config{})
+	near := map[string]any{"items": []int{1, 2, 3}, "theta": 0.5}
+	type step struct {
+		path string
+		body any
+	}
+	script := []step{
+		{"/v1/search", near}, // empty index
+		{"/v1/insert", map[string]any{"rankings": []map[string]any{
+			{"id": 1, "items": []int{1, 2, 3}}, {"id": 2, "items": []int{2, 1, 3}}, {"id": 3, "items": []int{7, 8, 9}}}}},
+		{"/v1/search", near},
+		{"/v1/search", near}, // cached
+		{"/v1/knn", map[string]any{"id": 1, "k": 2}},
+		{cluster.PathSearch, cluster.SearchReq{Items: []rankings.Item{1, 2, 3}, KNN: 2, Exclude: 1}},
+		{"/v1/join", map[string]any{"theta": 0.5, "rankings": []map[string]any{
+			{"id": 1, "items": []int{1, 2, 3}}, {"id": 2, "items": []int{2, 1, 3}}, {"id": 3, "items": []int{7, 8, 9}}}}},
+		{"/v1/delete", map[string]any{"ids": []int64{2, 3, 99}}},
+		{"/v1/search", near},
+	}
+	for _, c := range statusTable {
+		script = append(script, step{c.path, c.body})
+	}
+	for i, st := range script {
+		raw, err := json.Marshal(st.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := postRaw(t, implicit.URL+st.path, "application/json", raw), postRaw(t, explicit.URL+st.path, "application/json", raw)
+		bodyA, _ := io.ReadAll(a.Body)
+		bodyB, _ := io.ReadAll(b.Body)
+		if a.StatusCode != b.StatusCode || !bytes.Equal(bodyA, bodyB) {
+			t.Fatalf("step %d %s %s:\nnil cluster  %d %s\nring of one  %d %s", i, st.path, raw, a.StatusCode, bodyA, b.StatusCode, bodyB)
+		}
 	}
 }
 
