@@ -1,26 +1,21 @@
 // Command ranklint runs the repo-specific static-analysis passes that
 // enforce rankjoin's runtime invariants at compile time: span
 // lifecycle (spanend), filter-counter conservation (ledgertally),
-// shard mutex discipline (lockcopy, lockorder), map-iteration
-// determinism (maporder), the sentinel-error wrapping contract
-// (wraperr), and — through the cross-function call graph — the
-// write-path hedging ban (nohedge), the WAL two-phase commit contract
-// (walack), context threading (ctxflow), atomic-field access
-// discipline (atomicmix), the zero-allocation serving contract
-// (allocfree) and metric-registry hygiene (metricreg). See DESIGN.md
+// shard mutex discipline (lockorder), map-iteration determinism
+// (maporder), the sentinel-error wrapping contract (wraperr), and —
+// through the cross-function call graph — the write-path hedging ban
+// (nohedge), the WAL two-phase commit contract (walack), context
+// threading (ctxflow) and metric-registry hygiene (metricreg). Each is
+// the one gate for its invariant; what the compiler, go vet and the
+// AllocsPerRun tests already hold is not repeated here. See DESIGN.md
 // §10.
 //
-// Standalone usage (the CI gate):
+// Usage (the CI gate):
 //
 //	go run ./cmd/ranklint ./...          # text findings, exit 1 if any
 //	go run ./cmd/ranklint -json ./...    # {findings, suppressed} envelope
 //	go run ./cmd/ranklint -run spanend,wraperr ./internal/...
 //	go run ./cmd/ranklint -list          # list analyzers
-//
-// As a vet tool (unit-checker protocol):
-//
-//	go build -o /tmp/ranklint ./cmd/ranklint
-//	go vet -vettool=/tmp/ranklint ./...
 //
 // Suppress one finding with a trailing or preceding comment carrying a
 // mandatory reason:
@@ -29,11 +24,9 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -47,32 +40,6 @@ func main() {
 
 func run() int {
 	all := passes.All()
-
-	// go vet protocol: version handshake, flag discovery, .cfg unit runs.
-	if len(os.Args) >= 2 {
-		switch os.Args[1] {
-		case "-V=full", "-V":
-			// The go command caches vet results keyed on the trailing
-			// buildID= token, so it must change when the tool does: hash
-			// the executable.
-			fmt.Printf("ranklint version devel buildID=%s\n", executableHash())
-			return 0
-		case "-flags":
-			fmt.Println("[]")
-			return 0
-		}
-	}
-	if last := len(os.Args) - 1; last >= 1 && strings.HasSuffix(os.Args[last], ".cfg") {
-		n, err := analysis.RunVetUnit(os.Args[last], all)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if n > 0 {
-			return 2
-		}
-		return 0
-	}
 
 	fs := flag.NewFlagSet("ranklint", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit a JSON envelope: findings ({path,line,col,analyzer,message}) plus per-analyzer suppression counts")
@@ -161,17 +128,6 @@ func selectAnalyzers(all []*analysis.Analyzer, runNames string) ([]*analysis.Ana
 		selected = append(selected, a)
 	}
 	return selected, nil
-}
-
-func executableHash() string {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			defer f.Close()
-			io.Copy(h, f)
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func firstLine(s string) string {

@@ -40,7 +40,7 @@ func TestSelectExactNames(t *testing.T) {
 	}
 
 	// Prefixes of real analyzer names must NOT match.
-	for _, bad := range []string{"span", "alloc", "nosuch", "spanend,nosuch"} {
+	for _, bad := range []string{"span", "lock", "nosuch", "spanend,nosuch"} {
 		if _, err := selectAnalyzers(all, bad); err == nil {
 			t.Errorf("selectAnalyzers(%q) = nil error, want unknown-analyzer error", bad)
 		} else if !strings.Contains(err.Error(), "unknown analyzer") {

@@ -56,10 +56,8 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// Graph is the static call graph over every package of the current
-	// Run — cross-package in a `./...` run, single-package under the vet
-	// unit-checker protocol (analyzers using it degrade gracefully: an
-	// edge into an unloaded package resolves to an external node with no
-	// outgoing edges).
+	// Run. An edge into a package the run did not load resolves to an
+	// external node with no outgoing edges.
 	Graph *CallGraph
 
 	// Report emits one diagnostic. The runner attaches analyzer

@@ -9,14 +9,14 @@ import (
 )
 
 // This file is the cross-function layer: a static call graph over every
-// package handed to one Run invocation, plus per-function directive
-// facts. It is deliberately lightweight — direct calls, method calls
-// and function/method values only, no SSA, no interface devirtualization
-// — which makes it conservative in the direction analyzers here need:
-// an edge exists for anything that *may* call the target, so
-// reachability proofs of absence (nohedge, walack) stay sound for the
-// shapes this repo uses, at the cost of ignoring calls through plain
-// function-typed variables and interfaces.
+// package handed to one Run invocation. It is deliberately lightweight
+// — direct calls, method calls and function/method values only, no
+// SSA, no interface devirtualization — which makes it conservative in
+// the direction analyzers here need: an edge exists for anything that
+// *may* call the target, so reachability proofs of absence (nohedge,
+// walack) stay sound for the shapes this repo uses, at the cost of
+// ignoring calls through plain function-typed variables and
+// interfaces.
 //
 // Node identity is the types.Func full name (e.g.
 // "(*rankjoin/internal/cluster.peerClient).do"), which is stable across
@@ -47,16 +47,10 @@ type FuncNode struct {
 	Decl *ast.FuncDecl // nil for external functions
 	Pkg  *Package      // nil for external functions
 	Out  []CallEdge
-
-	directives map[string]bool
 }
 
 // HasBody reports whether the node's source was part of the run.
 func (n *FuncNode) HasBody() bool { return n.Decl != nil && n.Decl.Body != nil }
-
-// Directive reports whether the function's doc comment carries
-// //ranklint:<name> (e.g. Directive("allocfree")).
-func (n *FuncNode) Directive(name string) bool { return n.directives[name] }
 
 // ShortName renders the node for diagnostics: method receivers keep
 // their type but drop the package path.
@@ -91,18 +85,6 @@ func (g *CallGraph) NodeOf(fn *types.Func) *FuncNode { return g.intern(fn) }
 // Decls returns every node loaded from source, in (package, position)
 // order.
 func (g *CallGraph) Decls() []*FuncNode { return g.decls }
-
-// Annotated returns the source nodes carrying //ranklint:<directive>,
-// in declaration order.
-func (g *CallGraph) Annotated(directive string) []*FuncNode {
-	var out []*FuncNode
-	for _, n := range g.decls {
-		if n.Directive(directive) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
 
 // Reaching computes the set of nodes from which some sink node is
 // reachable over call edges; sinks themselves are included. This is the
@@ -200,7 +182,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				n := g.intern(fn)
 				n.Decl = decl
 				n.Pkg = pkg
-				n.directives = parseDirectives(decl.Doc)
 				g.decls = append(g.decls, n)
 			}
 		}
@@ -285,29 +266,4 @@ func terminalIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// parseDirectives extracts //ranklint:<name> annotations (other than
-// the per-line ignore directive) from a declaration's doc group.
-func parseDirectives(doc *ast.CommentGroup) map[string]bool {
-	if doc == nil {
-		return nil
-	}
-	var out map[string]bool
-	for _, c := range doc.List {
-		rest, ok := strings.CutPrefix(c.Text, "//ranklint:")
-		if !ok {
-			continue
-		}
-		name, _, _ := strings.Cut(rest, " ")
-		name = strings.TrimSpace(name)
-		if name == "" || name == "ignore" {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]bool)
-		}
-		out[name] = true
-	}
-	return out
 }

@@ -90,30 +90,10 @@ func TestCallGraphReaching(t *testing.T) {
 	}
 }
 
-// TestCallGraphDirectives pins //ranklint:<name> fact collection.
-func TestCallGraphDirectives(t *testing.T) {
-	g := loadGraphPkg(t)
-	ann := g.Annotated("allocfree")
-	if len(ann) != 1 || !strings.HasSuffix(ann[0].Name, ".kernel") {
-		t.Fatalf("Annotated(allocfree) = %v, want exactly kernel", nodeNames(ann))
-	}
-	if node(t, g, ".helper").Directive("allocfree") {
-		t.Errorf("helper should not carry the allocfree directive")
-	}
-}
-
 func edgeNames(n *FuncNode) []string {
 	var out []string
 	for _, e := range n.Out {
 		out = append(out, e.Callee.Name)
-	}
-	return out
-}
-
-func nodeNames(ns []*FuncNode) []string {
-	var out []string
-	for _, n := range ns {
-		out = append(out, n.Name)
 	}
 	return out
 }

@@ -20,6 +20,14 @@
 // type is reported. Calls inside nested function literals are skipped:
 // a goroutine or deferred closure typically runs after the region is
 // released.
+//
+// What it cannot see is a lock *set* held across a fan-out: two
+// Batches each holding one shard's RLock and waiting for the other's
+// behind a queued writer re-acquire nothing they hold, so no call
+// matches the rule. That cycle is a property of a schedule, not of a
+// function, and is owned by TestTwoPhaseSweepsDoNotDeadlockWriters
+// (internal/shard, run ×20 in CI). The pass proves re-entrancy on one
+// receiver's field and claims nothing beyond it.
 package lockorder
 
 import (

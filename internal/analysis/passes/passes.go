@@ -6,11 +6,8 @@ package passes
 
 import (
 	"rankjoin/internal/analysis"
-	"rankjoin/internal/analysis/passes/allocfree"
-	"rankjoin/internal/analysis/passes/atomicmix"
 	"rankjoin/internal/analysis/passes/ctxflow"
 	"rankjoin/internal/analysis/passes/ledgertally"
-	"rankjoin/internal/analysis/passes/lockcopy"
 	"rankjoin/internal/analysis/passes/lockorder"
 	"rankjoin/internal/analysis/passes/maporder"
 	"rankjoin/internal/analysis/passes/metricreg"
@@ -23,11 +20,8 @@ import (
 // All returns every registered analyzer, sorted by name.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		allocfree.Analyzer,
-		atomicmix.Analyzer,
 		ctxflow.Analyzer,
 		ledgertally.Analyzer,
-		lockcopy.Analyzer,
 		lockorder.Analyzer,
 		maporder.Analyzer,
 		metricreg.Analyzer,

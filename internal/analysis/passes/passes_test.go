@@ -9,9 +9,8 @@ import (
 
 // TestAllAnalyzersOnCleanPackage is the negative test: a package that
 // uses spans, locks, map iteration, sentinel errors, hedged reads,
-// WAL write hooks, contexts, atomics, annotated arena kernels and
-// metric writers idiomatically must produce zero findings under every
-// registered analyzer.
+// WAL write hooks, contexts and metric writers idiomatically must
+// produce zero findings under every registered analyzer.
 func TestAllAnalyzersOnCleanPackage(t *testing.T) {
 	for _, a := range passes.All() {
 		t.Run(a.Name, func(t *testing.T) {
@@ -24,9 +23,8 @@ func TestAllAnalyzersOnCleanPackage(t *testing.T) {
 // be a conscious act that also updates DESIGN.md §10.
 func TestRegistry(t *testing.T) {
 	want := []string{
-		"allocfree", "atomicmix", "ctxflow", "ledgertally", "lockcopy",
-		"lockorder", "maporder", "metricreg", "nohedge", "spanend",
-		"walack", "wraperr",
+		"ctxflow", "ledgertally", "lockorder", "maporder", "metricreg",
+		"nohedge", "spanend", "walack", "wraperr",
 	}
 	all := passes.All()
 	if len(all) != len(want) {

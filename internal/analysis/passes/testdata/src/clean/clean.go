@@ -1,8 +1,7 @@
 // Package clean is idiomatic code touching every invariant the
 // ranklint analyzers guard — spans, locks, map iteration, sentinel
-// errors, hedging tiers, write hooks, contexts, atomics, allocation
-// contracts and metric registration — with zero violations. Every
-// analyzer must stay silent here.
+// errors, hedging tiers, write hooks, contexts and metric registration
+// — with zero violations. Every analyzer must stay silent here.
 package clean
 
 import (
@@ -162,11 +161,11 @@ func (p *poller) tick(pr *peer) error {
 	return pr.do(ctx, "/v1/wal/pull")
 }
 
-// --- atomicmix: one discipline per field ---
+// --- metricreg: every written series declared exactly once ---
 
 type stats struct {
 	served atomic.Int64
-	window int64 // guarded by wmu, never touched atomically
+	window int64 // guarded by wmu
 	wmu    sync.Mutex
 }
 
@@ -177,31 +176,6 @@ func (s *stats) snapshot() (int64, int64) {
 	defer s.wmu.Unlock()
 	return s.served.Load(), s.window
 }
-
-// --- allocfree: the amortized-arena serving kernel ---
-
-type scratch struct {
-	mu    sync.Mutex
-	arena []int64
-	hits  atomic.Int64
-}
-
-// sweep reuses its arena across calls; growth is amortized to zero in
-// steady state, which AllocsPerRun pins at runtime.
-//
-//ranklint:allocfree
-func (s *scratch) sweep(keys []int64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cap(s.arena) < len(keys) {
-		s.arena = make([]int64, 0, 2*len(keys))
-	}
-	s.arena = append(s.arena[:0], keys...)
-	s.hits.Add(1)
-	return len(s.arena)
-}
-
-// --- metricreg: every written series declared exactly once ---
 
 type MetricWriter struct{ err error }
 

@@ -1,6 +1,5 @@
 // Package graph is the call-graph layer's fixture: direct calls,
-// method calls, goroutine closures, method values and a directive
-// annotation.
+// method calls, goroutine closures and method values.
 package graph
 
 type client struct{ n int }
@@ -8,7 +7,6 @@ type client struct{ n int }
 func (c *client) do()       { c.n++ }
 func (c *client) doMutate() { c.n++ }
 
-//ranklint:allocfree
 func kernel(a, b int) int { return a + b }
 
 func helper(c *client) { c.do() }

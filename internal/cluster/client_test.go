@@ -182,6 +182,6 @@ func TestScatterRingOfOneAllocationFree(t *testing.T) {
 			t.Fatalf("ring-of-one scatter = %+v, %v", res, err)
 		}
 	}); avg != 0 {
-		t.Errorf("ring-of-one scatter: %.2f allocs/op beyond the local leg, want 0", avg)
+		t.Errorf("ring-of-one scatter: %.2f allocs/op beyond the local leg, want 0; find it with: go build -gcflags=-m ./internal/cluster 2>&1 | grep -E 'escapes|moved to heap'", avg)
 	}
 }

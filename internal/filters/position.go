@@ -12,8 +12,6 @@ import "rankjoin/internal/rankings"
 
 // MaxRankDiff returns the largest rank difference a shared item may
 // exhibit in a pair with Footrule distance ≤ maxDist: ⌊F/2⌋.
-//
-//ranklint:allocfree
 func MaxRankDiff(maxDist int) int { return maxDist / 2 }
 
 // PositionPrune reports whether the pair (a, b) can be discarded
@@ -21,8 +19,6 @@ func MaxRankDiff(maxDist int) int { return maxDist / 2 }
 // maxDist. A false result does NOT imply the pair is within maxDist —
 // it must still be verified. On indexed rankings this runs as one
 // merged pass over the flat position indexes.
-//
-//ranklint:allocfree
 func PositionPrune(a, b *rankings.Ranking, maxDist int) bool {
 	return rankings.SharedRankDiffExceeds(a, b, MaxRankDiff(maxDist))
 }

@@ -18,8 +18,6 @@ import "math"
 //
 // Rankings overlapping in fewer than ω items are guaranteed to be
 // farther apart than maxDist. The result is clamped to [0, k].
-//
-//ranklint:allocfree
 func MinOverlap(maxDist, k int) int {
 	w := int(math.Ceil(0.5 * (1 + 2*float64(k) - math.Sqrt(1+4*float64(maxDist)))))
 	if w < 0 {
@@ -36,8 +34,6 @@ func MinOverlap(maxDist, k int) int {
 // m(m+1) with m = k − overlap (the non-shared items packed at the
 // bottom of both rankings). It is the inverse view of MinOverlap and is
 // used by property tests to certify the bound tight.
-//
-//ranklint:allocfree
 func MinDistForOverlap(overlap, k int) int {
 	m := k - overlap
 	return m * (m + 1)

@@ -14,8 +14,6 @@ import (
 // and d.Verified is incremented, plus d.Emitted when ok; counting
 // d.Generated, and any filter that needs more than the two rankings
 // (prefix rank check, triangle bounds), stays with the caller.
-//
-//ranklint:allocfree
 func Resolve(a, b *rankings.Ranking, maxDist int, d *obs.FilterDelta) (dist int, ok bool) {
 	if k := a.K(); b.K() == k {
 		asig, apop := a.Signature()

@@ -111,7 +111,7 @@ func TestResolveAllocFree(t *testing.T) {
 			}
 		}
 	}); avg != 0 {
-		t.Errorf("Resolve allocates %.1f times per sweep of indexed pairs", avg)
+		t.Errorf("Resolve allocates %.1f times per sweep of indexed pairs; find it with: go build -gcflags=-m ./internal/filters 2>&1 | grep -E 'escapes|moved to heap'", avg)
 	}
 	if d.PrunedSignature == 0 || d.PrunedPosition == 0 || d.Emitted == 0 {
 		t.Errorf("the sweep did not reach every step: %v", d)

@@ -26,8 +26,6 @@ import "rankjoin/internal/rankings"
 // equal-length rankings from their signatures alone: two ANDs, two
 // popcounts, two corrections for in-signature hash collisions. The
 // result is clamped to [0, k].
-//
-//ranklint:allocfree
 func OverlapUpperBound(sigA rankings.Sig, popA int, sigB rankings.Sig, popB int, k int) int {
 	shared := sigA.SharedBits(sigB)
 	return max(0, min(shared+k-popA, shared+k-popB, k))
@@ -38,8 +36,6 @@ func OverlapUpperBound(sigA rankings.Sig, popA int, sigB rankings.Sig, popB int,
 // Footrule lower bound m(m+1), m = k − overlap upper bound (the packing
 // argument of MinDistForOverlap), already exceeds maxDist. A false
 // result does NOT imply the pair is within maxDist.
-//
-//ranklint:allocfree
 func SignaturePrune(sigA rankings.Sig, popA int, sigB rankings.Sig, popB int, k, maxDist int) bool {
 	return MinDistForOverlap(OverlapUpperBound(sigA, popA, sigB, popB, k), k) > maxDist
 }

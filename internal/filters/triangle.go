@@ -6,8 +6,6 @@ package filters
 
 // TriangleLower returns the tightest lower bound on d(x, y) obtainable
 // from a shared pivot c: |d(x, c) − d(y, c)|.
-//
-//ranklint:allocfree
 func TriangleLower(dxc, dyc int) int {
 	l := dxc - dyc
 	if l < 0 {
@@ -19,8 +17,6 @@ func TriangleLower(dxc, dyc int) int {
 // TrianglePrune reports whether a candidate pair (x, y) with pivot
 // distances dxc and dyc can be discarded for threshold maxDist:
 // |d(x,c) − d(y,c)| > F implies d(x,y) > F.
-//
-//ranklint:allocfree
 func TrianglePrune(dxc, dyc, maxDist int) bool {
 	return TriangleLower(dxc, dyc) > maxDist
 }

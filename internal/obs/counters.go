@@ -61,8 +61,6 @@ type FilterCounters struct {
 }
 
 // Add folds one batch of observations in.
-//
-//ranklint:allocfree
 func (c *FilterCounters) Add(d FilterDelta) {
 	if c == nil {
 		return

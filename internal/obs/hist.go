@@ -27,8 +27,6 @@ type Histogram struct {
 
 // Observe records one non-negative value (negative values are clamped
 // to zero).
-//
-//ranklint:allocfree
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return

@@ -16,8 +16,6 @@ import "math"
 // MaxFootrule returns the largest possible (unnormalized) Footrule
 // distance between two top-k rankings of length k: k·(k+1), attained
 // exactly by domain-disjoint rankings.
-//
-//ranklint:allocfree
 func MaxFootrule(k int) int { return k * (k + 1) }
 
 // Footrule computes the unnormalized top-k Footrule distance between a
@@ -29,8 +27,6 @@ func MaxFootrule(k int) int { return k * (k + 1) }
 // two sorted (item, rank) arrays — no per-item lookups at all. Without
 // indexes it degrades to O(k²) scans, which is still fast for the small
 // k (10–25) the paper considers.
-//
-//ranklint:allocfree
 func Footrule(a, b *Ranking) int {
 	if a.idxItems != nil && b.idxItems != nil {
 		return footruleMerged(a, b)
@@ -55,8 +51,6 @@ func Footrule(a, b *Ranking) int {
 // footruleMerged walks the two flat indexes like a sorted-list merge:
 // shared items contribute their rank difference, unmatched items the
 // missing-item penalty k − rank. One pass, no probes.
-//
-//ranklint:allocfree
 func footruleMerged(a, b *Ranking) int {
 	k := len(a.Items)
 	ai, ar := a.idxItems, a.idxRanks
@@ -127,8 +121,6 @@ const thresholdEps = 1e-9
 // pairs are distant this verifies candidates substantially faster than
 // computing the full distance. Like Footrule it runs as a merged
 // single pass when both rankings are indexed.
-//
-//ranklint:allocfree
 func FootruleWithin(a, b *Ranking, maxDist int) (int, bool) {
 	if a.idxItems != nil && b.idxItems != nil {
 		return footruleWithinMerged(a, b, maxDist)
@@ -158,8 +150,6 @@ func FootruleWithin(a, b *Ranking, maxDist int) (int, bool) {
 
 // footruleWithinMerged is footruleMerged with the early-termination
 // bound checked after every contribution.
-//
-//ranklint:allocfree
 func footruleWithinMerged(a, b *Ranking, maxDist int) (int, bool) {
 	k := len(a.Items)
 	ai, ar := a.idxItems, a.idxRanks
@@ -203,8 +193,6 @@ func footruleWithinMerged(a, b *Ranking, maxDist int) (int, bool) {
 // core test of the position filter. When both rankings carry their
 // flat index the scan is one merged pass; otherwise it probes b per
 // item of a.
-//
-//ranklint:allocfree
 func SharedRankDiffExceeds(a, b *Ranking, bound int) bool {
 	if a.idxItems != nil && b.idxItems != nil {
 		ai, ar := a.idxItems, a.idxRanks
@@ -297,7 +285,6 @@ func KendallTau(a, b *Ranking) int {
 	return d
 }
 
-//ranklint:allocfree
 func abs(x int) int {
 	if x < 0 {
 		return -x

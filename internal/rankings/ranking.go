@@ -124,8 +124,6 @@ func (r *Ranking) Validate() error {
 }
 
 // K returns the length of the ranking.
-//
-//ranklint:allocfree
 func (r *Ranking) K() int { return len(r.Items) }
 
 // Index builds the flat (item, rank) position index. Calling it once
@@ -133,8 +131,6 @@ func (r *Ranking) K() int { return len(r.Items) }
 // allocation-free and unlocks the merged single-pass Footrule kernels.
 // It is idempotent. Index is not safe for concurrent use with itself;
 // build indexes before sharing a ranking across goroutines.
-//
-//ranklint:allocfree
 func (r *Ranking) Index() {
 	if r.idxItems != nil {
 		return
@@ -166,8 +162,6 @@ func (r *Ranking) Index() {
 func (r *Ranking) Indexed() bool { return r.idxItems != nil }
 
 // Pos returns the rank of item and whether the ranking contains it.
-//
-//ranklint:allocfree
 func (r *Ranking) Pos(item Item) (int32, bool) {
 	if r.idxItems == nil {
 		// Small k: a linear scan avoids building the index for
@@ -195,8 +189,6 @@ func (r *Ranking) Pos(item Item) (int32, bool) {
 }
 
 // Contains reports whether the ranking mentions item.
-//
-//ranklint:allocfree
 func (r *Ranking) Contains(item Item) bool {
 	_, ok := r.Pos(item)
 	return ok

@@ -27,15 +27,11 @@ type Sig struct {
 
 // SharedBits counts the bits set in both signatures (the popcount of
 // their intersection) — the core of the overlap upper bound.
-//
-//ranklint:allocfree
 func (s Sig) SharedBits(t Sig) int {
 	return bits.OnesCount64(s.Lo&t.Lo) + bits.OnesCount64(s.Hi&t.Hi)
 }
 
 // OnesCount counts the bits set in the signature.
-//
-//ranklint:allocfree
 func (s Sig) OnesCount() int {
 	return bits.OnesCount64(s.Lo) + bits.OnesCount64(s.Hi)
 }
@@ -43,15 +39,11 @@ func (s Sig) OnesCount() int {
 // sigBit maps an item onto its signature bit position in [0, 128).
 // Knuth's multiplicative hash; the top seven bits of the product are
 // well mixed even for the small sequential item ids test datasets use.
-//
-//ranklint:allocfree
 func sigBit(it Item) uint {
 	return uint(uint32(it)*0x9E3779B1) >> 25
 }
 
 // computeSignature folds a raw item slice into (bitset, popcount).
-//
-//ranklint:allocfree
 func computeSignature(items []Item) (Sig, int) {
 	var sig Sig
 	for _, it := range items {
@@ -69,8 +61,6 @@ func computeSignature(items []Item) (Sig, int) {
 // popcount. Indexed rankings (see Index) answer from the cached value;
 // unindexed rankings compute it on the fly without caching, keeping
 // the accessor safe for concurrent use on shared rankings.
-//
-//ranklint:allocfree
 func (r *Ranking) Signature() (sig Sig, popcount int) {
 	if r.idxItems != nil {
 		return r.sig, int(r.sigPop)
@@ -83,5 +73,4 @@ func (r *Ranking) Signature() (sig Sig, popcount int) {
 // reads two signatures per candidate pair.
 //
 //go:noinline
-//ranklint:allocfree
 func (r *Ranking) signatureUnindexed() (Sig, int) { return computeSignature(r.Items) }

@@ -159,7 +159,7 @@ func TestEncodeAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		buf = EndFrame(r.AppendWire(buf[:0]), 0)
 	}); n != 0 {
-		t.Fatalf("AppendWire+EndFrame into a reused buffer: %v allocs/op, want 0", n)
+		t.Fatalf("AppendWire+EndFrame into a reused buffer: %v allocs/op, want 0; find it with: go build -gcflags=-m ./internal/rankings 2>&1 | grep -E 'escapes|moved to heap'", n)
 	}
 }
 

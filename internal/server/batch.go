@@ -113,7 +113,6 @@ func (b *batcher) loop() {
 	}
 }
 
-//ranklint:allocfree
 func (b *batcher) run(batch []*searchCall) {
 	b.qs = b.qs[:0]
 	// The sweep is traced under the FIRST head-sampled caller's span;
@@ -131,10 +130,10 @@ func (b *batcher) run(batch []*searchCall) {
 	// variadic attr slice would allocate on the unsampled path.
 	var sweep *obs.Span
 	if parent != nil {
-		sweep = parent.StartChild("serve/sweep", obs.Int("batch", int64(len(batch)))) //ranklint:ignore sampled-trace branch; the zero-alloc contract covers the unsampled sweep == nil path
+		sweep = parent.StartChild("serve/sweep", obs.Int("batch", int64(len(batch))))
 	}
 	results, err := b.batch.SearchBatchInto(b.qs, sweep)
-	sweep.End() //ranklint:ignore nil no-op on the unsampled path; records the child span only when sampled
+	sweep.End()
 	b.sweeps.Add(1)
 	b.batchSizes.Observe(int64(len(batch)))
 	if len(batch) > 1 {
@@ -145,7 +144,7 @@ func (b *batcher) run(batch []*searchCall) {
 		// its k raced the very first insert). Re-run individually so
 		// only the offending requests fail.
 		for _, c := range batch {
-			hits, qerr := b.idx.SearchBatch([]shard.Query{c.q}, nil) //ranklint:ignore failure path: isolating the invalid query is worth a per-request sweep
+			hits, qerr := b.idx.SearchBatch([]shard.Query{c.q}, nil)
 			if qerr != nil {
 				c.resp <- searchResult{err: qerr}
 			} else {
@@ -155,7 +154,7 @@ func (b *batcher) run(batch []*searchCall) {
 		return
 	}
 	for i, c := range batch {
-		c.resp <- searchResult{hits: copyHits(results[i])} //ranklint:ignore deliberate per-response copy: responses outlive the arena the next sweep reuses
+		c.resp <- searchResult{hits: copyHits(results[i])}
 	}
 }
 

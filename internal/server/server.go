@@ -156,7 +156,6 @@ type endpointStats struct {
 	latency obs.Histogram // microseconds
 }
 
-//ranklint:allocfree
 func (e *endpointStats) observe(d time.Duration, failed bool) {
 	e.mu.Lock()
 	e.count++
@@ -369,8 +368,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // statusOf maps a handler error to the HTTP status it produces — the
 // single source of truth shared by the wire mapping (finish) and the
 // request logs.
-//
-//ranklint:allocfree
 func statusOf(err error) int {
 	if err == nil {
 		return http.StatusOK

@@ -391,7 +391,7 @@ func TestUnsampledSweepAllocationFree(t *testing.T) {
 	}
 	run() // warm the arena to this batch shape
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
-		t.Errorf("unsampled sweep: %.2f allocs/op in steady state, want 0", avg)
+		t.Errorf("unsampled sweep: %.2f allocs/op in steady state, want 0; find it with: go build -gcflags=-m ./internal/server 2>&1 | grep -E 'escapes|moved to heap'", avg)
 	}
 }
 
@@ -408,7 +408,7 @@ func TestObservePathAllocationFree(t *testing.T) {
 			t.Fatal("statusOf(nil)")
 		}
 	}); avg != 0 {
-		t.Errorf("per-request accounting: %.2f allocs/op, want 0", avg)
+		t.Errorf("per-request accounting: %.2f allocs/op, want 0; find it with: go build -gcflags=-m ./internal/server 2>&1 | grep -E 'escapes|moved to heap'", avg)
 	}
 }
 

@@ -9,7 +9,11 @@ import (
 )
 
 // quiesce waits until every shard's background re-pivoting has settled
-// so allocation measurements don't race a rebuild.
+// and then holds each shard's re-pivot latch, so allocation
+// measurements neither race a rebuild nor start one: AllocsPerRun
+// counts the whole process's mallocs, and a sweep whose prune rate
+// dips under minPruneRate (triangle-only pruning at k > maxSignatureK
+// sits near it) would otherwise bill a background rePivot to the query.
 func quiesce(t *testing.T, x *Index) {
 	t.Helper()
 	waitFor(t, func() bool {
@@ -24,53 +28,61 @@ func quiesce(t *testing.T, x *Index) {
 		}
 		return true
 	})
+	for _, s := range x.shards {
+		if !s.repivoting.CompareAndSwap(false, true) {
+			t.Fatal("a re-pivot started on a quiesced index")
+		}
+	}
 }
 
 // TestQueriesAllocationFree pins the arena contract: once a Batch has
 // warmed its buffers to their high-water mark, steady-state SearchInto,
 // KNNInto and SearchBatchInto queries allocate nothing — the property
-// the serving path's throughput rests on.
+// the serving path's throughput rests on. k = 80 > maxSignatureK takes
+// every sweep down its branch without signatures, which no other
+// allocation gate (the benchmark's included) measures.
 func TestQueriesAllocationFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	const k = 10
-	rs := testutil.ClusteredDataset(rng, 100, 5, k, 30*k)
-	x := buildIndex(t, rs, 4)
-	quiesce(t, x)
-	maxDist := rankings.Threshold(0.25, k)
+	for _, k := range []int{10, 80} {
+		rng := rand.New(rand.NewSource(31))
+		rs := testutil.ClusteredDataset(rng, 100, 5, k, 30*k)
+		x := buildIndex(t, rs, 4)
+		quiesce(t, x)
+		maxDist := rankings.Threshold(0.25, k)
 
-	b := x.NewBatch()
-	qs := make([]Query, 0, 8)
-	for _, q := range rs[:8] {
-		qs = append(qs, Query{R: q, MaxDist: maxDist, Exclude: q.ID})
-	}
-	qs = append(qs[:7], Query{R: rs[7], KNN: 10, Exclude: rs[7].ID})
+		b := x.NewBatch()
+		qs := make([]Query, 0, 8)
+		for _, q := range rs[:8] {
+			qs = append(qs, Query{R: q, MaxDist: maxDist, Exclude: q.ID})
+		}
+		qs = append(qs[:7], Query{R: rs[7], KNN: 10, Exclude: rs[7].ID})
 
-	checks := []struct {
-		name string
-		fn   func()
-	}{
-		{"SearchInto", func() {
-			if _, err := b.SearchInto(rs[1], maxDist, rs[1].ID); err != nil {
-				t.Fatal(err)
+		checks := []struct {
+			name string
+			fn   func()
+		}{
+			{"SearchInto", func() {
+				if _, err := b.SearchInto(rs[1], maxDist, rs[1].ID); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"KNNInto", func() {
+				if _, err := b.KNNInto(rs[2], 10, rs[2].ID); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"SearchBatchInto", func() {
+				if _, err := b.SearchBatchInto(qs, nil); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		}
+		for _, c := range checks {
+			// One extra warm call before measuring: AllocsPerRun's own warm-up
+			// run is also the arena's first growth to this shape.
+			c.fn()
+			if avg := testing.AllocsPerRun(100, c.fn); avg != 0 {
+				t.Errorf("%s, k = %d: %.2f allocs/op in steady state, want 0; find it with: go build -gcflags=-m ./internal/shard 2>&1 | grep -E 'escapes|moved to heap'", c.name, k, avg)
 			}
-		}},
-		{"KNNInto", func() {
-			if _, err := b.KNNInto(rs[2], 10, rs[2].ID); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"SearchBatchInto", func() {
-			if _, err := b.SearchBatchInto(qs, nil); err != nil {
-				t.Fatal(err)
-			}
-		}},
-	}
-	for _, c := range checks {
-		// One extra warm call before measuring: AllocsPerRun's own warm-up
-		// run is also the arena's first growth to this shape.
-		c.fn()
-		if avg := testing.AllocsPerRun(100, c.fn); avg != 0 {
-			t.Errorf("%s: %.2f allocs/op in steady state, want 0", c.name, avg)
 		}
 	}
 }

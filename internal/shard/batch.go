@@ -98,7 +98,6 @@ func (x *Index) NewBatch() *Batch {
 	return b
 }
 
-//ranklint:allocfree
 func (b *Batch) runShard(i int) {
 	s := b.x.shards[i]
 	so := &b.so[i]
@@ -106,25 +105,24 @@ func (b *Batch) runShard(i int) {
 		// The size comes from the sweep, not s.Len(): under twoPhase this
 		// Batch already holds s.mu.RLock, and a second RLock behind a
 		// queued writer would never be granted.
-		t := b.span.StartTask(b.x.spanNames[i]) //ranklint:ignore sampled-trace branch; the zero-alloc contract covers the span==nil path
+		t := b.span.StartTask(b.x.spanNames[i])
 		s.sweepPhase1(b.qs, b.qsig, b.qpop, so, b.twoPhase)
-		t.SetInt("size", int64(so.size))           //ranklint:ignore sampled-trace branch
-		t.SetInt("hits", int64(len(so.neighbors))) //ranklint:ignore sampled-trace branch
-		t.End()                                    //ranklint:ignore sampled-trace branch
+		t.SetInt("size", int64(so.size))
+		t.SetInt("hits", int64(len(so.neighbors)))
+		t.End()
 	} else {
 		s.sweepPhase1(b.qs, b.qsig, b.qpop, so, b.twoPhase)
 	}
 }
 
-//ranklint:allocfree
 func (b *Batch) runShard2(i int) {
 	s := b.x.shards[i]
 	so := &b.so[i]
 	if b.span != nil {
-		t := b.span.StartTask(b.x.spanNames[i], obs.Int("phase", 2)) //ranklint:ignore sampled-trace branch; the zero-alloc contract covers the span==nil path
+		t := b.span.StartTask(b.x.spanNames[i], obs.Int("phase", 2))
 		s.sweepPhase2(b.qs, b.gb, so)
-		t.SetInt("hits", int64(len(so.neighbors))) //ranklint:ignore sampled-trace branch
-		t.End()                                    //ranklint:ignore sampled-trace branch
+		t.SetInt("hits", int64(len(so.neighbors)))
+		t.End()
 	} else {
 		s.sweepPhase2(b.qs, b.gb, so)
 	}
@@ -136,8 +134,6 @@ func (b *Batch) runShard2(i int) {
 // were verified at or below it. Queries whose probes came up short
 // (tiny shards, oversized k) fall back to MaxFootrule, which rejects
 // nothing.
-//
-//ranklint:allocfree
 func (b *Batch) globalBounds(qs []Query) {
 	b.gb = growCap(b.gb, len(qs))
 	for qi := range qs {
@@ -173,12 +169,10 @@ func (b *Batch) globalBounds(qs []Query) {
 // The returned slices alias the Batch arena and are valid only until
 // the next call on b. Queries' rankings get their position index built
 // as a side effect.
-//
-//ranklint:allocfree
 func (b *Batch) SearchBatchInto(qs []Query, span *obs.Span) ([][]Neighbor, error) {
 	hasKNN := false
 	for i := range qs {
-		if err := b.x.checkQuery(qs[i].R); err != nil { //ranklint:ignore checkQuery allocates only when building the rejection error for an invalid query
+		if err := b.x.checkQuery(qs[i].R); err != nil {
 			return nil, err
 		}
 		// Index once, before the fan-out shares the query across
@@ -254,8 +248,6 @@ func (b *Batch) SearchBatchInto(qs []Query, span *obs.Span) ([][]Neighbor, error
 // SearchInto is Search answering into the Batch arena: every indexed
 // ranking within maxDist of q (minus exclude), sorted by (dist, id).
 // The result aliases the arena — valid until the next call on b.
-//
-//ranklint:allocfree
 func (b *Batch) SearchInto(q *rankings.Ranking, maxDist int, exclude int64) ([]Neighbor, error) {
 	b.one[0] = Query{R: q, MaxDist: maxDist, Exclude: exclude}
 	res, err := b.SearchBatchInto(b.one[:], nil)
@@ -268,11 +260,9 @@ func (b *Batch) SearchInto(q *rankings.Ranking, maxDist int, exclude int64) ([]N
 // KNNInto is KNN answering into the Batch arena: the n indexed
 // rankings closest to q (minus exclude), sorted by (dist, id). The
 // result aliases the arena — valid until the next call on b.
-//
-//ranklint:allocfree
 func (b *Batch) KNNInto(q *rankings.Ranking, n int, exclude int64) ([]Neighbor, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("shard: knn n must be positive, got %d", n) //ranklint:ignore error construction for an invalid argument, off the steady-state path
+		return nil, fmt.Errorf("shard: knn n must be positive, got %d", n)
 	}
 	b.one[0] = Query{R: q, KNN: n, Exclude: exclude}
 	res, err := b.SearchBatchInto(b.one[:], nil)

@@ -15,16 +15,12 @@ type resultHeap struct {
 
 // reset re-arms the heap for a new query of capacity n, keeping the
 // backing array.
-//
-//ranklint:allocfree
 func (h *resultHeap) reset(n int) {
 	h.cap = n
 	h.ns = h.ns[:0]
 }
 
 // worse orders the heap: a is a strictly worse result than b.
-//
-//ranklint:allocfree
 func worse(a, b Neighbor) bool {
 	if a.Dist != b.Dist {
 		return a.Dist > b.Dist
@@ -33,8 +29,6 @@ func worse(a, b Neighbor) bool {
 }
 
 // cmpNeighbor is the ascending (dist, id) order of every result list.
-//
-//ranklint:allocfree
 func cmpNeighbor(a, b Neighbor) int {
 	if a.Dist != b.Dist {
 		return a.Dist - b.Dist
@@ -48,19 +42,14 @@ func cmpNeighbor(a, b Neighbor) int {
 	return 0
 }
 
-//ranklint:allocfree
 func (h *resultHeap) full() bool { return len(h.ns) >= h.cap }
 
 // worst returns the distance of the current worst kept neighbor; only
 // meaningful when full().
-//
-//ranklint:allocfree
 func (h *resultHeap) worst() int { return h.ns[0].Dist }
 
 // push offers a neighbor; when full, it replaces the root only if the
 // newcomer is strictly better.
-//
-//ranklint:allocfree
 func (h *resultHeap) push(n Neighbor) {
 	if h.cap <= 0 {
 		return
@@ -76,7 +65,6 @@ func (h *resultHeap) push(n Neighbor) {
 	}
 }
 
-//ranklint:allocfree
 func (h *resultHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -88,7 +76,6 @@ func (h *resultHeap) up(i int) {
 	}
 }
 
-//ranklint:allocfree
 func (h *resultHeap) down(i int) {
 	n := len(h.ns)
 	for {
@@ -110,8 +97,6 @@ func (h *resultHeap) down(i int) {
 
 // appendSorted sorts the kept neighbors into ascending (dist, id) order
 // and appends them to dst, leaving the heap reusable via reset.
-//
-//ranklint:allocfree
 func (h *resultHeap) appendSorted(dst []Neighbor) []Neighbor {
 	slices.SortFunc(h.ns, cmpNeighbor)
 	return append(dst, h.ns...)

@@ -449,8 +449,6 @@ func (s *Shard) rePivotDueLocked() bool {
 // almost everything on signatures alone has not lost pruning power) and
 // reports whether the prune rate collapsed badly enough to warrant a
 // re-pivot.
-//
-//ranklint:allocfree
 func (s *Shard) notePruning(scanned, pruned int64) bool {
 	if scanned == 0 {
 		return false
@@ -571,8 +569,6 @@ func (s *Shard) rePivot() {
 // every entry it touches is re-examined and accounted exactly once by
 // the authoritative phase-2 sweep. Steady state allocates nothing:
 // every buffer lives in so and is grown to its high-water mark once.
-//
-//ranklint:allocfree
 func (s *Shard) sweepPhase1(qs []Query, qsigs []rankings.Sig, qpops []uint8, so *shardOut, twoPhase bool) {
 	if !twoPhase {
 		s.mu.RLock()
@@ -671,7 +667,7 @@ func (s *Shard) sweepPhase1(qs []Query, qsigs []rankings.Sig, qpops []uint8, so 
 	s.mu.RUnlock()
 	d := &so.delta
 	if s.notePruning(d.Generated, d.PrunedSignature+d.PrunedTriangle) {
-		s.triggerRePivot() //ranklint:ignore re-pivot trigger: amortized background rebuild, fires off the steady-state sweep
+		s.triggerRePivot()
 	}
 }
 
@@ -683,8 +679,6 @@ func (s *Shard) sweepPhase1(qs []Query, qsigs []rankings.Sig, qpops []uint8, so 
 // signature lower bound exceeds it can be discarded before the heap is
 // even full, which is what turns the per-shard kNN scan from
 // verify-almost-everything into a bulk signature reject.
-//
-//ranklint:allocfree
 func (s *Shard) sweepPhase2(qs []Query, gb []int, so *shardOut) {
 	n := len(s.entries)
 	P := len(s.pivots)
@@ -705,15 +699,13 @@ func (s *Shard) sweepPhase2(qs []Query, gb []int, so *shardOut) {
 	s.mu.RUnlock()
 	d := &so.delta
 	if s.notePruning(d.Generated, d.PrunedSignature+d.PrunedTriangle) {
-		s.triggerRePivot() //ranklint:ignore re-pivot trigger: amortized background rebuild, fires off the steady-state sweep
+		s.triggerRePivot()
 	}
 }
 
 // exclIdx resolves a query's Exclude id to an entry index with one map
 // probe, replacing a per-entry id comparison in the scan. Must be
 // called with s.mu held.
-//
-//ranklint:allocfree
 func (s *Shard) exclIdx(q *Query) int {
 	if i, ok := s.byID[q.Exclude]; ok {
 		return i
@@ -727,8 +719,6 @@ func (s *Shard) exclIdx(q *Query) int {
 // q.MaxDist — MinOverlap is the exact integer inverse of
 // MinDistForOverlap); survivors fall through to the per-pivot triangle
 // bound and the Footrule kernel.
-//
-//ranklint:allocfree
 func (s *Shard) rangeInto(q *Query, qi, n, k, P int, sigUsable bool, exclIdx int, so *shardOut) {
 	d := &so.delta
 	d.Generated += int64(n)
@@ -773,8 +763,6 @@ func (s *Shard) rangeInto(q *Query, qi, n, k, P int, sigUsable bool, exclIdx int
 // orderByOverlap fills so.cand with entry indexes in descending
 // overlap-bound order via a stable counting sort over the query's byte
 // row (ob ≤ k ≤ maxSignatureK fits the fixed histogram).
-//
-//ranklint:allocfree
 func orderByOverlap(obRow []uint8, k int, so *shardOut) {
 	counts := &so.counts
 	for o := 0; o <= k; o++ {
@@ -803,8 +791,6 @@ func orderByOverlap(obRow []uint8, k int, so *shardOut) {
 // touches no filter counters — phase 2 re-examines and accounts every
 // entry — and is skipped for shards smaller than q.KNN, whose probe
 // could only repeat phase 2's work without tightening the bound.
-//
-//ranklint:allocfree
 func (s *Shard) knnProbe(q *Query, qi, n, k int, sigUsable bool, exclIdx int, so *shardOut) {
 	if !sigUsable || n <= q.KNN {
 		return
@@ -837,8 +823,6 @@ func (s *Shard) knnProbe(q *Query, qi, n, k int, sigUsable bool, exclIdx int, so
 // single entry. gb must be admissible (≥ the true global q.KNN-th
 // distance under the (dist, id) tie order); rankings.MaxFootrule(k)
 // is always a safe value.
-//
-//ranklint:allocfree
 func (s *Shard) knnInto(q *Query, qi, n, k, P int, sigUsable bool, exclIdx, gb int, so *shardOut) {
 	d := &so.delta
 	d.Generated += int64(n)
@@ -937,8 +921,6 @@ func (s *Shard) knnInto(q *Query, qi, n, k, P int, sigUsable bool, exclIdx, gb i
 
 // growCap returns s with capacity at least n (contents unspecified),
 // reallocating only when the high-water mark grows.
-//
-//ranklint:allocfree
 func growCap[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
