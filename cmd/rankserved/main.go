@@ -25,9 +25,10 @@
 // ring, so the dataset is sharded, not replicated.
 //
 // Durability — -wal-dir turns on the write-ahead log and periodic epoch
-// snapshots: every acked insert/delete is fsynced within the -fsync
-// group-commit window, and a crashed process recovers its exact acked
-// state on the next boot. A second process started with
+// snapshots: every acked insert/delete is fsynced first — at once when
+// its shard's log is idle, within the -fsync group-commit window when it
+// is busy — and a crashed process recovers its exact acked state on the
+// next boot. A second process started with
 // -follower-of <leader> replicates the leader continuously and serves
 // /v1/search and /v1/knn read-only (every write endpoint, the
 // peer-local /v1/cluster/insert|delete included, answers 403):
@@ -95,7 +96,7 @@ func main() {
 		self        = flag.Int("self", 0, "this peer's index into -peers")
 		joinTimeout = flag.Duration("join-timeout", 2*time.Minute, "distributed join deadline (cluster mode)")
 		walDir      = flag.String("wal-dir", "", "durability directory: write-ahead log + epoch snapshots; recovers on boot")
-		fsyncEvery  = flag.Duration("fsync", 2*time.Millisecond, "group-commit window: acked writes are fsynced within this bound (0 = every commit)")
+		fsyncEvery  = flag.Duration("fsync", 2*time.Millisecond, "group-commit window: a busy shard log fsyncs at most once per window and an idle one at once, so acked writes are fsynced within this bound (0 = every commit)")
 		snapEvery   = flag.Duration("snapshot-every", time.Minute, "epoch-snapshot interval (0 disables periodic snapshots)")
 		followerOf  = flag.String("follower-of", "", "run as a read-only replica of this leader (host:port)")
 		replEvery   = flag.Duration("replicate-every", time.Second, "follower poll interval")

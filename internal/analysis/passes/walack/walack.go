@@ -25,8 +25,8 @@
 //     flushes.
 //
 // "Reaches an fsync" is a call-graph fact: (*os.File).Sync and
-// functions named sync/fsync/syncNow (the repo's barrier vocabulary),
-// plus everything that can call them.
+// functions named sync/fsync (the repo's barrier vocabulary), plus
+// everything that can call them.
 package walack
 
 import (
@@ -78,7 +78,7 @@ func run(pass *analysis.Pass) (any, error) {
 // the repo's sync/fsync-named wrappers.
 func fsyncSink(n *analysis.FuncNode) bool {
 	switch strings.ToLower(n.Obj.Name()) {
-	case "sync", "fsync", "syncnow":
+	case "sync", "fsync":
 	default:
 		return false
 	}

@@ -38,32 +38,34 @@ func parseSegName(name string) (int, bool) {
 }
 
 // log is one shard's append-only record stream, split into numbered
-// segment files. Appends go through a user-space buffer; the group-
-// commit goroutine flushes and fsyncs on demand, batching every Sync
-// waiter that arrived while the previous fsync (plus the optional
-// batching window) ran. LSNs are cumulative byte offsets across all
-// segments, so "durable up to" is a single watermark comparison.
+// segment files. Appends go through a user-space buffer; the sync
+// waiter that finds no fsync in flight flushes and fsyncs for everyone
+// whose bytes are in the buffer by then (see sync). LSNs are cumulative
+// byte offsets across all segments, so "durable up to" is a single
+// watermark comparison.
 type log struct {
 	dir      string
-	interval time.Duration // batching window before each fsync; 0 = immediate
+	interval time.Duration // least time between the starts of two commits; 0 = none
 
 	mu       sync.Mutex
-	cond     *sync.Cond // broadcast when synced or err moves
+	cond     *sync.Cond // broadcast when synced, err or leading moves
 	f        *os.File
 	w        *bufio.Writer
-	seg      int   // current segment number
-	appended int64 // bytes accepted (buffered or written), cumulative
-	synced   int64 // bytes known durable, cumulative
-	err      error // sticky I/O failure; poisons the log
-	closed   bool
+	seg      int       // current segment number
+	appended int64     // bytes accepted (buffered or written), cumulative
+	synced   int64     // bytes known durable, cumulative
+	err      error     // sticky failure; poisons the log (ErrClosed after crash)
+	closed   bool      // no appends, no new leader
+	leading  bool      // a sync waiter is sleeping its window or fsyncing
+	began    time.Time // when the last commit started its flush
 
-	syncReq chan struct{} // cap 1: "someone wants an fsync"
-	stop    chan struct{}
-	done    chan struct{}
+	// beforeFsync, when a test sets it, runs in the leader between its
+	// flush and its fsync, with mu released.
+	beforeFsync func()
 
 	// Telemetry, read by Manager.Stats.
 	records  int64 // guarded by mu
-	fsyncs   int64 // guarded by mu (written only by the sync goroutine)
+	fsyncs   int64 // guarded by mu (written only by the leader)
 	fsyncDur *obs.Histogram
 }
 
@@ -87,16 +89,12 @@ func openLog(dir string, interval time.Duration, fsyncDur *obs.Histogram) (*log,
 		dir:      dir,
 		interval: interval,
 		seg:      next,
-		syncReq:  make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 		fsyncDur: fsyncDur,
 	}
 	l.cond = sync.NewCond(&l.mu)
 	if err := l.openSegmentLocked(); err != nil {
 		return nil, err
 	}
-	go l.syncLoop()
 	return l, nil
 }
 
@@ -155,9 +153,14 @@ func (l *log) append(rec Record) (int64, error) {
 	return l.appended, nil
 }
 
-// sync blocks until everything up to lsn is fsynced, the log fails, or
-// it is closed. This is the group-commit rendezvous: concurrent
-// waiters are all released by one fsync.
+// sync blocks until everything up to lsn is fsynced or the log fails.
+// This is the group-commit rendezvous, and it has no goroutine of its
+// own: the waiter that finds no fsync in flight leads one. If the last
+// commit began at least interval ago the log is idle and the leader
+// commits at once; otherwise it first sleeps the rest of that window,
+// so a busy log fsyncs at most once per interval and every append that
+// lands meanwhile shares the fsync. The fsync runs outside the lock so
+// appends keep flowing.
 func (l *log) sync(lsn int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -165,73 +168,53 @@ func (l *log) sync(lsn int64) error {
 		if l.err != nil {
 			return l.err
 		}
-		if l.closed {
-			return ErrClosed
+		if l.leading || l.closed {
+			// A leader or close will move synced; crash sets err.
+			l.cond.Wait()
+			continue
 		}
-		select {
-		case l.syncReq <- struct{}{}:
-		default: // a request is already pending
+		l.leading = true
+		if wait := l.interval - time.Since(l.began); wait > 0 {
+			l.mu.Unlock()
+			time.Sleep(wait)
+			l.mu.Lock()
 		}
-		l.cond.Wait()
-	}
-	return nil
-}
-
-func (l *log) syncLoop() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-l.syncReq:
-			if l.interval > 0 {
-				// The batching window: let more commits pile into the
-				// buffer so one fsync acknowledges them all.
-				select {
-				case <-time.After(l.interval):
-				case <-l.stop:
-					return
+		// A log closed meanwhile gets no commit from its leader: close
+		// flushes and fsyncs for every waiter itself, crash has set err.
+		if !l.closed && l.err == nil {
+			l.began = time.Now()
+			target := l.appended
+			if err := l.w.Flush(); err != nil {
+				l.err = fmt.Errorf("wal: flush: %w", err)
+			} else {
+				f := l.f
+				l.mu.Unlock()
+				if l.beforeFsync != nil {
+					l.beforeFsync()
+				}
+				fsyncing := time.Now()
+				serr := f.Sync()
+				took := time.Since(fsyncing)
+				l.mu.Lock()
+				l.fsyncs++
+				l.fsyncDur.Observe(took.Microseconds())
+				if f != l.f && errors.Is(serr, os.ErrClosed) {
+					// rotate closed the segment under this fsync — after
+					// its own fsync had moved synced past target.
+					serr = nil
+				}
+				if serr != nil && l.err == nil {
+					l.err = fmt.Errorf("wal: fsync: %w", serr)
+				}
+				if l.err == nil && l.synced < target {
+					l.synced = target
 				}
 			}
-			l.syncNow()
 		}
-	}
-}
-
-// syncNow flushes the user-space buffer and fsyncs, then advances the
-// durable watermark to the byte count observed at flush time. The
-// fsync runs outside the lock so appends keep flowing.
-func (l *log) syncNow() {
-	l.mu.Lock()
-	if l.closed || l.err != nil {
+		l.leading = false
 		l.cond.Broadcast()
-		l.mu.Unlock()
-		return
 	}
-	target := l.appended
-	if err := l.w.Flush(); err != nil {
-		l.err = fmt.Errorf("wal: flush: %w", err)
-		l.cond.Broadcast()
-		l.mu.Unlock()
-		return
-	}
-	f := l.f
-	l.mu.Unlock()
-
-	began := time.Now()
-	serr := f.Sync()
-
-	l.mu.Lock()
-	l.fsyncs++
-	l.fsyncDur.Observe(time.Since(began).Microseconds())
-	if serr != nil && l.err == nil && !l.closed {
-		l.err = fmt.Errorf("wal: fsync: %w", serr)
-	}
-	if l.err == nil && l.synced < target {
-		l.synced = target
-	}
-	l.cond.Broadcast()
-	l.mu.Unlock()
+	return nil
 }
 
 // flushForRead pushes buffered frames to the OS (no fsync) so a reader
@@ -312,21 +295,19 @@ func (l *log) dropSegmentsBefore(keep int) error {
 	return nil
 }
 
-// close flushes, fsyncs and closes the log — the clean-shutdown path.
-// Pending sync waiters whose bytes make it to disk return nil.
+// close flushes, fsyncs and closes the log — the clean-shutdown path —
+// once a leader in flight has finished or stepped aside. Pending sync
+// waiters whose bytes make it to disk return nil.
 func (l *log) close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	l.mu.Unlock()
-	close(l.stop)
-	<-l.done
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	for l.leading {
+		l.cond.Wait()
+	}
 	var first error
 	if l.err == nil {
 		if err := l.w.Flush(); err != nil {
@@ -342,9 +323,12 @@ func (l *log) close() error {
 	}
 	l.cond.Broadcast()
 	if first != nil {
-		return fmt.Errorf("wal: close: %w", first)
+		first = fmt.Errorf("wal: close: %w", first)
+		if l.err == nil {
+			l.err = first
+		}
 	}
-	return nil
+	return first
 }
 
 // crash abandons the log the way SIGKILL would: the user-space buffer
@@ -353,14 +337,17 @@ func (l *log) close() error {
 // ErrClosed. Test and harness hook.
 func (l *log) crash() {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return
 	}
 	l.closed = true
-	l.f.Close() // buffered-but-unflushed frames die with l.w
+	if l.err == nil {
+		l.err = ErrClosed
+	}
 	l.cond.Broadcast()
-	l.mu.Unlock()
-	close(l.stop)
-	<-l.done
+	for l.leading {
+		l.cond.Wait()
+	}
+	l.f.Close() // buffered-but-unflushed frames die with l.w
 }

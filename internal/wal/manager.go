@@ -30,8 +30,12 @@ type Config struct {
 	// Shards is the index's shard count, pinned into the directory's
 	// meta file on first open and enforced on every later one.
 	Shards int
-	// FsyncEvery is the group-commit batching window: an acknowledgment
-	// waits at most this long for other writes to share its fsync.
+	// FsyncEvery is the group-commit window: a shard's log starts at
+	// most one fsync per window, so a write arriving less than this long
+	// after the previous commit began waits out the remainder — sharing
+	// its fsync with every write that lands meanwhile — and a write to
+	// an idle log is fsynced at once. An acknowledgment is therefore
+	// never delayed by more than the window plus its fsync.
 	// 0 fsyncs immediately on every commit request.
 	FsyncEvery time.Duration
 	// SnapshotEvery is the periodic snapshot interval for Start.
@@ -254,8 +258,9 @@ func (m *Manager) replayShard(idx *shard.Index, i int) (applied, torn int, err e
 // Attach installs the durability hook on idx: every Insert/Delete
 // appends its record to the owning shard's log under the shard lock,
 // and the returned commit barrier — run by the mutation after
-// unlocking — blocks until the group-commit fsync covers it. From this
-// point an acknowledged write survives kill -9.
+// unlocking — blocks until a group-commit fsync covers it, leading that
+// fsync itself when none is in flight. From this point an acknowledged
+// write survives kill -9.
 func (m *Manager) Attach(idx *shard.Index) {
 	idx.SetWriteHook(func(wr shard.WriteRecord) func() error {
 		l := m.logs[wr.Shard]
