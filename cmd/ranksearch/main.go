@@ -1,5 +1,5 @@
 // Command ranksearch answers similarity range queries over a top-k
-// ranking dataset using the pivot-based metric index: given query
+// ranking dataset using the inverted serving index: given query
 // rankings, it prints every indexed ranking within the threshold of
 // each query — the single-query counterpart of the join (in the spirit
 // of the authors' earlier "sweet spot" similarity-search work).

@@ -1,10 +1,10 @@
 // Command rankserved is the online serving daemon: a sharded,
-// dynamically updatable metric index over top-k rankings behind an
+// dynamically updatable inverted index over top-k rankings behind an
 // HTTP/JSON API. Where cmd/rankjoin and cmd/ranksearch answer offline
 // batch questions, rankserved holds a live dataset that absorbs
-// Insert/Delete traffic, re-pivots itself as the data churns, and
-// answers range/kNN queries with request coalescing and an
-// epoch-invalidated query cache.
+// Insert/Delete traffic and answers range/kNN queries from the query's
+// own posting lists, with request coalescing and an epoch-invalidated
+// query cache.
 //
 // Usage:
 //

@@ -25,9 +25,10 @@
 // Batches each holding one shard's RLock and waiting for the other's
 // behind a queued writer re-acquire nothing they hold, so no call
 // matches the rule. That cycle is a property of a schedule, not of a
-// function, and is owned by TestTwoPhaseSweepsDoNotDeadlockWriters
-// (internal/shard, run ×20 in CI). The pass proves re-entrancy on one
-// receiver's field and claims nothing beyond it.
+// function. Today's sweeps hold one shard at a time; a sweep that
+// brings a cross-shard hold back is what TestSweepsDoNotDeadlockWriters
+// (internal/shard, run ×20 in CI) would catch. The pass proves
+// re-entrancy on one receiver's field and claims nothing beyond it.
 package lockorder
 
 import (

@@ -579,9 +579,9 @@ func runShard(c *collector, p Params, rs []*rankings.Ranking, rng *rand.Rand) {
 	}
 	// Arena path: the same batch replayed twice through one reused Batch
 	// must answer identically both times — the second pass runs entirely
-	// on recycled scratch, so any stale-aliasing bug in the arena (or in
-	// the fused signature sweep's reused overlap matrix) shows up as a
-	// divergence here.
+	// on recycled scratch, so any stale-aliasing bug in the arena (or a
+	// score cell the previous query left set) shows up as a divergence
+	// here.
 	arena := idx.NewBatch()
 	for pass := 0; pass < 2; pass++ {
 		views, err := arena.SearchBatchInto(batch, nil)

@@ -22,7 +22,10 @@ type FilterDelta struct {
 	Generated int64 `json:"generated"`
 	// PrunedPrefix counts candidates discarded by the prefix-token
 	// rank check while scanning a posting list (the single-item filter
-	// applied at the indexed prefix item, §4).
+	// applied at the indexed prefix item, §4). On the serving path it
+	// counts the indexed rankings that sit on none of a query's posting
+	// lists and are never read; there the law is Generated =
+	// PrunedPrefix + Verified.
 	PrunedPrefix int64 `json:"pruned_prefix"`
 	// PrunedSignature counts candidates discarded by the 128-bit
 	// item-signature prefilter: an AND+popcount overlap upper bound

@@ -8,12 +8,10 @@ import (
 	"rankjoin/internal/testutil"
 )
 
-// quiesce waits until every shard's background re-pivoting has settled
-// and then holds each shard's re-pivot latch, so allocation
-// measurements neither race a rebuild nor start one: AllocsPerRun
-// counts the whole process's mallocs, and a sweep whose prune rate
-// dips under minPruneRate (triangle-only pruning at k > maxSignatureK
-// sits near it) would otherwise bill a background rePivot to the query.
+// quiesce waits until every shard's background re-pivoting has settled:
+// AllocsPerRun counts the whole process's mallocs, so a rebuild still
+// running from the inserts would be billed to the queries. Only writes
+// start re-pivots, so none starts once the index is quiet.
 func quiesce(t *testing.T, x *Index) {
 	t.Helper()
 	waitFor(t, func() bool {
@@ -28,18 +26,14 @@ func quiesce(t *testing.T, x *Index) {
 		}
 		return true
 	})
-	for _, s := range x.shards {
-		if !s.repivoting.CompareAndSwap(false, true) {
-			t.Fatal("a re-pivot started on a quiesced index")
-		}
-	}
 }
 
 // TestQueriesAllocationFree pins the arena contract: once a Batch has
 // warmed its buffers to their high-water mark, steady-state SearchInto,
 // KNNInto and SearchBatchInto queries allocate nothing — the property
-// the serving path's throughput rests on. k = 80 > maxSignatureK takes
-// every sweep down its branch without signatures, which no other
+// the serving path's throughput rests on. θ = 1 and a kNN larger than
+// the shards' touched counts take the sweep through its reads of
+// untouched entries, and k = 80 through long rankings, which no other
 // allocation gate (the benchmark's included) measures.
 func TestQueriesAllocationFree(t *testing.T) {
 	for _, k := range []int{10, 80} {
@@ -67,6 +61,16 @@ func TestQueriesAllocationFree(t *testing.T) {
 			}},
 			{"KNNInto", func() {
 				if _, err := b.KNNInto(rs[2], 10, rs[2].ID); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"SearchInto θ=1", func() {
+				if _, err := b.SearchInto(rs[3], rankings.MaxFootrule(k), rs[3].ID); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"KNNInto fill", func() {
+				if _, err := b.KNNInto(rs[4], len(rs), rs[4].ID); err != nil {
 					t.Fatal(err)
 				}
 			}},

@@ -14,17 +14,17 @@ type Config struct {
 	// Shards is the number of index partitions (default 8). More shards
 	// mean finer write locking and more fan-out parallelism per query.
 	Shards int
-	// PivotsPerShard is the pivot-table width (default 8).
+	// PivotsPerShard caps the background pivot selection (default 8).
+	// No query reads the pivots; see Shard.pivots.
 	PivotsPerShard int
 	// Seed drives pivot selection; shards derive distinct streams.
 	Seed int64
 }
 
-// Index is the sharded dynamic metric index: rankings are routed to
-// shards by hashed id, every shard is independently mutable and
-// searchable, and queries fan out across all shards with the results
-// merged through a bounded heap. All methods are safe for concurrent
-// use.
+// Index is the sharded dynamic index: rankings are routed to shards by
+// hashed id, every shard is independently mutable and searchable, and
+// queries fan out across all shards with the per-shard results merged
+// into (dist, id) order. All methods are safe for concurrent use.
 type Index struct {
 	shards    []*Shard
 	spanNames []string // precomputed "shard/i" task names (no per-sweep Sprintf)
@@ -265,9 +265,10 @@ func (x *Index) SnapshotShard(i int, barrier func()) ([]*rankings.Ranking, uint6
 	return x.shards[i].SnapshotAnd(barrier)
 }
 
-// Filters exposes the index's query-pruning counters (Generated =
-// PrunedSignature + PrunedTriangle + Verified across all sweeps;
-// Emitted counts hits).
+// Filters exposes the index's query ledger (Generated = PrunedPrefix +
+// Verified across all sweeps: an entry on none of a query's posting
+// lists is pruned unread, every other one gets its exact distance from
+// the accumulation; Emitted counts hits).
 func (x *Index) Filters() *obs.FilterCounters { return &x.filters }
 
 // SetRePivotHook installs fn as the observer of completed background
@@ -328,11 +329,10 @@ func (x *Index) KNN(q *rankings.Ranking, n int, exclude int64) ([]Neighbor, erro
 }
 
 // SearchBatch answers a batch of queries in one fan-out sweep: every
-// shard is visited exactly once (one RLock, all queries, one fused
-// signature pass), shards run concurrently, and per-shard partial
-// results are merged per query. The span, when non-nil, receives one
-// task child per shard. This is the coalescing primitive the server's
-// request batcher drives.
+// shard is visited exactly once (one RLock, all queries), shards run
+// concurrently, and per-shard partial results are merged per query.
+// The span, when non-nil, receives one task child per shard. This is
+// the coalescing primitive the server's request batcher drives.
 //
 // The returned slices are private to the caller (copied out of the
 // pooled execution arena); callers that issue many queries and can

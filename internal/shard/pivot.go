@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -29,6 +30,9 @@ import (
 //     pivotGainEps of the pair population — extra pivots past that
 //     point cost a table column and a per-entry distance without
 //     measurably improving pruning.
+//
+// No query reads the chosen pivots any more; Shard.pivots says why the
+// selection still runs.
 const (
 	pivotSampleSize = 48
 	pivotGainEps    = 0.02
@@ -72,9 +76,29 @@ func selectPivots(members []*rankings.Ranking, width int, rng *rand.Rand) []*ran
 	slices.Sort(dists)
 	radius := dists[int(pivotRadiusPct*float64(len(dists)-1))]
 
-	// Greedy max-coverage over unordered sample pairs.
+	// cover[c*words:(c+1)*words] is the set of sample pairs (a, b), a < b,
+	// that candidate c covers, one bit per pair in row-major order, so a
+	// greedy round costs a popcount per word instead of a pass over the
+	// distance matrix per candidate.
 	totalPairs := s * (s - 1) / 2
-	covered := make([]bool, s*s)
+	words := (totalPairs + 63) / 64
+	cover := make([]uint64, s*words)
+	for c := 0; c < s; c++ {
+		row := cover[c*words : (c+1)*words]
+		pair := 0
+		for a := 0; a < s; a++ {
+			da := D[c*s+a]
+			for b := a + 1; b < s; b++ {
+				if diff := da - D[c*s+b]; diff > radius || -diff > radius {
+					row[pair/64] |= 1 << (pair % 64)
+				}
+				pair++
+			}
+		}
+	}
+
+	// Greedy max-coverage over unordered sample pairs.
+	covered := make([]uint64, words)
 	chosen := make([]*rankings.Ranking, 0, width)
 	inChosen := make([]bool, s)
 	minGain := int(pivotGainEps * float64(totalPairs))
@@ -85,16 +109,8 @@ func selectPivots(members []*rankings.Ranking, width int, rng *rand.Rand) []*ran
 				continue
 			}
 			gain := 0
-			for a := 0; a < s; a++ {
-				da := D[c*s+a]
-				for b := a + 1; b < s; b++ {
-					if covered[a*s+b] {
-						continue
-					}
-					if diff := da - D[c*s+b]; diff > int32(radius) || -diff > int32(radius) {
-						gain++
-					}
-				}
+			for w, bs := range cover[c*words : (c+1)*words] {
+				gain += bits.OnesCount64(bs &^ covered[w])
 			}
 			if gain > bestGain {
 				best, bestGain = c, gain
@@ -110,13 +126,8 @@ func selectPivots(members []*rankings.Ranking, width int, rng *rand.Rand) []*ran
 		}
 		inChosen[best] = true
 		chosen = append(chosen, members[sample[best]])
-		for a := 0; a < s; a++ {
-			da := D[best*s+a]
-			for b := a + 1; b < s; b++ {
-				if diff := da - D[best*s+b]; diff > int32(radius) || -diff > int32(radius) {
-					covered[a*s+b] = true
-				}
-			}
+		for w, bs := range cover[best*words : (best+1)*words] {
+			covered[w] |= bs
 		}
 	}
 	if len(chosen) == 0 {

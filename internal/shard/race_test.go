@@ -160,17 +160,17 @@ func sameIDSet(a, b []*rankings.Ranking) bool {
 	return true
 }
 
-// TestTwoPhaseSweepsDoNotDeadlockWriters is the regression test for a
-// lock-order cycle: a kNN sweep holds every shard's read lock across
-// its global-bound barrier, so when each Batch's shard goroutines took
-// those locks concurrently, two Batches could each hold one shard and
-// wait for the other's behind a queued writer (sync.RWMutex parks new
-// readers behind a waiting writer). kNN readers on separate Batches —
+// TestSweepsDoNotDeadlockWriters guards against a sweep that holds
+// more than one shard's read lock at a time. A sweep that holds one
+// shard's lock while it waits for another's can deadlock two Batches
+// behind queued writers (sync.RWMutex parks new readers behind a
+// waiting writer), a cycle an earlier kNN design hit. Today every
+// sweep holds one shard at a time. kNN readers on separate Batches —
 // private arenas, the pooled Index entry points and a traced sweep,
 // whose span must not re-lock a shard the sweep already holds — run
 // beside one writer per shard; a hang fails the test at a deadline
 // instead of stalling the package.
-func TestTwoPhaseSweepsDoNotDeadlockWriters(t *testing.T) {
+func TestSweepsDoNotDeadlockWriters(t *testing.T) {
 	const (
 		shards = 2
 		ops    = 3000

@@ -1,12 +1,15 @@
 // Package shard implements the online serving index: a sharded,
-// dynamically updatable metric index over top-k rankings. It keeps
-// per-shard LAESA-style pivot tables that absorb Insert/Delete traffic
-// under an RWMutex, answer range and kNN queries with a 128-bit
-// item-signature prefilter followed by triangle-inequality pruning, and
-// re-pivot themselves in the background when churn (or a collapsed
-// prune rate) degrades pruning power — the serving-side counterpart of
-// the error-bounded pivot selection literature: pruning only stays
-// effective while the pivots still describe the data.
+// dynamically updatable index over top-k rankings. Each shard keeps an
+// inverted index — item → postings of (entry, rank) — that absorbs
+// Insert/Delete traffic under an RWMutex, and answers range and kNN
+// queries by walking only the query's own k posting lists: the top-k
+// Footrule is set entirely by the items two rankings share,
+//
+//	F(q, e) = k(k+1) − Σ_{shared items} 2(k − max(rank_q, rank_e)),
+//
+// so summing each posting's term gives every touched entry its exact
+// distance, and every untouched entry is at exactly k(k+1). Nothing is
+// generated as a candidate and then verified.
 //
 // Every mutation bumps the owning shard's epoch by exactly one, so the
 // per-shard epoch is a dense cursor over that shard's mutation history:
@@ -23,13 +26,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rankjoin/internal/filters"
 	"rankjoin/internal/rankings"
 )
 
@@ -62,26 +64,22 @@ type Query struct {
 	Exclude int64
 }
 
-// entry is one indexed ranking with its precomputed pivot distances.
-type entry struct {
-	r  *rankings.Ranking
-	pd []int32 // pd[p] = Footrule(r, pivots[p])
+// posting is one entry's appearance on an item's posting list: the
+// entry's index in Shard.entries and the item's rank in that entry.
+// A rank is an int32 in rankings' own position index too, so every k
+// the index accepts fits; an entry index is an int32, so a shard holds
+// at most 2³¹−1 rankings, where its entries slice alone takes 16 GiB.
+type posting struct {
+	ent  int32
+	rank int32
 }
-
-// maxSignatureK bounds the ranking length the signature prefilter is
-// applied to: beyond 64 items the 128-bit signature can no longer
-// separate item sets (popcount saturates and the collision corrections
-// k − pop dwarf the shared-bit count), and keeping k ≤ 64 also lets
-// overlap bounds live in one byte per (entry, query) cell of the fused
-// sweep.
-const maxSignatureK = 64
 
 // RePivotEvent describes one completed background re-pivot pass, as
 // delivered to the hook installed with Index.SetRePivotHook.
 type RePivotEvent struct {
 	Shard  int           // shard ordinal within its Index
 	Size   int           // entries at snapshot time
-	Pivots int           // pivot-table width chosen
+	Pivots int           // pivots chosen
 	Churn  int           // mutations absorbed since the previous pivot set
 	Dur    time.Duration // wall time of the rebuild
 }
@@ -133,16 +131,23 @@ type Shard struct {
 	hook      *atomic.Pointer[RePivotHook] // owning Index's re-pivot hook; nil standalone
 	writeHook *atomic.Pointer[WriteHook]   // owning Index's write hook; nil standalone
 
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// pivots is chosen by the background re-pivot and read by nothing
+	// but Stats: the benchmark harness (benchmark/scenario.go,
+	// waitForPivots) polls Stats().Pivots until every shard has some
+	// before it starts timing, so the selection stays until that harness
+	// accepts a shard without pivots.
 	pivots  []*rankings.Ranking
-	entries []entry
-	// sigs/pops mirror entries index-for-index with each ranking's
-	// 128-bit item signature and its popcount: the fused sweep's phase A
-	// touches only these two dense arrays (17 bytes per entry), not the
-	// entry structs, so the signature pass stays cache-resident.
-	sigs  []rankings.Sig
-	pops  []uint8
-	byID  map[int64]int
+	entries []*rankings.Ranking
+	byID    map[int64]int
+	// The inverted index: lists[index[item]] holds one posting per entry
+	// ranking item. A list that empties leaves the index and its slot
+	// goes on free for the next new item. Mapping items to 4-byte slots
+	// rather than to slice headers keeps the map's tables, which a
+	// filling shard regrows several times, a quarter of the size.
+	index map[rankings.Item]int32
+	lists [][]posting
+	free  []int32
 	churn int // mutations since the pivot set was last chosen
 
 	// epoch is written under mu and read either under mu (consistent
@@ -150,12 +155,9 @@ type Shard struct {
 	epoch atomic.Uint64
 
 	// rePivots counts completed re-pivot passes; repivoting serializes
-	// background rebuilds. scanned/pruned track pruning power since the
-	// last re-pivot and are updated lock-free from search sweeps.
+	// background rebuilds.
 	rePivots   atomic.Int64
 	repivoting atomic.Bool
-	scanned    atomic.Int64
-	pruned     atomic.Int64
 }
 
 func newShard(numPivots int, seed int64) *Shard {
@@ -163,19 +165,8 @@ func newShard(numPivots int, seed int64) *Shard {
 		numPivots: numPivots,
 		seed:      seed,
 		byID:      make(map[int64]int),
+		index:     make(map[rankings.Item]int32),
 	}
-}
-
-// pivotRow computes a ranking's distances to the given pivots.
-func pivotRow(r *rankings.Ranking, pivots []*rankings.Ranking) []int32 {
-	if len(pivots) == 0 {
-		return nil
-	}
-	row := make([]int32, len(pivots))
-	for p, piv := range pivots {
-		row[p] = int32(rankings.Footrule(r, piv))
-	}
-	return row
 }
 
 // Insert adds r to the shard, replacing any previous ranking with the
@@ -185,9 +176,8 @@ func pivotRow(r *rankings.Ranking, pivots []*rankings.Ranking) []int32 {
 // applied in memory but its durability barrier failed — the write must
 // not be acknowledged.
 func (s *Shard) Insert(r *rankings.Ranking) error {
-	sig, pop := r.Signature()
 	s.mu.Lock()
-	s.upsertLocked(r, sig, uint8(pop))
+	s.upsertLocked(r)
 	s.churn++
 	epoch := s.epoch.Add(1)
 	commit := s.logLocked(WriteRecord{Shard: s.id, Op: OpInsert, Epoch: epoch, ID: r.ID, Ranking: r})
@@ -203,18 +193,87 @@ func (s *Shard) Insert(r *rankings.Ranking) error {
 }
 
 // upsertLocked installs r (upsert by id). Caller holds s.mu.
-func (s *Shard) upsertLocked(r *rankings.Ranking, sig rankings.Sig, pop uint8) {
-	e := entry{r: r, pd: pivotRow(r, s.pivots)}
+func (s *Shard) upsertLocked(r *rankings.Ranking) {
 	if i, ok := s.byID[r.ID]; ok {
-		s.entries[i] = e
-		s.sigs[i] = sig
-		s.pops[i] = pop
-	} else {
-		s.byID[r.ID] = len(s.entries)
-		s.entries = append(s.entries, e)
-		s.sigs = append(s.sigs, sig)
-		s.pops = append(s.pops, pop)
+		s.unpostLocked(i, s.entries[i])
+		s.entries[i] = r
+		s.postLocked(i, r)
+		return
 	}
+	i := len(s.entries)
+	s.byID[r.ID] = i
+	s.entries = append(s.entries, r)
+	s.postLocked(i, r)
+}
+
+// postLocked appends entry ei's postings, one per item of r. Caller
+// holds s.mu.
+func (s *Shard) postLocked(ei int, r *rankings.Ranking) {
+	for rank, it := range r.Items {
+		li, ok := s.index[it]
+		if !ok {
+			li = s.newListLocked(it)
+		}
+		s.lists[li] = append(s.lists[li], posting{ent: int32(ei), rank: int32(rank)})
+	}
+}
+
+// newListLocked gives item it an empty list, reusing a freed slot when
+// there is one. Caller holds s.mu.
+func (s *Shard) newListLocked(it rankings.Item) int32 {
+	var li int32
+	if n := len(s.free); n > 0 {
+		li = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		if len(s.lists) == cap(s.lists) {
+			// Double explicitly: past 256 slots append grows by a quarter,
+			// which allocates about five times the final array while a
+			// shard fills.
+			s.lists = slices.Grow(s.lists, len(s.lists))
+		}
+		li = int32(len(s.lists))
+		s.lists = append(s.lists, nil)
+	}
+	s.index[it] = li
+	return li
+}
+
+// unpostLocked removes entry ei's postings (r holds its items), each by
+// a scan of its list and a swap-remove. Caller holds s.mu.
+func (s *Shard) unpostLocked(ei int, r *rankings.Ranking) {
+	for _, it := range r.Items {
+		li := s.index[it]
+		l := s.lists[li]
+		l[postingOf(l, ei)] = l[len(l)-1]
+		if len(l) > 1 {
+			s.lists[li] = l[:len(l)-1]
+			continue
+		}
+		s.lists[li] = nil
+		delete(s.index, it)
+		s.free = append(s.free, li)
+	}
+}
+
+// movePostingsLocked re-points the postings of r, the ranking at entry
+// index from, to entry index to. Caller holds s.mu.
+func (s *Shard) movePostingsLocked(r *rankings.Ranking, from, to int) {
+	for _, it := range r.Items {
+		l := s.lists[s.index[it]]
+		l[postingOf(l, from)].ent = int32(to)
+	}
+}
+
+// postingOf returns the position of entry ei's posting in l, which
+// holds one by the index's invariant.
+func postingOf(l []posting, ei int) int {
+	for j := range l {
+		if l[j].ent == int32(ei) {
+			return j
+		}
+	}
+	panic("shard: entry missing from its item's posting list")
 }
 
 // Delete removes the ranking with the given id, reporting whether it
@@ -242,25 +301,25 @@ func (s *Shard) Delete(id int64) (bool, error) {
 	return true, nil
 }
 
-// removeLocked swap-removes id, reporting presence. Caller holds s.mu.
+// removeLocked swap-removes id, reporting presence: the last entry
+// moves into the hole and its postings are re-pointed. Caller holds
+// s.mu.
 func (s *Shard) removeLocked(id int64) bool {
 	i, ok := s.byID[id]
 	if !ok {
 		return false
 	}
+	s.unpostLocked(i, s.entries[i])
 	last := len(s.entries) - 1
-	moved := s.entries[last]
-	s.entries[last] = entry{}
+	if i != last {
+		moved := s.entries[last]
+		s.movePostingsLocked(moved, last, i)
+		s.entries[i] = moved
+		s.byID[moved.ID] = i
+	}
+	s.entries[last] = nil
 	s.entries = s.entries[:last]
 	delete(s.byID, id)
-	if i != last {
-		s.entries[i] = moved
-		s.sigs[i] = s.sigs[last]
-		s.pops[i] = s.pops[last]
-		s.byID[moved.r.ID] = i
-	}
-	s.sigs = s.sigs[:last]
-	s.pops = s.pops[:last]
 	return true
 }
 
@@ -283,9 +342,8 @@ func (s *Shard) logLocked(rec WriteRecord) func() error {
 // shard epoch to the record's stamp instead of incrementing, and does
 // not invoke the write hook.
 func (s *Shard) ApplyInsert(r *rankings.Ranking, epoch uint64) {
-	sig, pop := r.Signature()
 	s.mu.Lock()
-	s.upsertLocked(r, sig, uint8(pop))
+	s.upsertLocked(r)
 	s.churn++
 	s.epoch.Store(epoch)
 	due := s.rePivotDueLocked()
@@ -317,27 +375,23 @@ func (s *Shard) ApplyDelete(id int64, epoch uint64) bool {
 
 // Restore atomically replaces the shard's entire contents with rs at
 // the given epoch — the snapshot-load primitive for recovery and full
-// replica syncs. The pivot table is dropped; a background re-pivot
-// rebuilds it once the shard is large enough. Rankings must already be
-// position-indexed and routed to this shard; Index.RestoreShard checks.
+// replica syncs. The posting lists are rebuilt; the pivot set is
+// dropped and re-chosen in the background once the shard is large
+// enough. Rankings must already be position-indexed, of one length and
+// routed to this shard; Index.RestoreShard checks.
 func (s *Shard) Restore(rs []*rankings.Ranking, epoch uint64) {
 	s.mu.Lock()
 	n := len(rs)
 	s.pivots = nil
-	s.entries = make([]entry, n)
-	s.sigs = make([]rankings.Sig, n)
-	s.pops = make([]uint8, n)
+	s.entries = append([]*rankings.Ranking(nil), rs...)
 	s.byID = make(map[int64]int, n)
+	s.index = make(map[rankings.Item]int32)
+	s.lists, s.free = nil, nil
 	for i, r := range rs {
-		sig, pop := r.Signature()
-		s.entries[i] = entry{r: r}
-		s.sigs[i] = sig
-		s.pops[i] = uint8(pop)
 		s.byID[r.ID] = i
+		s.postLocked(i, r)
 	}
 	s.churn = 0
-	s.scanned.Store(0)
-	s.pruned.Store(0)
 	s.epoch.Store(epoch)
 	due := s.rePivotDueLocked()
 	s.mu.Unlock()
@@ -351,7 +405,7 @@ func (s *Shard) Get(id int64) (*rankings.Ranking, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if i, ok := s.byID[id]; ok {
-		return s.entries[i].r, true
+		return s.entries[i], true
 	}
 	return nil, false
 }
@@ -390,9 +444,7 @@ func (s *Shard) SnapshotAnd(fn func()) ([]*rankings.Ranking, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	rs := make([]*rankings.Ranking, len(s.entries))
-	for i := range s.entries {
-		rs[i] = s.entries[i].r
-	}
+	copy(rs, s.entries)
 	e := s.epoch.Load()
 	if fn != nil {
 		fn()
@@ -422,16 +474,11 @@ func (s *Shard) Stats() Stats {
 	}
 }
 
-// Re-pivot policy. Below minRePivotSize a linear scan is cheaper than
-// any pivot table, so tiny shards never re-pivot. Otherwise a rebuild
-// is due when the pivot set has never been chosen, when churn since the
-// last selection exceeds half the population, or when the observed
-// prune rate has collapsed (lots of scanning, almost nothing pruned —
-// the pivots no longer describe the data).
-const (
-	minRePivotSize = 16
-	minPruneRate   = 0.05
-)
+// Re-pivot policy. Shards below minRePivotSize never choose pivots;
+// otherwise a selection is due when the pivot set has never been
+// chosen or when churn since the last selection reaches half the
+// population.
+const minRePivotSize = 16
 
 func (s *Shard) rePivotDueLocked() bool {
 	n := len(s.entries)
@@ -444,30 +491,6 @@ func (s *Shard) rePivotDueLocked() bool {
 	return s.churn*2 >= n
 }
 
-// notePruning folds one sweep's pruning observations in (pruned counts
-// signature and triangle rejections together — a sweep that rejects
-// almost everything on signatures alone has not lost pruning power) and
-// reports whether the prune rate collapsed badly enough to warrant a
-// re-pivot.
-func (s *Shard) notePruning(scanned, pruned int64) bool {
-	if scanned == 0 {
-		return false
-	}
-	sc := s.scanned.Add(scanned)
-	pr := s.pruned.Add(pruned)
-	s.mu.RLock()
-	n, havePivots := len(s.entries), len(s.pivots) > 0
-	s.mu.RUnlock()
-	if !havePivots || n < minRePivotSize {
-		return false
-	}
-	// Only judge the rate after several full sweeps' worth of evidence.
-	if sc < int64(8*n) {
-		return false
-	}
-	return float64(pr) < minPruneRate*float64(sc)
-}
-
 // triggerRePivot starts a background re-pivot unless one is already
 // running.
 func (s *Shard) triggerRePivot() {
@@ -476,11 +499,9 @@ func (s *Shard) triggerRePivot() {
 	}
 }
 
-// rePivot rebuilds the pivot table: snapshot the members under RLock,
-// choose fresh pivots (error-bounded sampled selection, see pivot.go)
-// and compute the distance table without holding any lock, then apply
-// under the write lock — recomputing rows only for rankings that were
-// inserted or replaced while the rebuild ran.
+// rePivot re-chooses the pivot set: snapshot the members under RLock,
+// choose pivots (error-bounded sampled selection, see pivot.go) without
+// holding any lock, then install them under the write lock.
 func (s *Shard) rePivot() {
 	defer s.repivoting.Store(false)
 	began := time.Now()
@@ -490,36 +511,17 @@ func (s *Shard) rePivot() {
 		s.mu.RUnlock()
 		return
 	}
-	members := make([]*rankings.Ranking, n)
-	for i := range s.entries {
-		members[i] = s.entries[i].r
-	}
+	members := append([]*rankings.Ranking(nil), s.entries...)
 	round := s.rePivots.Load()
 	s.mu.RUnlock()
 
 	rng := rand.New(rand.NewSource(s.seed + (round+1)*1_000_003 + int64(n)))
 	pivots := selectPivots(members, s.numPivots, rng)
-	// Rows are keyed by ranking pointer, not id: an id re-inserted with
-	// different items during the rebuild must not inherit a stale row.
-	rows := make(map[*rankings.Ranking][]int32, n)
-	for _, r := range members {
-		rows[r] = pivotRow(r, pivots)
-	}
 
 	s.mu.Lock()
 	s.pivots = pivots
-	for i := range s.entries {
-		e := &s.entries[i]
-		if row, ok := rows[e.r]; ok {
-			e.pd = row
-		} else {
-			e.pd = pivotRow(e.r, pivots)
-		}
-	}
 	churn := s.churn
 	s.churn = 0
-	s.scanned.Store(0)
-	s.pruned.Store(0)
 	s.rePivots.Add(1)
 	// A re-pivot deliberately does NOT bump the epoch: it changes no
 	// result set (equal epochs ⇒ equal contents still holds), and the
@@ -540,167 +542,138 @@ func (s *Shard) rePivot() {
 	}
 }
 
-// sweepPhase1 is the first half of the fused multi-query sweep: under
-// one RLock acquisition it makes ONE pass over the shard's signature
-// arrays and upper-bounds every (entry, query) item overlap with an
-// AND+popcount (phase A), computes the query-to-pivot rows, answers
-// every RANGE query completely, and — when twoPhase is set because the
-// batch contains kNN queries — runs a cheap bound PROBE per kNN query:
-// verify just the top-q.KNN candidates by overlap bound, whose
-// distances the Batch merges across shards into a global kNN cutoff.
-//
-// With twoPhase set the CALLER already holds the shard RLock — the
-// Batch takes all shards' locks in ascending order on its dispatching
-// goroutine, since taking them concurrently here could deadlock two
-// Batches against queued writers — and it is STILL HELD when
-// sweepPhase1 returns: the caller must follow up with sweepPhase2,
-// which finishes the kNN queries against the global bounds and
-// releases the lock. Holding the lock across the barrier is what lets
-// phase 2 trust the overlap-bound matrix and candidate indexes computed
-// here. Without twoPhase (range-only batches) sweepPhase1 takes the
-// lock itself and releases it before returning.
-//
-// qsigs/qpops carry the queries' signatures (parallel to qs). The
-// caller must hand so in with so.delta zeroed; hits are appended to
-// so.neighbors with query qi's segment recorded in
-// so.segs[2qi], so.segs[2qi+1]. Filter accounting accumulates into
-// so.delta (Generated = PrunedSignature + PrunedTriangle + Verified;
-// Emitted counts hits); the probe pass is deliberately unledgered —
-// every entry it touches is re-examined and accounted exactly once by
-// the authoritative phase-2 sweep. Steady state allocates nothing:
-// every buffer lives in so and is grown to its high-water mark once.
-func (s *Shard) sweepPhase1(qs []Query, qsigs []rankings.Sig, qpops []uint8, so *shardOut, twoPhase bool) {
-	if !twoPhase {
-		s.mu.RLock()
-	}
+// sweep answers every query of a batch against this shard under one
+// read-lock hold. Hits are appended to so.neighbors with query qi's
+// segment recorded in so.segs[2qi], so.segs[2qi+1]; filter accounting
+// accumulates into so.delta, which the caller hands in zeroed. Steady
+// state allocates nothing: every buffer lives in so and is grown to its
+// high-water mark once.
+func (s *Shard) sweep(qs []Query, so *shardOut) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	n := len(s.entries)
-	B := len(qs)
-	P := len(s.pivots)
 	so.size = n
-	so.segs = growCap(so.segs, 2*B)[:2*B]
-	for i := range so.segs {
-		so.segs[i] = 0
-	}
-	so.pseg = growCap(so.pseg, 2*B)[:2*B]
-	for i := range so.pseg {
-		so.pseg[i] = 0
-	}
+	so.segs = growCap(so.segs, 2*len(qs))
 	so.neighbors = so.neighbors[:0]
-	so.probe = so.probe[:0]
-	if n == 0 || B == 0 {
-		if !twoPhase {
-			s.mu.RUnlock()
-		}
+	if n == 0 {
+		clear(so.segs)
 		return
 	}
-	k := qs[0].R.K() // the index holds one k; checked on entry
-
 	// Pre-size the hit arena from the shard's cardinality: range sweeps
 	// at serving thresholds rarely return more than a small fraction of
 	// the shard per query.
 	if cap(so.neighbors) == 0 {
-		hint := B * (1 + n/16)
-		if hint > B*n {
-			hint = B * n
-		}
-		if hint > 4096 {
-			hint = 4096
-		}
-		so.neighbors = make([]Neighbor, 0, hint)
+		so.neighbors = make([]Neighbor, 0, min(len(qs)*(1+n/16), len(qs)*n, 4096))
 	}
-
-	// Phase A: the fused signature pass. One sweep over the dense
-	// sigs/pops arrays fills the query-major overlap-bound matrix
-	// so.ob[qi*n+ei] = upper bound on |entry ei ∩ query qi|
-	// (filters.OverlapUpperBound inlined over the cached columns).
-	sigUsable := k <= maxSignatureK
-	if sigUsable {
-		so.ob = growCap(so.ob, B*n)[:B*n]
-		for ei := 0; ei < n; ei++ {
-			sig := s.sigs[ei]
-			pop := int(s.pops[ei])
-			for qi := 0; qi < B; qi++ {
-				shared := bits.OnesCount64(sig.Lo&qsigs[qi].Lo) +
-					bits.OnesCount64(sig.Hi&qsigs[qi].Hi)
-				ub := shared + k - pop
-				if alt := shared + k - int(qpops[qi]); alt < ub {
-					ub = alt
-				}
-				if ub > k {
-					ub = k
-				}
-				if ub < 0 {
-					ub = 0
-				}
-				so.ob[qi*n+ei] = uint8(ub)
-			}
-		}
-	}
-
-	// Query-to-pivot distance rows, query-major.
-	so.qd = growCap(so.qd, B*P)[:B*P]
-	for qi := 0; qi < B; qi++ {
-		row := so.qd[qi*P : qi*P+P]
-		for p := range s.pivots {
-			row[p] = int32(rankings.Footrule(qs[qi].R, s.pivots[p]))
-		}
-	}
-
-	// Phase B (ranges) / probe (kNN): answer each query off its
-	// overlap-bound row.
+	// score is all zeros between queries (answer clears what it set), so
+	// growing it within its capacity needs no clearing either.
+	so.score = growCap(so.score, n)
+	so.touched = growCap(so.touched, n+1)
 	for qi := range qs {
-		q := &qs[qi]
-		exclIdx := s.exclIdx(q)
-		if q.KNN > 0 {
-			start := int32(len(so.probe))
-			s.knnProbe(q, qi, n, k, sigUsable, exclIdx, so)
-			so.pseg[2*qi], so.pseg[2*qi+1] = start, int32(len(so.probe))
-		} else {
-			start := int32(len(so.neighbors))
-			s.rangeInto(q, qi, n, k, P, sigUsable, exclIdx, so)
-			so.segs[2*qi], so.segs[2*qi+1] = start, int32(len(so.neighbors))
-		}
-	}
-	if twoPhase {
-		return // the caller's s.mu.RLock stays held; sweepPhase2 releases it
-	}
-	s.mu.RUnlock()
-	d := &so.delta
-	if s.notePruning(d.Generated, d.PrunedSignature+d.PrunedTriangle) {
-		s.triggerRePivot()
+		start := int32(len(so.neighbors))
+		s.answer(&qs[qi], so)
+		so.segs[2*qi], so.segs[2*qi+1] = start, int32(len(so.neighbors))
 	}
 }
 
-// sweepPhase2 finishes a two-phase sweep: with the RLock the Batch took
-// before sweepPhase1 still held, it answers every kNN query with the global distance
-// cutoff gb[qi] the Batch derived from all shards' probes, then
-// releases the lock. gb is admissible — at least q.KNN indexed
-// rankings were verified at or below it — so a candidate whose
-// signature lower bound exceeds it can be discarded before the heap is
-// even full, which is what turns the per-shard kNN scan from
-// verify-almost-everything into a bulk signature reject.
-func (s *Shard) sweepPhase2(qs []Query, gb []int, so *shardOut) {
+// answer appends one query's hits on this shard to so.neighbors. It
+// walks the query's k posting lists, adding each posting's share
+// 2(k − max(rank_q, rank_e)) to its entry's score, so afterwards every
+// touched entry is at the exact distance k(k+1) − score and every
+// untouched one at k(k+1). Untouched entries are read only when they
+// can be hits: at a range threshold of k(k+1) (θ = 1), or when fewer
+// than q.KNN entries were touched, where the heap keeps the smallest
+// ids among them — they all tie at k(k+1), above every touched entry,
+// which is the (dist, id) order.
+//
+// Ledger: Generated counts the shard's entries (the excluded one
+// aside); each is Verified when the accumulation gave its exact
+// distance or the sweep read it as a possible hit, and PrunedPrefix
+// when it sits on none of the query's lists and was never read.
+func (s *Shard) answer(q *Query, so *shardOut) {
 	n := len(s.entries)
-	P := len(s.pivots)
-	if n > 0 && len(qs) > 0 {
-		k := qs[0].R.K()
-		sigUsable := k <= maxSignatureK
-		for qi := range qs {
-			q := &qs[qi]
-			if q.KNN <= 0 {
-				continue
+	k := q.R.K()
+	maxF := rankings.MaxFootrule(k)
+	score, touched := so.score, so.touched // lengths n and n+1, set by sweep
+	nt := 0
+	for rq, it := range q.R.Items {
+		li, ok := s.index[it]
+		if !ok {
+			continue
+		}
+		for _, p := range s.lists[li] {
+			// Note every entry and keep it only on its first touch: a
+			// branch around the store mispredicts on each new entry.
+			sc := score[p.ent]
+			touched[nt] = p.ent
+			if sc == 0 {
+				nt++
 			}
-			exclIdx := s.exclIdx(q)
-			start := int32(len(so.neighbors))
-			s.knnInto(q, qi, n, k, P, sigUsable, exclIdx, gb[qi], so)
-			so.segs[2*qi], so.segs[2*qi+1] = start, int32(len(so.neighbors))
+			score[p.ent] = sc + 2*(k-max(rq, int(p.rank)))
 		}
 	}
-	s.mu.RUnlock()
-	d := &so.delta
-	if s.notePruning(d.Generated, d.PrunedSignature+d.PrunedTriangle) {
-		s.triggerRePivot()
+	touched = touched[:nt]
+
+	exclIdx := s.exclIdx(q)
+	generated, verified := n, len(touched)
+	if exclIdx >= 0 {
+		generated--
+		if score[exclIdx] != 0 {
+			verified--
+		}
 	}
+	readUntouched := q.MaxDist >= maxF
+	if q.KNN > 0 {
+		readUntouched = verified < q.KNN
+	}
+	d := &so.delta
+	d.Generated += int64(generated)
+	if readUntouched {
+		d.Verified += int64(generated)
+	} else {
+		d.Verified += int64(verified)
+		d.PrunedPrefix += int64(generated - verified)
+	}
+
+	start := len(so.neighbors)
+	if q.KNN > 0 {
+		h := &so.heap
+		h.reset(q.KNN)
+		if readUntouched {
+			for ei, sc := range score {
+				if sc == 0 && ei != exclIdx {
+					h.push(Neighbor{ID: s.entries[ei].ID, Dist: maxF})
+				}
+			}
+		}
+		for _, ei := range touched {
+			dist := maxF - score[ei]
+			score[ei] = 0
+			// Rejecting on distance first spares the id load, a cache miss
+			// per entry; an equal distance may still win on a smaller id.
+			if int(ei) == exclIdx || h.full() && dist > h.worst() {
+				continue
+			}
+			h.push(Neighbor{ID: s.entries[ei].ID, Dist: dist})
+		}
+		so.neighbors = h.appendSorted(so.neighbors)
+	} else {
+		if readUntouched {
+			for ei, sc := range score {
+				if sc == 0 && ei != exclIdx {
+					so.neighbors = append(so.neighbors, Neighbor{ID: s.entries[ei].ID, Dist: maxF})
+				}
+			}
+		}
+		for _, ei := range touched {
+			dist := maxF - score[ei]
+			score[ei] = 0
+			if dist <= q.MaxDist && int(ei) != exclIdx {
+				so.neighbors = append(so.neighbors, Neighbor{ID: s.entries[ei].ID, Dist: dist})
+			}
+		}
+	}
+	d.Emitted += int64(len(so.neighbors) - start)
 }
 
 // exclIdx resolves a query's Exclude id to an entry index with one map
@@ -713,214 +686,8 @@ func (s *Shard) exclIdx(q *Query) int {
 	return -1
 }
 
-// rangeInto scans one query's overlap-bound row for rankings within
-// q.MaxDist. The signature reject is a single byte compare per entry
-// (ob < minOverlap ⟺ the admissible Footrule lower bound exceeds
-// q.MaxDist — MinOverlap is the exact integer inverse of
-// MinDistForOverlap); survivors fall through to the per-pivot triangle
-// bound and the Footrule kernel.
-func (s *Shard) rangeInto(q *Query, qi, n, k, P int, sigUsable bool, exclIdx int, so *shardOut) {
-	d := &so.delta
-	d.Generated += int64(n)
-	if exclIdx >= 0 {
-		d.Generated--
-	}
-	minOv := uint8(0)
-	var obRow []uint8
-	if sigUsable {
-		minOv = uint8(filters.MinOverlap(q.MaxDist, k))
-		obRow = so.ob[qi*n : qi*n+n]
-	}
-	qd := so.qd[qi*P : qi*P+P]
-	for ei := 0; ei < n; ei++ {
-		if ei == exclIdx {
-			continue
-		}
-		if obRow != nil && obRow[ei] < minOv {
-			d.PrunedSignature++
-			continue
-		}
-		e := &s.entries[ei]
-		pruned := false
-		for p := 0; p < P; p++ {
-			if filters.TrianglePrune(int(qd[p]), int(e.pd[p]), q.MaxDist) {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			d.PrunedTriangle++
-			continue
-		}
-		d.Verified++
-		if dist, ok := rankings.FootruleWithin(q.R, e.r, q.MaxDist); ok {
-			d.Emitted++
-			so.neighbors = append(so.neighbors, Neighbor{ID: e.r.ID, Dist: dist})
-		}
-	}
-}
-
-// orderByOverlap fills so.cand with entry indexes in descending
-// overlap-bound order via a stable counting sort over the query's byte
-// row (ob ≤ k ≤ maxSignatureK fits the fixed histogram).
-func orderByOverlap(obRow []uint8, k int, so *shardOut) {
-	counts := &so.counts
-	for o := 0; o <= k; o++ {
-		counts[o] = 0
-	}
-	for _, o := range obRow {
-		counts[o]++
-	}
-	run := int32(0)
-	for o := k; o >= 0; o-- {
-		c := counts[o]
-		counts[o] = run
-		run += c
-	}
-	so.cand = growCap(so.cand, len(obRow))[:len(obRow)]
-	for ei, o := range obRow {
-		so.cand[counts[o]] = int32(ei)
-		counts[o]++
-	}
-}
-
-// knnProbe verifies just enough candidates to bound one kNN query: the
-// top q.KNN entries by overlap bound (the likeliest true neighbors),
-// appending their exact distances to so.probe. The Batch merges probes
-// from every shard into a global cutoff for sweepPhase2. The probe
-// touches no filter counters — phase 2 re-examines and accounts every
-// entry — and is skipped for shards smaller than q.KNN, whose probe
-// could only repeat phase 2's work without tightening the bound.
-func (s *Shard) knnProbe(q *Query, qi, n, k int, sigUsable bool, exclIdx int, so *shardOut) {
-	if !sigUsable || n <= q.KNN {
-		return
-	}
-	obRow := so.ob[qi*n : qi*n+n]
-	orderByOverlap(obRow, k, so)
-	maxDist := rankings.MaxFootrule(k)
-	found := 0
-	for ci := 0; ci < n && found < q.KNN; ci++ {
-		ei := int(so.cand[ci])
-		if ei == exclIdx {
-			continue
-		}
-		e := &s.entries[ei]
-		if dist, ok := rankings.FootruleWithin(q.R, e.r, maxDist); ok {
-			so.probe = append(so.probe, Neighbor{ID: e.r.ID, Dist: dist})
-			found++
-		}
-	}
-}
-
-// knnInto scans one query's candidates for the q.KNN nearest rankings.
-// With signatures usable, candidates are visited in descending
-// overlap-bound order (a stable counting sort over the byte row): the
-// likeliest neighbors fill and tighten the bounded max-heap first, and
-// as soon as the signature lower bound (k−ō)(k−ō+1) of the current
-// overlap class exceeds the tighter of the heap's worst kept distance
-// and the global probe cutoff gb, every remaining candidate — whose
-// bound can only be lower — is rejected in bulk without touching a
-// single entry. gb must be admissible (≥ the true global q.KNN-th
-// distance under the (dist, id) tie order); rankings.MaxFootrule(k)
-// is always a safe value.
-func (s *Shard) knnInto(q *Query, qi, n, k, P int, sigUsable bool, exclIdx, gb int, so *shardOut) {
-	d := &so.delta
-	d.Generated += int64(n)
-	if exclIdx >= 0 {
-		d.Generated--
-	}
-	h := &so.heap
-	h.reset(q.KNN)
-	qd := so.qd[qi*P : qi*P+P]
-
-	if !sigUsable {
-		for ei := 0; ei < n; ei++ {
-			if ei == exclIdx {
-				continue
-			}
-			bound := gb
-			if h.full() {
-				// A ranking at the worst kept distance can still displace
-				// the root when its id is smaller (the documented
-				// (dist, id) tie order), so the bound must admit equality.
-				if w := h.worst(); w < bound {
-					bound = w
-				}
-			}
-			e := &s.entries[ei]
-			pruned := false
-			for p := 0; p < P; p++ {
-				if filters.TrianglePrune(int(qd[p]), int(e.pd[p]), bound) {
-					pruned = true
-					break
-				}
-			}
-			if pruned {
-				d.PrunedTriangle++
-				continue
-			}
-			d.Verified++
-			if dist, ok := rankings.FootruleWithin(q.R, e.r, bound); ok {
-				d.Emitted++
-				h.push(Neighbor{ID: e.r.ID, Dist: dist})
-			}
-		}
-		so.neighbors = h.appendSorted(so.neighbors)
-		return
-	}
-
-	obRow := so.ob[qi*n : qi*n+n]
-	orderByOverlap(obRow, k, so)
-
-	exclSeen := exclIdx < 0
-	for ci := 0; ci < n; ci++ {
-		ei := int(so.cand[ci])
-		if ei == exclIdx {
-			exclSeen = true
-			continue
-		}
-		bound := gb
-		if h.full() {
-			if w := h.worst(); w < bound { // must admit equality; see above
-				bound = w
-			}
-		}
-		o := int(obRow[ei])
-		m := k - o
-		if m*(m+1) > bound {
-			// Every remaining candidate has an overlap bound ≤ ō, so its
-			// Footrule lower bound is ≥ (k−ō)(k−ō+1) > bound: reject the
-			// whole tail at once.
-			rem := int64(n - ci)
-			if !exclSeen {
-				rem--
-			}
-			d.PrunedSignature += rem
-			break
-		}
-		e := &s.entries[ei]
-		pruned := false
-		for p := 0; p < P; p++ {
-			if filters.TrianglePrune(int(qd[p]), int(e.pd[p]), bound) {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			d.PrunedTriangle++
-			continue
-		}
-		d.Verified++
-		if dist, ok := rankings.FootruleWithin(q.R, e.r, bound); ok {
-			d.Emitted++
-			h.push(Neighbor{ID: e.r.ID, Dist: dist})
-		}
-	}
-	so.neighbors = h.appendSorted(so.neighbors)
-}
-
-// growCap returns s with capacity at least n (contents unspecified),
-// reallocating only when the high-water mark grows.
+// growCap returns s resliced to length n, reallocating only when the
+// high-water mark grows. Contents are whatever the backing array held.
 func growCap[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)

@@ -153,8 +153,9 @@ func TestEmptyIndexSearch(t *testing.T) {
 }
 
 // TestRePivot drives enough churn through one shard to trigger the
-// background re-pivot and checks that pivots appear, results stay
-// correct, and churn resets.
+// background re-pivot and checks that pivots appear, re-pivots run
+// again on churn, results stay correct, and the serving ledger
+// conserves.
 func TestRePivot(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rs := testutil.RandDataset(rng, 400, 8, 200)
@@ -191,15 +192,22 @@ func TestRePivot(t *testing.T) {
 			t.Fatalf("post-repivot query %d: got %v want %v", q.ID, got, want)
 		}
 	}
-	// Pruning should actually engage once pivots exist (the signature
-	// prefilter rejects most candidates before the pivot table sees
-	// them, so the two classes are asserted together).
-	f := x.Filters().Snapshot()
-	if f.PrunedSignature+f.PrunedTriangle == 0 {
-		t.Fatalf("pruning never fired: %v", f)
+	// Churn re-pivots without moving the epoch, and the serving ledger
+	// has two fates: entries on none of a query's posting lists are
+	// pruned unread, every other one gets its exact distance. At θ = 0.2
+	// over a 200-item domain most entries share nothing with a query.
+	if st := x.Stats()[0]; st.Epoch != uint64(len(rs)+250) {
+		t.Fatalf("epoch %d after %d mutations: a re-pivot moved it", st.Epoch, len(rs)+250)
 	}
-	if f.Generated != f.PrunedSignature+f.PrunedTriangle+f.Verified {
-		t.Fatalf("filter conservation violated: %v", f)
+	f := x.Filters().Snapshot()
+	if f.PrunedPrefix == 0 || f.Verified == 0 {
+		t.Fatalf("ledger lacks a fate: %v", f)
+	}
+	if f.Generated != f.PrunedPrefix+f.Verified || f.Emitted > f.Verified {
+		t.Fatalf("serving ledger law violated: %v", f)
+	}
+	if f.PrunedSignature+f.PrunedPosition+f.PrunedTriangle+f.AcceptedUnverified != 0 {
+		t.Fatalf("serving path moved a join-only fate: %v", f)
 	}
 }
 

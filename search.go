@@ -34,19 +34,17 @@ var (
 )
 
 // Index is the static counterpart of ShardedIndex: the same index, one
-// shard, filled once by BuildIndex. Range queries prune most of the
-// dataset with the item-signature filter and the triangle inequality
-// over precomputed pivot distances before computing any real distance
-// (the "coarse index" idea from the authors' earlier work on
-// top-k-list similarity search). Results are exact whether or not the
-// shard's background pivot build has finished.
+// shard, filled once by BuildIndex. A range query walks the posting
+// lists of its own items and reads every distance off them exactly;
+// rankings sharing no item with the query are never read.
 type Index struct {
 	idx *ShardedIndex
 }
 
-// BuildIndex indexes the dataset with the given number of pivots
-// (8–16 is a good range; more pivots prune better but cost more per
-// query). The dataset must be non-empty (ErrEmptyIndex otherwise),
+// BuildIndex indexes the dataset. numPivots must be positive; it caps
+// the shard's background pivot selection, which no query reads, so it
+// changes neither results nor query cost. The dataset must be
+// non-empty (ErrEmptyIndex otherwise),
 // uniform-length and free of duplicate ids (ErrDuplicateID: the index
 // keys rankings by id, so a repeat would silently replace the first).
 func BuildIndex(rs []*Ranking, numPivots int) (*Index, error) {

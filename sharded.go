@@ -11,11 +11,11 @@ import (
 // ranking and its (unnormalized) Footrule distance to the query.
 type Neighbor = shard.Neighbor
 
-// ShardedIndex is the dynamic counterpart of Index: a sharded metric
-// index that supports Insert and Delete between queries and re-pivots
-// itself in the background when churn erodes its pruning power. It is
-// safe for concurrent use. This is the structure cmd/rankserved serves
-// over HTTP; embed it directly for in-process serving.
+// ShardedIndex is the dynamic counterpart of Index: a sharded inverted
+// index that supports Insert and Delete between queries and computes
+// every query's distances exactly from the query's own posting lists.
+// It is safe for concurrent use. This is the structure cmd/rankserved
+// serves over HTTP; embed it directly for in-process serving.
 //
 // Unlike Index (built once over a fixed dataset), a ShardedIndex
 // starts empty: the first Insert fixes the ranking length k, and later
@@ -30,8 +30,9 @@ type ShardedIndexConfig struct {
 	// Shards is the number of independently locked partitions.
 	// More shards mean finer-grained write contention.
 	Shards int
-	// PivotsPerShard is the number of pivot rankings per shard; more
-	// pivots prune better but cost more per insert and query.
+	// PivotsPerShard caps the pivot rankings each shard chooses in the
+	// background. Queries do not read them, so it affects no result and
+	// no query cost.
 	PivotsPerShard int
 	// Seed drives pivot selection. The default of 0 is fine.
 	Seed int64
