@@ -3,8 +3,7 @@
 // HTTP/JSON API. Where cmd/rankjoin and cmd/ranksearch answer offline
 // batch questions, rankserved holds a live dataset that absorbs
 // Insert/Delete traffic and answers range/kNN queries from the query's
-// own posting lists, with request coalescing and an epoch-invalidated
-// query cache.
+// own posting lists, behind an epoch-invalidated query cache.
 //
 // Usage:
 //
@@ -84,7 +83,6 @@ func main() {
 		pivots      = flag.Int("pivots", 8, "pivots per shard")
 		seed        = flag.Int64("seed", 1, "pivot-selection seed")
 		cacheSize   = flag.Int("cache", 1024, "query-cache entries (negative disables)")
-		maxBatch    = flag.Int("max-batch", 64, "max coalesced searches per shard sweep")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-request deadline")
 		debugAddr   = flag.String("debug-addr", "", "serve expvar+pprof on this address")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
@@ -255,7 +253,6 @@ func main() {
 	srv := server.New(server.Config{
 		Index:            idx,
 		CacheSize:        *cacheSize,
-		MaxBatch:         *maxBatch,
 		RequestTimeout:   *timeout,
 		Logger:           logger,
 		TraceSampleEvery: *traceSample,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -71,7 +72,7 @@ func (c *queryCache) get(key string, epochs []uint64) ([]shard.Neighbor, bool) {
 	el, ok := c.m[key]
 	if ok {
 		e := el.Value.(*cacheEntry)
-		if epochsEqual(e.epochs, epochs) {
+		if slices.Equal(e.epochs, epochs) {
 			c.ll.MoveToFront(el)
 			hits := e.hits
 			c.mu.Unlock()
@@ -132,16 +133,4 @@ func (c *queryCache) stats() (hits, misses int64) {
 		return 0, 0
 	}
 	return c.hits.Load(), c.misses.Load()
-}
-
-func epochsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -20,7 +20,7 @@ var (
 
 func sharedFuzzServer() *Server {
 	fuzzOnce.Do(func() {
-		fuzzSrv = New(Config{CacheSize: 64, MaxBatch: 8})
+		fuzzSrv = New(Config{CacheSize: 64})
 		for _, r := range []*rankings.Ranking{
 			rankings.MustNew(1, []rankings.Item{1, 2, 3, 4, 5}),
 			rankings.MustNew(2, []rankings.Item{5, 4, 3, 2, 1}),
@@ -35,8 +35,8 @@ func sharedFuzzServer() *Server {
 
 // FuzzAPI throws arbitrary bodies at every mutating/query endpoint: the
 // daemon must neither panic nor answer 5xx to malformed input (the only
-// 5xx the API can emit are shutdown and deadline, neither of which a
-// body can cause).
+// 5xx the API can emit are a deadline and a failed peer, neither of
+// which a body can cause).
 func FuzzAPI(f *testing.F) {
 	seeds := []string{
 		`{"items":[1,2,3,4,5],"theta":0.2}`,

@@ -59,13 +59,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
 	m.Metric("rankserved_cache_capacity", "gauge", "Query-cache capacity.")
 	m.Int("rankserved_cache_capacity", int64(s.cache.capacity()))
 
-	// --- request coalescer ---
-	m.Metric("rankserved_sweeps_total", "counter", "Coalesced shard sweeps dispatched.")
-	m.Int("rankserved_sweeps_total", s.batch.sweeps.Load())
-	m.Metric("rankserved_coalesced_requests_total", "counter", "Requests answered in a batch of size > 1.")
-	m.Int("rankserved_coalesced_requests_total", s.batch.coalesced.Load())
-	m.Metric("rankserved_batch_size", "histogram", "Requests answered per sweep.")
-	m.Histogram("rankserved_batch_size", s.batch.batchSizes.Snapshot(), 1)
+	m.Metric("rankserved_sweeps_total", "counter", "Local shard sweeps, one per query-cache miss.")
+	m.Int("rankserved_sweeps_total", s.sweeps.Load())
 
 	// --- filter ledger (conservation: generated = sum of fates) ---
 	f := s.idx.Filters().Snapshot()

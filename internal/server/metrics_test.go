@@ -424,10 +424,6 @@ func TestMetricsExposition(t *testing.T) {
 	if got := mustFind("rankserved_sweeps_total", nil); got < 1 {
 		t.Errorf("sweeps_total = %v, want >= 1", got)
 	}
-	mustFind("rankserved_coalesced_requests_total", nil)
-	if got := mustFind("rankserved_batch_size_count", nil); got < 1 {
-		t.Errorf("batch_size_count = %v, want >= 1", got)
-	}
 	mustFind("rankserved_uptime_seconds", nil)
 	mustFind("rankserved_index_k", nil)
 	if got := mustFind("rankserved_index_size", nil); got != float64(len(rs)) {

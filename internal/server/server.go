@@ -3,15 +3,13 @@
 // offline batch joins. One Server owns an index and layers the serving
 // concerns on top of it:
 //
-//   - request coalescing: concurrent /v1/search and /v1/knn requests
-//     that arrive while a sweep is running are answered by the next
-//     sweep together (internal/server/batch.go), so each shard is
-//     locked and scanned once per batch;
 //   - an LRU query cache whose entries are tagged with the per-shard
 //     epoch vector, so any Insert/Delete invalidates affected results
-//     implicitly (internal/server/cache.go);
-//   - per-request deadlines (503/504 instead of piling up), bounded
-//     request bodies, and graceful shutdown through Close;
+//     implicitly (internal/server/cache.go); a miss sweeps the shards
+//     on the request's own goroutine, so concurrent misses sweep
+//     concurrently;
+//   - per-request deadlines (504 instead of piling up) and bounded
+//     request bodies;
 //   - telemetry (internal/server/telemetry.go, metrics.go): every
 //     request carries an X-Request-ID (honored or minted, echoed on
 //     the response); every Nth request per endpoint is head-sampled
@@ -65,8 +63,6 @@ type Config struct {
 	// CacheSize is the LRU query-cache capacity in entries (0 = 1024,
 	// negative disables caching).
 	CacheSize int
-	// MaxBatch caps how many queued searches one sweep answers (0 = 64).
-	MaxBatch int
 	// RequestTimeout bounds each request (0 = 5s).
 	RequestTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (0 = 16 MiB).
@@ -115,7 +111,7 @@ type Server struct {
 	// of minting their own.
 	baseCtx  context.Context
 	cache    *queryCache
-	batch    *batcher
+	sweeps   atomic.Int64 // local shard sweeps, one per cache miss
 	timeout  time.Duration
 	maxBody  int64
 	start    time.Time
@@ -241,7 +237,6 @@ func New(cfg Config) *Server {
 		wal:         cfg.WAL,
 		replica:     cfg.Replica,
 	}
-	s.batch = newBatcher(idx, cfg.MaxBatch)
 	idx.SetRePivotHook(func(e shard.RePivotEvent) {
 		s.rePivotTotal.Add(1)
 		s.rePivotDur.Observe(e.Dur.Microseconds())
@@ -284,8 +279,10 @@ func (s *Server) Index() *shard.Index { return s.idx }
 // Handler returns the root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close stops the request batcher and the telemetry window loop;
-// in-flight requests receive errors.
+// Close stops the telemetry window loop and uninstalls the re-pivot
+// hook. Requests run on their callers' goroutines, so Close has none to
+// stop: a handler still running after it still answers from the index.
+// Stop the HTTP server first to drain them.
 func (s *Server) Close() {
 	s.idx.SetRePivotHook(nil)
 	if s.winStop != nil {
@@ -293,7 +290,6 @@ func (s *Server) Close() {
 		<-s.winDone
 		s.winStop = nil
 	}
-	s.batch.close()
 }
 
 // route registers an instrumented handler: method check, body bound,
@@ -380,8 +376,6 @@ func statusOf(err error) int {
 		return http.StatusBadGateway // whatever the legs died of, deadlines included
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, errServerClosed):
-		return http.StatusServiceUnavailable
 	case errors.Is(err, errReadOnly):
 		return http.StatusForbidden
 	case errors.Is(err, shard.ErrKMismatch), errors.Is(err, shard.ErrNilRanking),
@@ -565,12 +559,14 @@ func (s *Server) search(ctx context.Context, w http.ResponseWriter, q shard.Quer
 
 // localSearch is the only place a peer answers a query from its own
 // index — the local leg of a scatter and the peer-local endpoint alike:
-// the epoch-tagged cache, then the batcher. The cache sits under the
-// scatter because that is the one position correct for every ring size:
-// an entry is keyed by this peer's epochs and holds this peer's leg, so
-// no mutation on another peer can make it stale. A head-sampled
-// request's span rides the context into the batcher, where the sweep
-// that answers it records its shard tasks as children.
+// the epoch-tagged cache, then a sweep on the caller's goroutine. The
+// cache sits under the scatter because that is the one position correct
+// for every ring size: an entry is keyed by this peer's epochs and holds
+// this peer's leg, so no mutation on another peer can make it stale.
+// A sweep holds one shard's read lock at a time, so concurrent misses
+// sweep side by side, each on an arena drawn from the index's pool. A
+// head-sampled request's span rides the context in, and the sweep
+// records its shard tasks under it.
 func (s *Server) localSearch(ctx context.Context, q shard.Query) (hits []shard.Neighbor, cached bool, err error) {
 	if s.idx.K() == 0 {
 		return nil, false, nil // nothing indexed yet, so no k to sweep at
@@ -581,15 +577,20 @@ func (s *Server) localSearch(ctx context.Context, q shard.Query) (hits []shard.N
 	}
 	key := cacheKey(kind, q.R, param, q.Exclude)
 	epochs := s.idx.Epochs()
+	root := ctxSpan(ctx)
 	if hits, ok := s.cache.get(key, epochs); ok {
-		ctxSpan(ctx).SetAttr("cache", "hit")
+		root.SetAttr("cache", "hit")
 		return hits, true, nil
 	}
-	if hits, err = s.batch.do(ctx, q, ctxSpan(ctx)); err != nil {
+	sweep := root.StartChild("serve/sweep")
+	res, err := s.idx.SearchBatch([]shard.Query{q}, sweep)
+	sweep.End()
+	if err != nil {
 		return nil, false, err
 	}
-	s.cache.put(key, epochs, hits)
-	return hits, false, nil
+	s.sweeps.Add(1)
+	s.cache.put(key, epochs, res[0])
+	return res[0], false, nil
 }
 
 func nonNil(ns []shard.Neighbor) []shard.Neighbor {
@@ -812,14 +813,14 @@ type CacheStatus struct {
 	Capacity int     `json:"capacity"`
 }
 
-// BatchStatus summarizes request coalescing.
+// BatchStatus counts the local shard sweeps, one per cache miss. No
+// sweep answers more than one request, so MeanSize reads 1 once a sweep
+// has run and Coalesced reads 0; those two fields are kept only because
+// the benchmark harness (benchmark/layers.go) reads them.
 type BatchStatus struct {
 	Sweeps    int64   `json:"sweeps"`
 	Coalesced int64   `json:"coalesced_requests"`
-	MaxBatch  int     `json:"max_batch"`
 	MeanSize  float64 `json:"mean_size"`
-	P50Size   int64   `json:"p50_size"`
-	MaxSize   int64   `json:"max_size"`
 }
 
 // EndpointStatus summarizes one endpoint's cumulative traffic.
@@ -882,7 +883,11 @@ func (s *Server) Status() Status {
 	if total := hits + misses; total > 0 {
 		hitRatio = float64(hits) / float64(total)
 	}
-	batchSnap := s.batch.batchSizes.Snapshot()
+	sweeps := s.sweeps.Load()
+	meanSize := 0.0
+	if sweeps > 0 {
+		meanSize = 1
+	}
 	rpSnap := s.rePivotDur.Snapshot()
 	st := Status{
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -895,14 +900,7 @@ func (s *Server) Status() Status {
 			Hits: hits, Misses: misses, HitRatio: hitRatio,
 			Entries: s.cache.len(), Capacity: s.cache.capacity(),
 		},
-		Batch: BatchStatus{
-			Sweeps:    s.batch.sweeps.Load(),
-			Coalesced: s.batch.coalesced.Load(),
-			MaxBatch:  s.batch.maxBatch,
-			MeanSize:  batchSnap.Mean(),
-			P50Size:   batchSnap.Quantile(0.50),
-			MaxSize:   batchSnap.Max,
-		},
+		Batch: BatchStatus{Sweeps: sweeps, MeanSize: meanSize},
 		RePivots: RePivotStatus{
 			Events: s.rePivotTotal.Load(),
 			P50us:  rpSnap.Quantile(0.50),

@@ -392,7 +392,7 @@ func TestRingOfOneIsTheSingleNode(t *testing.T) {
 // traffic (the -race target for the serving layer) and verifies the
 // quiesced state serves brute-force-correct results.
 func TestConcurrentServe(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBatch: 16})
+	s, ts := newTestServer(t, Config{})
 	rng := rand.New(rand.NewSource(51))
 	base := testutil.RandDataset(rng, 100, 6, 60)
 	insertRankings(t, ts.URL, base)

@@ -24,7 +24,7 @@ const (
 )
 
 // spanKey carries a head-sampled request's root span through the
-// request context down to the batcher and the mutating handlers.
+// request context down to the local sweep and the mutating handlers.
 type spanKey struct{}
 
 // ctxSpan returns the request's root span, or nil when the request is

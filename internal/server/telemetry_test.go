@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -343,11 +344,20 @@ func TestTelemetryUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestUnsampledSweepAllocationFree pins the tentpole's zero-overhead
-// contract at the batcher: a sweep with no head-sampled caller in the
-// batch creates no span, no tracer, and — once the arena is warm and
-// the queries hit nothing — allocates nothing at all.
-func TestUnsampledSweepAllocationFree(t *testing.T) {
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestLocalSearchMissAllocs pins what an unsampled cache miss allocates
+// around the sweep, which shard.TestQueriesAllocationFree holds at 0:
+// the cache key, the epoch vector, the one-query slice, the result list
+// and, when there are hits, their copy out of the pooled arena. With the
+// cache disabled every call is a miss. Handing each miss to a dispatcher
+// goroutine, as the server did before, cost one more: 6 allocs/op
+// without hits and 7 with three.
+func TestLocalSearchMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts over a sync.Pool are random under -race")
+	}
 	rng := rand.New(rand.NewSource(84))
 	const k = 8
 	// Keep shards below the re-pivot threshold so no background rebuild
@@ -359,39 +369,34 @@ func TestUnsampledSweepAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := newBatcher(idx, 8)
-	defer b.close()
+	s := New(Config{Index: idx, CacheSize: -1, WindowInterval: -1})
+	defer s.Close()
 
-	// A query disjoint from the dataset at distance 0: the sweep runs end
-	// to end but emits no hits, so the response copy is nil and the whole
-	// run is arena-only.
+	// A random query has no exact match, so at distance 0 the sweep runs
+	// end to end and emits nothing.
 	q, err := rankings.New(shard.NoExclude, testutil.RandRanking(rng, 0, k, 40).Items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Index()
-	calls := make([]*searchCall, 4)
-	for i := range calls {
-		calls[i] = &searchCall{
-			q:    shard.Query{R: q, MaxDist: 0, Exclude: shard.NoExclude},
-			resp: make(chan searchResult, 1),
-		}
-	}
-	run := func() {
-		b.run(calls)
-		for _, c := range calls {
-			r := <-c.resp
-			if r.err != nil {
-				t.Fatal(r.err)
-			}
-			if r.hits != nil {
-				t.Fatalf("expected no hits, got %v", r.hits)
+	for _, c := range []struct {
+		name   string
+		q      shard.Query
+		hits   int
+		allocs float64
+	}{
+		{"no-hit search", shard.Query{R: q, MaxDist: 0, Exclude: shard.NoExclude}, 0, 5},
+		{"3-hit kNN", shard.Query{R: rs[0], KNN: 3, Exclude: shard.NoExclude}, 3, 6},
+	} {
+		run := func() {
+			hits, cached, err := s.localSearch(context.Background(), c.q)
+			if err != nil || cached || len(hits) != c.hits {
+				t.Fatalf("%s: %d hits, cached %v, err %v; want %d fresh hits", c.name, len(hits), cached, err, c.hits)
 			}
 		}
-	}
-	run() // warm the arena to this batch shape
-	if avg := testing.AllocsPerRun(100, run); avg != 0 {
-		t.Errorf("unsampled sweep: %.2f allocs/op in steady state, want 0; find it with: go build -gcflags=-m ./internal/server 2>&1 | grep -E 'escapes|moved to heap'", avg)
+		run() // warm the pooled arena to this query's shape
+		if avg := testing.AllocsPerRun(100, run); avg > c.allocs {
+			t.Errorf("%s: %.0f allocs/op, want <= %.0f; find it with: go build -gcflags=-m ./internal/server 2>&1 | grep -E 'escapes|moved to heap'", c.name, avg, c.allocs)
+		}
 	}
 }
 

@@ -50,9 +50,10 @@ type Batch struct {
 }
 
 // NewBatch creates an execution arena for queries against x. The Batch
-// is cheap to keep for the life of the index (the server's request
-// batcher owns exactly one); short-lived callers can instead use the
-// Index's Search/KNN/SearchBatch, which draw Batches from a pool.
+// is cheap to keep for the life of the index (the differential checker
+// and the benchmark each hold one); concurrent callers, the server's
+// request goroutines among them, use the Index's Search/KNN/SearchBatch
+// instead, which draw Batches from a pool.
 func (x *Index) NewBatch() *Batch {
 	b := &Batch{x: x, so: make([]shardOut, len(x.shards))}
 	b.funcs = make([]func(), len(x.shards))

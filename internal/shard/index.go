@@ -331,8 +331,8 @@ func (x *Index) KNN(q *rankings.Ranking, n int, exclude int64) ([]Neighbor, erro
 // SearchBatch answers a batch of queries in one fan-out sweep: every
 // shard is visited exactly once (one RLock, all queries), shards run
 // concurrently, and per-shard partial results are merged per query.
-// The span, when non-nil, receives one task child per shard. This is
-// the coalescing primitive the server's request batcher drives.
+// The span, when non-nil, receives one task child per shard. The
+// server answers each query-cache miss through a one-query call.
 //
 // The returned slices are private to the caller (copied out of the
 // pooled execution arena); callers that issue many queries and can
