@@ -10,9 +10,10 @@ import (
 // partitioning threshold δ for a dataset and join threshold: the
 // expected posting-list length under the fitted Zipf skew of the prefix
 // vocabulary, scaled up so only genuinely skew-inflated lists split.
-// It runs the planner an auto-δ CL-P join runs inside its ordering
-// phase (stats.PlanDelta), on the same counts and order, so it returns
-// exactly the δ such a join uses.
+// It renumbers the rankings by the canonical order and runs the
+// planner an auto-δ CL-P join runs inside its ordering phase
+// (stats.PlanDelta) on the same counts and renumbered rankings, so it
+// returns exactly the δ such a join uses.
 //
 // The dataset must be uniform-length (ErrMixedLengths otherwise): the
 // estimate keys off the prefix size for rs[0]'s k, and a mixed-length
@@ -27,7 +28,12 @@ func SuggestDelta(rs []*Ranking, theta float64) (int, error) {
 		return 0, err
 	}
 	counts := rankings.ItemCounts(rs)
+	ord := rankings.NewOrder(counts)
+	renumbered := make([]*rankings.Ranking, len(rs))
+	for i, r := range rs {
+		renumbered[i] = ord.Renumber(r)
+	}
 	prefix := filters.PrefixOverlap(rankings.Threshold(theta, k), k)
-	delta, _ := stats.PlanDelta(rs, counts, rankings.NewOrder(counts), prefix)
+	delta, _ := stats.PlanDelta(renumbered, counts, prefix)
 	return delta, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rankjoin/internal/filters"
@@ -80,8 +81,9 @@ type Member struct {
 
 // Join runs the full CL (or CL-P when Delta != 0) pipeline of Figure 2:
 //
-//	Ordering   — one global frequency ordering, computed once (and,
-//	             for AutoDelta, δ planned from the same counts);
+//	Ordering   — one global frequency ordering, computed once, and
+//	             every ranking renumbered by it (and, for AutoDelta,
+//	             δ planned from the same counts);
 //	Clustering — a VJ run at θc; pairs grouped by their smaller id form
 //	             equal-radius clusters (centroid = smaller id);
 //	Joining    — a VJ-style run over C = Cm ∪ Cs at θ+2θc, tightened
@@ -104,7 +106,6 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	}
 	t := newThresholds(opts.Theta, opts.ThetaC, k)
 
-	rankings.IndexAll(rs)
 	byID := make(map[int64]*rankings.Ranking, len(rs))
 	for _, r := range rs {
 		if dup, exists := byID[r.ID]; exists {
@@ -112,9 +113,6 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 		}
 		byID[r.ID] = r
 	}
-	dict := flow.NewBroadcast(ctx, byID)
-
-	ds := flow.Parallelize(ctx, rs, opts.Partitions).Cache()
 
 	// The four phases of Figure 2 run sequentially on the driver; each
 	// one is a tracer scope, so shuffles and tasks it forces nest under
@@ -122,23 +120,31 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	tr := ctx.Tracer()
 
 	// Phase 1: Ordering — one canonical frequency order for both VJ
-	// runs (§5 "Ordering").
+	// runs (§5 "Ordering"), applied once: every later phase, the
+	// expansion's dictionary included, sees the renumbered rankings.
 	phaseStart := time.Now()
 	orderSpan := tr.StartScope("cl/ordering")
 	// Every phase span is deferred in addition to the explicit End on
 	// the success path (End is idempotent): an error return mid-phase
 	// must not leak an open scope, or obs.Validate rejects the trace.
 	defer orderSpan.End()
-	ord, counts, err := vj.ComputeOrder(ds, opts.Partitions)
+	ord, counts, err := vj.ComputeOrder(flow.Parallelize(ctx, rs, opts.Partitions), opts.Partitions)
 	if err != nil {
 		return nil, err
 	}
+	rs = slices.Clone(rs) // the caller's slice and rankings stay as given
+	for i, r := range rs {
+		rs[i] = ord.Renumber(r)
+		byID[r.ID] = rs[i]
+	}
+	dict := flow.NewBroadcast(ctx, byID)
+	ds := flow.Parallelize(ctx, rs, opts.Partitions).Cache()
 	if opts.Delta < 0 {
 		// The counts were all-gathered, so every SPMD worker plans the
 		// identical δ. The prefix is the one for θ, as SuggestDelta
 		// documents, not the joining phase's looser θ+2θc prefixes.
 		var predicted float64
-		opts.Delta, predicted = stats.PlanDelta(rs, counts, ord, filters.PrefixOverlap(t.f, k))
+		opts.Delta, predicted = stats.PlanDelta(rs, counts, filters.PrefixOverlap(t.f, k))
 		if opts.Stats != nil {
 			opts.Stats.PredictedListLen = predicted
 		}
@@ -152,7 +158,7 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 		opts.Stats.OrderingTime = time.Since(phaseStart)
 	}
 
-	// Phase 2: Clustering — VJ at θc over the pre-ordered dataset, with
+	// Phase 2: Clustering — VJ at θc over the renumbered dataset, with
 	// the per-partition index kernel this phase has always run, and no
 	// repartitioning — θc is small, so clustering prefixes and posting
 	// lists stay short. The paper's CL clusters with iterators (§4.1),
@@ -162,11 +168,11 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	clusterSpan := tr.StartScope("cl/clustering")
 	defer clusterSpan.End()
 	clusterPairsDS, err := vj.JoinDataset(ds, rs, vj.Options{
-		Theta:      opts.ThetaC,
-		Variant:    vj.IndexJoin,
-		Partitions: opts.Partitions,
-		Order:      ord,
-		Stats:      statsClustering(opts.Stats),
+		Theta:       opts.ThetaC,
+		Variant:     vj.IndexJoin,
+		Partitions:  opts.Partitions,
+		SkipReorder: true, // renumbered above
+		Stats:       statsClustering(opts.Stats),
 	})
 	if err != nil {
 		return nil, err
@@ -242,7 +248,6 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	phaseStart = time.Now()
 	joinSpan := tr.StartScope("cl/joining")
 	defer joinSpan.End()
-	ordB := flow.NewBroadcast(ctx, ord)
 	// The centroid kernels are nested loops, so the catch-all group
 	// (needed when θ+2θc admits zero-overlap centroid pairs) is handled
 	// completely.
@@ -252,7 +257,7 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 		if opts.UniformJoinThreshold {
 			p = t.prefixM
 		}
-		return vj.PrefixTokens(ordB.Value(), c.R, p, catchAll)
+		return vj.PrefixTokens(c.R, p, catchAll)
 	}, opts.Partitions)
 	joinStats := statsJoining(opts.Stats)
 	cpairsRaw := vj.JoinTokenGroups(groups, vj.GroupJoinOptions[*Centroid, CPair]{

@@ -60,13 +60,15 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	if err != nil {
 		return nil, err
 	}
-	ordB := flow.NewBroadcast(ctx, ord)
+	// Renumbered items are canonical positions 0..vocab-1, so a
+	// segment is a contiguous run of item ids.
+	ds = flow.Map(ds, ord.Renumber)
 	vocab := ord.Len()
 	if vocab < segments {
 		segments = vocab
 	}
 	segOf := func(item rankings.Item) int {
-		return int(int64(ordB.Value().Rank(item)) * int64(segments) / int64(vocab))
+		return int(int64(item) * int64(segments) / int64(vocab))
 	}
 	// Degenerate regime: zero-overlap result pairs (see
 	// rankings.CatchAllItem) go to an extra segment holding everything.
@@ -108,7 +110,7 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 				// common item — FS-Join's no-duplicates property. Pairs
 				// with no common item belong to the catch-all segment.
 				home := segments
-				if it := ordB.Value().MinCommon(a, b, k); it != rankings.CatchAllItem {
+				if it := rankings.MinCommon(a, b, k); it != rankings.CatchAllItem {
 					home = segOf(it)
 				}
 				if home != g.K {

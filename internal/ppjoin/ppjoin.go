@@ -60,17 +60,18 @@ func NestedLoop(rs []*rankings.Ranking, maxDist int, d *obs.FilterDelta) []ranki
 	return out
 }
 
-// PrefixIndex joins a partition PPJoin-style: the canonical prefixes of
-// all rankings are indexed with an inverted index; only pairs sharing a
-// prefix item become candidates, pruned item-by-item with the position
-// filter while scanning posting lists, then resolved. This mirrors the
+// PrefixIndex joins a partition PPJoin-style: the prefixes of all
+// rankings (rankings.Ranking.Prefix) are indexed with an inverted
+// index; only pairs sharing a prefix item become candidates, pruned
+// item-by-item with the position filter while scanning posting lists,
+// then resolved. This mirrors the
 // in-memory join Vernica et al. run inside each reducer, including the
 // memory profile the paper criticizes in §4.1: the whole partition is
 // indexed before any pair is emitted.
 //
-// prefix is the number of canonical-prefix items to index (derived by
-// the caller from maxDist via filters.PrefixOverlap).
-func PrefixIndex(rs []*rankings.Ranking, ord *rankings.Order, prefix, maxDist int, d *obs.FilterDelta) []rankings.Pair {
+// prefix is the number of prefix items to index (derived by the caller
+// from maxDist via filters.PrefixOverlap). The rankings must be indexed.
+func PrefixIndex(rs []*rankings.Ranking, prefix, maxDist int, d *obs.FilterDelta) []rankings.Pair {
 	// Posting list entry: ranking index plus the item's original rank,
 	// so the position filter applies without a Pos lookup.
 	type posting struct {
@@ -81,8 +82,9 @@ func PrefixIndex(rs []*rankings.Ranking, ord *rankings.Order, prefix, maxDist in
 	seen := make(map[[2]int64]struct{})
 	var out []rankings.Pair
 	for i, r := range rs {
-		for _, it := range ord.Prefix(r, prefix) {
-			rank, _ := r.Pos(it)
+		items, ranks := r.Prefix(prefix)
+		for j, it := range items {
+			rank := ranks[j]
 			for _, p := range index[it] {
 				other := rs[p.idx]
 				if other.ID == r.ID {

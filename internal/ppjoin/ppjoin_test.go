@@ -29,9 +29,8 @@ func TestKernelsAgreeWithBruteForce(t *testing.T) {
 			t.Fatalf("NestedLoop trial %d (k=%d F=%d): extra %v missing %v", trial, k, maxDist, a, b)
 		}
 
-		ord := rankings.NewOrder(rankings.ItemCounts(rs))
 		prefix := filters.PrefixOverlap(maxDist, k)
-		if got := ppjoin.PrefixIndex(rs, ord, prefix, maxDist, new(obs.FilterDelta)); !rankings.SamePairs(got, want) {
+		if got := ppjoin.PrefixIndex(testutil.Renumber(rs), prefix, maxDist, new(obs.FilterDelta)); !rankings.SamePairs(got, want) {
 			a, b := rankings.DiffPairs(got, want)
 			t.Fatalf("PrefixIndex trial %d (k=%d F=%d p=%d): extra %v missing %v",
 				trial, k, maxDist, prefix, a, b)
@@ -51,9 +50,8 @@ func TestClusteredDatasets(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("clustered dataset produced no close pairs — generator broken")
 		}
-		ord := rankings.NewOrder(rankings.ItemCounts(rs))
 		prefix := filters.PrefixOverlap(maxDist, k)
-		if got := ppjoin.PrefixIndex(rs, ord, prefix, maxDist, new(obs.FilterDelta)); !rankings.SamePairs(got, want) {
+		if got := ppjoin.PrefixIndex(testutil.Renumber(rs), prefix, maxDist, new(obs.FilterDelta)); !rankings.SamePairs(got, want) {
 			t.Fatalf("PrefixIndex diverges on clustered data (trial %d)", trial)
 		}
 		if got := ppjoin.NestedLoop(rs, maxDist, new(obs.FilterDelta)); !rankings.SamePairs(got, want) {
@@ -120,9 +118,8 @@ func TestStatsAccounting(t *testing.T) {
 	// The prefix index must generate no more candidates than the
 	// nested loop examines.
 	var ip obs.FilterDelta
-	ord := rankings.NewOrder(rankings.ItemCounts(rs))
 	prefix := filters.PrefixOverlap(maxDist, 8)
-	ppjoin.PrefixIndex(rs, ord, prefix, maxDist, &ip)
+	ppjoin.PrefixIndex(testutil.Renumber(rs), prefix, maxDist, &ip)
 	if ip.Generated > st.Generated {
 		t.Errorf("prefix index candidates %d exceed nested loop %d", ip.Generated, st.Generated)
 	}
@@ -139,8 +136,7 @@ func TestEmptyAndSingleInputs(t *testing.T) {
 	if got := ppjoin.NestedLoop(one, 10, new(obs.FilterDelta)); len(got) != 0 {
 		t.Error("nested loop on single ranking")
 	}
-	ord := rankings.NewOrder(rankings.ItemCounts(one))
-	if got := ppjoin.PrefixIndex(one, ord, 1, 10, new(obs.FilterDelta)); len(got) != 0 {
+	if got := ppjoin.PrefixIndex(testutil.Renumber(one), 1, 10, new(obs.FilterDelta)); len(got) != 0 {
 		t.Error("prefix index on single ranking")
 	}
 }

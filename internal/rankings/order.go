@@ -6,8 +6,15 @@ import "sort"
 // the VJ adaptation (§4) and the CL pipeline's Ordering phase (§5) rely
 // on: items are sorted by increasing frequency of appearance across the
 // dataset, so that rare items land in ranking prefixes and posting
-// lists stay short. The rankings themselves keep their original rank
-// order — the canonical order only decides which items form the prefix.
+// lists stay short.
+//
+// The ordering phase applies the order once per job by renumbering:
+// every item is replaced by its canonical position. Footrule distances
+// are invariant under a bijection of items and no join result exposes
+// an item, so the joins run on the renumbered copies unchanged — and
+// on those, ascending item id *is* the canonical order. A prefix is
+// then a slice of the ranking's own sorted position index (Prefix),
+// read as plain data by every kernel.
 
 // ItemCounts tallies how often each item appears across the dataset.
 func ItemCounts(rs []*Ranking) map[Item]int64 {
@@ -20,9 +27,8 @@ func ItemCounts(rs []*Ranking) map[Item]int64 {
 	return counts
 }
 
-// Order is a global canonical ordering of items. Smaller order value
-// means rarer item (ties broken by item id), i.e. earlier in the
-// canonical sort used for prefix filtering.
+// Order is a global canonical ordering of items: ascending frequency,
+// ties broken by ascending item id.
 type Order struct {
 	rank map[Item]int32
 }
@@ -51,74 +57,50 @@ func NewOrder(counts map[Item]int64) *Order {
 // Len returns the number of distinct items in the ordering.
 func (o *Order) Len() int { return len(o.rank) }
 
-// Rank returns the canonical position of item. Items unknown to the
-// ordering (possible when the ordering was built on a different
-// dataset) sort last, by item id.
-func (o *Order) Rank(item Item) int32 {
-	if r, ok := o.rank[item]; ok {
-		return r
+// Renumber returns an indexed copy of r whose every item is replaced by
+// its canonical position, so that the copy's Prefix is r's rarest items
+// and MinCommon picks the canonically smallest shared one. The copy
+// keeps r's id and rank order; r is unchanged. Its signature is
+// computed from the new items, as DecodeWire and GobDecode recompute
+// it, so a copy that crosses the wire compares with one that did not.
+//
+// The order must have counted every item of r: it is built from the
+// very rankings it renumbers. Renumber panics otherwise.
+func (o *Order) Renumber(r *Ranking) *Ranking {
+	k := len(r.Items)
+	// One backing array for Items, idxItems and idxRanks (Item is
+	// int32): the copy costs this and the Ranking itself.
+	buf := make([]Item, 3*k)
+	items, idx, ranks := buf[:k:k], buf[k:2*k:2*k], buf[2*k:]
+	for i, it := range r.Items {
+		rank, ok := o.rank[it]
+		if !ok {
+			panic("rankings: Renumber: item not in the order")
+		}
+		items[i] = rank
 	}
-	return int32(len(o.rank)) + item
+	c := &Ranking{ID: r.ID, Items: items}
+	c.index(idx, ranks)
+	return c
 }
 
-// Canonical returns r's items sorted by the canonical order: rarest
-// item first. The returned slice is freshly allocated; r is unchanged.
-func (o *Order) Canonical(r *Ranking) []Item {
-	items := make([]Item, len(r.Items))
-	copy(items, r.Items)
-	sort.Slice(items, func(i, j int) bool {
-		return o.Rank(items[i]) < o.Rank(items[j])
-	})
-	return items
-}
-
-// Prefix returns the first p items of r in canonical order (all items
-// when p ≥ k). These are the items indexed by prefix filtering.
-func (o *Order) Prefix(r *Ranking, p int) []Item {
-	c := o.Canonical(r)
-	if p >= len(c) {
-		return c
-	}
-	return c[:p]
-}
-
-// MinCommon returns the canonically smallest item a and b share within
-// the first p canonical items of each, or CatchAllItem when those
-// prefixes are disjoint — the one group a duplicate-free pipeline
-// emits the pair in. p ≥ k compares whole rankings.
-func (o *Order) MinCommon(a, b *Ranking, p int) Item {
-	best, bestRank := CatchAllItem, int32(-1)
-	for _, it := range a.Items {
-		if b.Contains(it) {
-			if r := o.Rank(it); bestRank < 0 || r < bestRank {
-				best, bestRank = it, r
-			}
+// MinCommon returns the smallest item a and b share within their
+// p-prefixes (see Prefix), or CatchAllItem when those prefixes are
+// disjoint — the one group a duplicate-free pipeline emits the pair
+// in. Both rankings must be indexed; p ≥ k compares whole rankings.
+// On renumbered rankings the smallest item is the canonically rarest.
+func MinCommon(a, b *Ranking, p int) Item {
+	pa, _ := a.Prefix(p)
+	pb, _ := b.Prefix(p)
+	for i, j := 0, 0; i < len(pa) && j < len(pb); {
+		switch {
+		case pa[i] < pb[j]:
+			i++
+		case pa[i] > pb[j]:
+			j++
+		default:
+			return pa[i]
 		}
 	}
-	// If the prefixes share any item they share the smallest common
-	// one (everything canonically before a prefix item is in the
-	// prefix), so it suffices to place that one item.
-	if bestRank >= 0 && !(o.inPrefix(a, bestRank, p) && o.inPrefix(b, bestRank, p)) {
-		return CatchAllItem
-	}
-	return best
+	return CatchAllItem
 }
-
-// inPrefix reports whether r's item at canonical rank `rank` is among
-// r's first p canonical items.
-func (o *Order) inPrefix(r *Ranking, rank int32, p int) bool {
-	if p >= len(r.Items) {
-		return true
-	}
-	before := 0
-	for _, it := range r.Items {
-		if o.Rank(it) < rank {
-			before++
-		}
-	}
-	return before < p
-}
-
-// IdentityOrder returns an ordering that sorts items by their id,
-// standing in for "no reordering" in the ordering-phase ablation.
-func IdentityOrder() *Order { return &Order{rank: map[Item]int32{}} }

@@ -136,15 +136,19 @@ func (r *Ranking) Index() {
 		return
 	}
 	n := len(r.Items)
-	items := make([]Item, n)
-	ranks := make([]int32, n)
+	r.index(make([]Item, n), make([]int32, n))
+}
+
+// index fills the position index and signature into the two given
+// arrays, each len(r.Items) long.
+func (r *Ranking) index(items []Item, ranks []int32) {
 	copy(items, r.Items)
 	for i := range ranks {
 		ranks[i] = int32(i)
 	}
 	// Tandem insertion sort: for k ≤ 25 this beats sort.Sort's
 	// interface dispatch and allocates nothing beyond the two arrays.
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(items); i++ {
 		it, rk := items[i], ranks[i]
 		j := i - 1
 		for j >= 0 && items[j] > it {
@@ -186,6 +190,21 @@ func (r *Ranking) Pos(item Item) (int32, bool) {
 		}
 	}
 	return 0, false
+}
+
+// Prefix returns the ranking's p smallest items (all of them when
+// p ≥ k), ascending, with ranks[i] the rank of items[i]: the items
+// prefix filtering indexes. On a renumbered ranking (Order.Renumber)
+// they are its p rarest; on a raw one, its p smallest ids — the
+// identity order of the no-reordering ablation. The ranking must be
+// indexed (Prefix panics otherwise). Both slices alias the index:
+// read them, never write them.
+func (r *Ranking) Prefix(p int) (items []Item, ranks []int32) {
+	if r.idxItems == nil {
+		panic("rankings: Prefix of an unindexed ranking")
+	}
+	p = min(p, len(r.idxItems))
+	return r.idxItems[:p:p], r.idxRanks[:p:p]
 }
 
 // Contains reports whether the ranking mentions item.

@@ -5,9 +5,7 @@
 package stats
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sort"
 
 	"rankjoin/internal/rankings"
@@ -48,18 +46,19 @@ func ExpectedPostingListLength(n int, s float64, vPrime int) float64 {
 	return sum
 }
 
-// PlanDelta derives the CL-P partitioning threshold for a dataset from
-// its item frequency counts, the canonical order built from them and
-// the prefix size of the join threshold: Equation 4 under the fitted
-// skew over the prefix vocabulary, times four and floored at 16 so that
-// only genuinely skew-inflated lists are split (the paper warns against
-// very small δ). It is the one planner behind both the public
-// SuggestDelta and the auto-δ CL-P join, which calls it with the counts
-// and order its ordering phase already holds. The Equation 4 estimate
-// is returned with δ so a run can report the prediction next to the
-// lists it actually built.
-func PlanDelta(rs []*rankings.Ranking, counts map[rankings.Item]int64, ord *rankings.Order, prefix int) (delta int, predictedLen float64) {
-	vPrime := PrefixVocabulary(rs, ord, prefix)
+// PlanDelta derives the CL-P partitioning threshold for a dataset —
+// renumbered by the canonical order (rankings.Order.Renumber) — from
+// its item frequency counts and the prefix size of the join threshold:
+// Equation 4 under the fitted skew over the prefix vocabulary, times
+// four and floored at 16 so that only genuinely skew-inflated lists
+// are split (the paper warns against very small δ). It is the one
+// planner behind both the public SuggestDelta and the auto-δ CL-P
+// join, which calls it with the counts and renumbered rankings its
+// ordering phase already holds. The Equation 4 estimate is returned
+// with δ so a run can report the prediction next to the lists it
+// actually built.
+func PlanDelta(rs []*rankings.Ranking, counts map[rankings.Item]int64, prefix int) (delta int, predictedLen float64) {
+	vPrime := PrefixVocabulary(rs, prefix)
 	predictedLen = ExpectedPostingListLength(len(rs)*prefix, EstimateSkew(counts), vPrime)
 	return max(int(4*predictedLen), 16), predictedLen
 }
@@ -97,25 +96,15 @@ func EstimateSkew(counts map[rankings.Item]int64) float64 {
 }
 
 // PrefixVocabulary counts the distinct items that appear within the
-// first p canonical positions of the dataset's rankings — the v' of
-// Equation 4. It sits on the auto-δ join's critical path, so it ranks
-// each item once and sorts the ranks in a reused buffer instead of
-// materializing ord.Prefix per ranking.
-func PrefixVocabulary(rs []*rankings.Ranking, ord *rankings.Order, p int) int {
-	type ranked struct {
-		rank int32
-		item rankings.Item
-	}
+// p-prefixes (rankings.Ranking.Prefix) of the dataset's rankings — the
+// v' of Equation 4 when the rankings are renumbered by the canonical
+// order. The rankings must be indexed.
+func PrefixVocabulary(rs []*rankings.Ranking, p int) int {
 	seen := map[rankings.Item]struct{}{}
-	var buf []ranked
 	for _, r := range rs {
-		buf = buf[:0]
-		for _, it := range r.Items {
-			buf = append(buf, ranked{ord.Rank(it), it})
-		}
-		slices.SortFunc(buf, func(a, b ranked) int { return cmp.Compare(a.rank, b.rank) })
-		for _, e := range buf[:min(p, len(buf))] {
-			seen[e.item] = struct{}{}
+		items, _ := r.Prefix(p)
+		for _, it := range items {
+			seen[it] = struct{}{}
 		}
 	}
 	return len(seen)

@@ -1,13 +1,16 @@
 package stats_test
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"rankjoin/internal/dataset"
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/stats"
+	"rankjoin/internal/testutil"
 )
 
 func TestExpectedPostingListLength(t *testing.T) {
@@ -80,27 +83,32 @@ func TestPlannerScalesLinearly(t *testing.T) {
 }
 
 // TestPlanDeltaAgreesWithItsParts: the plan is exactly Equation 4 over
-// the fitted skew and the prefix vocabulary — the vocabulary being what
-// ord.Prefix enumerates — times four, floored at 16.
+// the fitted skew and the prefix vocabulary — the distinct items among
+// every ranking's `prefix` rarest, ties by id — times four, floored
+// at 16.
 func TestPlanDeltaAgreesWithItsParts(t *testing.T) {
 	rs, err := dataset.Generate(dataset.DBLPLike.Config(1200, 10, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := rankings.ItemCounts(rs)
-	ord := rankings.NewOrder(counts)
+	renumbered := testutil.Renumber(rs)
 	skew := stats.EstimateSkew(counts)
 	for _, prefix := range []int{1, 3, 6, 10, 12} {
 		seen := map[rankings.Item]struct{}{}
 		for _, r := range rs {
-			for _, it := range ord.Prefix(r, prefix) {
+			items := slices.Clone(r.Items)
+			slices.SortFunc(items, func(a, b rankings.Item) int {
+				return cmp.Or(cmp.Compare(counts[a], counts[b]), cmp.Compare(a, b))
+			})
+			for _, it := range items[:min(prefix, len(items))] {
 				seen[it] = struct{}{}
 			}
 		}
-		if got := stats.PrefixVocabulary(rs, ord, prefix); got != len(seen) {
-			t.Errorf("prefix %d: v' = %d, ord.Prefix enumerates %d", prefix, got, len(seen))
+		if got := stats.PrefixVocabulary(renumbered, prefix); got != len(seen) {
+			t.Errorf("prefix %d: v' = %d, the rarest items number %d", prefix, got, len(seen))
 		}
-		delta, predicted := stats.PlanDelta(rs, counts, ord, prefix)
+		delta, predicted := stats.PlanDelta(renumbered, counts, prefix)
 		if want := stats.ExpectedPostingListLength(len(rs)*prefix, skew, len(seen)); predicted != want {
 			t.Errorf("prefix %d: predicted %v, want %v", prefix, predicted, want)
 		}
@@ -108,7 +116,7 @@ func TestPlanDeltaAgreesWithItsParts(t *testing.T) {
 			t.Errorf("prefix %d: delta %d, want %d", prefix, delta, want)
 		}
 	}
-	if delta, _ := stats.PlanDelta(nil, nil, rankings.IdentityOrder(), 1); delta != 16 {
+	if delta, _ := stats.PlanDelta(nil, nil, 1); delta != 16 {
 		t.Errorf("empty dataset plans %d, want the floor 16", delta)
 	}
 }
@@ -167,12 +175,12 @@ func TestPrefixVocabulary(t *testing.T) {
 		rankings.MustNew(0, []rankings.Item{1, 2, 3}),
 		rankings.MustNew(1, []rankings.Item{2, 3, 4}),
 	}
-	ord := rankings.NewOrder(rankings.ItemCounts(rs))
-	if got := stats.PrefixVocabulary(rs, ord, 3); got != 4 {
+	renumbered := testutil.Renumber(rs)
+	if got := stats.PrefixVocabulary(renumbered, 3); got != 4 {
 		t.Errorf("full vocabulary = %d, want 4", got)
 	}
-	v1 := stats.PrefixVocabulary(rs, ord, 1)
-	if v1 < 1 || v1 > 2 {
-		t.Errorf("prefix-1 vocabulary = %d", v1)
+	// Items 1 and 4 are the rarest of their rankings.
+	if got := stats.PrefixVocabulary(renumbered, 1); got != 2 {
+		t.Errorf("prefix-1 vocabulary = %d, want 2", got)
 	}
 }

@@ -190,3 +190,15 @@ func ClusteredDataset(rng *rand.Rand, seeds, perSeed, k, domain int) []*rankings
 	}
 	return out
 }
+
+// Renumber returns copies of rs renumbered by their own frequency
+// order (rankings.Order.Renumber), as a join's ordering phase leaves
+// them: the input of the prefix kernels.
+func Renumber(rs []*rankings.Ranking) []*rankings.Ranking {
+	ord := rankings.NewOrder(rankings.ItemCounts(rs))
+	out := make([]*rankings.Ranking, len(rs))
+	for i, r := range rs {
+		out[i] = ord.Renumber(r)
+	}
+	return out
+}

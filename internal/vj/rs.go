@@ -22,7 +22,8 @@ type tagged struct {
 
 // JoinRS finds all pairs (r ∈ R, s ∈ S) with normalized Footrule
 // distance at most opts.Theta. The canonical item order is computed
-// over the union of both datasets. opts.Variant is ignored (the kernel
+// over the union of both datasets, and both sides are renumbered by it
+// (unless opts.SkipReorder). opts.Variant is ignored (the kernel
 // is always the nested cross loop over the shared filter cascade);
 // opts.Delta and opts.LeastTokenDedup are honored.
 func JoinRS(ctx *flow.Context, r, s []*rankings.Ranking, opts Options) ([]rankings.Pair, error) {
@@ -47,25 +48,28 @@ func JoinRS(ctx *flow.Context, r, s []*rankings.Ranking, opts Options) ([]rankin
 	}
 	ds := flow.Parallelize(ctx, recs, opts.Partitions)
 
-	ord, err := opts.resolveOrderTagged(ds)
-	if err != nil {
-		return nil, err
+	if !opts.SkipReorder {
+		plain := flow.Map(ds, func(t tagged) *rankings.Ranking { return t.R })
+		ord, _, err := ComputeOrder(plain, opts.Partitions)
+		if err != nil {
+			return nil, err
+		}
+		ds = flow.Map(ds, func(t tagged) tagged { return tagged{R: ord.Renumber(t.R), FromR: t.FromR} })
 	}
-	ordB := flow.NewBroadcast(ctx, ord)
 
 	prefix := filters.PrefixOverlap(maxDist, k)
 	// The kernels here are nested cross loops, so the catch-all group
 	// is handled completely.
 	catchAll := filters.MinOverlap(maxDist, k) == 0
 	groups := PrefixGroups(ds, func(t tagged) []rankings.Item {
-		return PrefixTokens(ordB.Value(), t.R, prefix, catchAll)
+		return PrefixTokens(t.R, prefix, catchAll)
 	}, opts.Partitions)
 
 	// emit resolves one (R-side x, S-side y) candidate, tallying its
 	// fate so R-S joins honor the same filter-counter conservation law
 	// as the self-joins.
 	emit := func(item rankings.Item, x, y tagged, d *obs.FilterDelta, out []rankings.Pair) []rankings.Pair {
-		if opts.LeastTokenDedup && ordB.Value().MinCommon(x.R, y.R, prefix) != item {
+		if opts.LeastTokenDedup && rankings.MinCommon(x.R, y.R, prefix) != item {
 			return out
 		}
 		d.Generated++
@@ -137,18 +141,4 @@ func JoinRS(ctx *flow.Context, r, s []*rankings.Ranking, opts Options) ([]rankin
 	}
 	rankings.SortPairs(res)
 	return res, nil
-}
-
-// resolveOrderTagged computes the frequency order over the tagged
-// union dataset (or honors a supplied/identity order).
-func (o Options) resolveOrderTagged(ds *flow.Dataset[tagged]) (*rankings.Order, error) {
-	if o.Order != nil {
-		return o.Order, nil
-	}
-	if o.SkipReorder {
-		return rankings.IdentityOrder(), nil
-	}
-	plain := flow.Map(ds, func(t tagged) *rankings.Ranking { return t.R })
-	ord, _, err := ComputeOrder(plain, o.Partitions)
-	return ord, err
 }

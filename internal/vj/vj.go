@@ -41,13 +41,13 @@ type Options struct {
 	Variant Variant
 	// Partitions is the shuffle partition count (0 = context default).
 	Partitions int
-	// Order, when non-nil, is a precomputed canonical item ordering;
-	// the frequency-counting stage is then skipped. The CL pipeline
-	// uses this to order once and join twice (§5 "Ordering").
-	Order *rankings.Order
-	// SkipReorder disables frequency reordering (identity order) — the
-	// §4 ablation: the paper keeps the reordering stage because skewed
-	// real-world data profits from it.
+	// SkipReorder skips the ordering phase: the rankings are joined as
+	// given, prefixes taken by ascending item id. On rankings already
+	// renumbered by a frequency order (rankings.Order.Renumber) that
+	// is the canonical order — the CL pipeline orders once and joins
+	// twice this way (§5 "Ordering"). On raw rankings it is the §4
+	// ablation: the identity order, which the paper rejects because
+	// skewed real-world data profits from reordering.
 	SkipReorder bool
 	// Delta is the §6 repartitioning threshold δ; 0 disables splitting.
 	Delta int
@@ -73,8 +73,8 @@ func (o Options) validate(rs []*rankings.Ranking) (k int, err error) {
 
 // Join finds all pairs of rankings with normalized Footrule distance at
 // most opts.Theta, using the Vernica-Join adaptation of §4 on the flow
-// engine: frequency ordering (broadcast), prefix emission, grouping by
-// token, per-group kernel join, final deduplication.
+// engine: frequency ordering and renumbering, prefix emission, grouping
+// by token, per-group kernel join, final deduplication.
 func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.Pair, error) {
 	ds := flow.Parallelize(ctx, rs, opts.Partitions)
 	pairs, err := JoinDataset(ds, rs, opts)
@@ -85,8 +85,9 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 }
 
 // JoinDataset is Join without the final collect, for callers composing
-// further stages. rs must be the same records the dataset holds (used
-// for ordering when opts.Order is nil).
+// further stages. rs must be the same records the dataset holds. With
+// opts.SkipReorder those records must be indexed: their prefixes are
+// read from the position index (rankings.Ranking.Prefix).
 func JoinDataset(ds *flow.Dataset[*rankings.Ranking], rs []*rankings.Ranking, opts Options) (*flow.Dataset[rankings.Pair], error) {
 	k, err := opts.validate(rs)
 	if err != nil {
@@ -98,24 +99,26 @@ func JoinDataset(ds *flow.Dataset[*rankings.Ranking], rs []*rankings.Ranking, op
 	}
 	maxDist := rankings.Threshold(opts.Theta, k)
 
-	ord, err := ResolveOrder(ds, opts)
-	if err != nil {
-		return nil, err
+	if !opts.SkipReorder {
+		ord, _, err := ComputeOrder(ds, opts.Partitions)
+		if err != nil {
+			return nil, err
+		}
+		ds = flow.Map(ds, ord.Renumber)
 	}
-	ordB := flow.NewBroadcast(ctx, ord)
 
 	prefix := filters.PrefixOverlap(maxDist, k)
 	catchAll := filters.MinOverlap(maxDist, k) == 0
 	groups := PrefixGroups(ds, func(r *rankings.Ranking) []rankings.Item {
-		return PrefixTokens(ordB.Value(), r, prefix, catchAll)
+		return PrefixTokens(r, prefix, catchAll)
 	}, opts.Partitions)
 
 	pairs := JoinTokenGroups(groups, GroupJoinOptions[*rankings.Ranking, rankings.Pair]{
 		Partitions: opts.Partitions,
 		Delta:      opts.Delta,
 		SubKey:     func(r *rankings.Ranking) int64 { return r.ID },
-		Self:       selfKernel(ordB, ctx.Filters(), prefix, maxDist, opts),
-		Cross:      crossKernel(ordB, ctx.Filters(), prefix, maxDist, opts),
+		Self:       selfKernel(ctx.Filters(), prefix, maxDist, opts),
+		Cross:      crossKernel(ctx.Filters(), prefix, maxDist, opts),
 		Stats:      opts.Stats,
 	})
 
@@ -126,37 +129,24 @@ func JoinDataset(ds *flow.Dataset[*rankings.Ranking], rs []*rankings.Ranking, op
 	return flow.Distinct(pairs, opts.Partitions), nil
 }
 
-// PrefixTokens returns the tokens r is emitted under: its first p
-// canonical items, plus CatchAllItem when catchAll is set. Callers set
-// it in the degenerate regime MinOverlap(maxDist, k) == 0: a threshold
-// that loose admits zero-overlap result pairs, which no posting list
-// can deliver, so every record also goes to the catch-all group (whose
-// kernels must be complete nested loops).
-func PrefixTokens(ord *rankings.Order, r *rankings.Ranking, p int, catchAll bool) []rankings.Item {
-	items := ord.Prefix(r, p) // freshly allocated, safe to append to
+// PrefixTokens returns the tokens r is emitted under: its p-prefix
+// (rankings.Ranking.Prefix), plus CatchAllItem when catchAll is set.
+// Callers set it in the degenerate regime MinOverlap(maxDist, k) == 0:
+// a threshold that loose admits zero-overlap result pairs, which no
+// posting list can deliver, so every record also goes to the catch-all
+// group (whose kernels must be complete nested loops). Without the
+// catch-all the result aliases r's index and is read-only.
+func PrefixTokens(r *rankings.Ranking, p int, catchAll bool) []rankings.Item {
+	items, _ := r.Prefix(p)
 	if catchAll {
-		items = append(items, rankings.CatchAllItem)
+		items = append(items, rankings.CatchAllItem) // Prefix caps its result: this copies
 	}
 	return items
 }
 
-// ResolveOrder returns the canonical ordering the pipeline will use:
-// the supplied one, the identity order when reordering is disabled, or
-// a freshly computed frequency order via a distributed count — the
-// first VJ phase of §3.1/§4.
-func ResolveOrder(ds *flow.Dataset[*rankings.Ranking], opts Options) (*rankings.Order, error) {
-	if opts.Order != nil {
-		return opts.Order, nil
-	}
-	if opts.SkipReorder {
-		return rankings.IdentityOrder(), nil
-	}
-	ord, _, err := ComputeOrder(ds, opts.Partitions)
-	return ord, err
-}
-
 // ComputeOrder counts item frequencies with a distributed ReduceByKey
-// and builds the ascending-frequency canonical order. The counts are
+// and builds the ascending-frequency canonical order — the first VJ
+// phase of §3.1/§4. The counts are
 // returned alongside it: the collect is an all-gather, so every SPMD
 // worker holds the identical map, and CL-P plans its δ from it without
 // a second counting pass.
@@ -183,7 +173,7 @@ func ComputeOrder(ds *flow.Dataset[*rankings.Ranking], parts int) (*rankings.Ord
 // variant. The ledger accumulates locally and folds once per
 // invocation into both the caller's Stats and the engine-wide filter
 // counters fc.
-func selfKernel(ordB flow.Broadcast[*rankings.Order], fc *obs.FilterCounters, prefix, maxDist int, opts Options) func(rankings.Item, []*rankings.Ranking) []rankings.Pair {
+func selfKernel(fc *obs.FilterCounters, prefix, maxDist int, opts Options) func(rankings.Item, []*rankings.Ranking) []rankings.Pair {
 	return func(item rankings.Item, members []*rankings.Ranking) []rankings.Pair {
 		var d obs.FilterDelta
 		var out []rankings.Pair
@@ -193,10 +183,10 @@ func selfKernel(ordB flow.Broadcast[*rankings.Order], fc *obs.FilterCounters, pr
 			// loop is complete.
 			out = ppjoin.NestedLoop(members, maxDist, &d)
 		} else {
-			out = ppjoin.PrefixIndex(members, ordB.Value(), prefix, maxDist, &d)
+			out = ppjoin.PrefixIndex(members, prefix, maxDist, &d)
 		}
 		if opts.LeastTokenDedup {
-			out = filterLeastToken(ordB.Value(), prefix, item, members, out)
+			out = filterLeastToken(prefix, item, members, out)
 		}
 		opts.Stats.Tally(fc, d)
 		return out
@@ -206,7 +196,7 @@ func selfKernel(ordB flow.Broadcast[*rankings.Order], fc *obs.FilterCounters, pr
 // crossKernel builds the R-S kernel used between sub-partitions. With
 // least-token deduplication, the same filter applies: the pair is kept
 // only in the sub-partitions of its minimal shared prefix token.
-func crossKernel(ordB flow.Broadcast[*rankings.Order], fc *obs.FilterCounters, prefix, maxDist int, opts Options) func(rankings.Item, []*rankings.Ranking, []*rankings.Ranking) []rankings.Pair {
+func crossKernel(fc *obs.FilterCounters, prefix, maxDist int, opts Options) func(rankings.Item, []*rankings.Ranking, []*rankings.Ranking) []rankings.Pair {
 	return func(item rankings.Item, a, b []*rankings.Ranking) []rankings.Pair {
 		var d obs.FilterDelta
 		out := ppjoin.RS(a, b, maxDist, &d)
@@ -214,7 +204,7 @@ func crossKernel(ordB flow.Broadcast[*rankings.Order], fc *obs.FilterCounters, p
 			members := make([]*rankings.Ranking, 0, len(a)+len(b))
 			members = append(members, a...)
 			members = append(members, b...)
-			out = filterLeastToken(ordB.Value(), prefix, item, members, out)
+			out = filterLeastToken(prefix, item, members, out)
 		}
 		opts.Stats.Tally(fc, d)
 		return out
@@ -222,13 +212,13 @@ func crossKernel(ordB flow.Broadcast[*rankings.Order], fc *obs.FilterCounters, p
 }
 
 // filterLeastToken keeps only the pairs whose group token is the
-// canonically smallest token shared by both rankings' prefixes
+// smallest token shared by both rankings' prefixes
 // (CatchAllItem when the prefixes are disjoint — such a pair is only
 // ever generated in the catch-all group). Because every result pair
 // co-occurs in exactly the groups of its shared prefix tokens, this
 // emits each pair exactly once across the whole job, replacing the
 // final dedup shuffle.
-func filterLeastToken(ord *rankings.Order, prefix int, groupToken rankings.Item, members []*rankings.Ranking, pairs []rankings.Pair) []rankings.Pair {
+func filterLeastToken(prefix int, groupToken rankings.Item, members []*rankings.Ranking, pairs []rankings.Pair) []rankings.Pair {
 	if len(pairs) == 0 {
 		return pairs
 	}
@@ -238,7 +228,7 @@ func filterLeastToken(ord *rankings.Order, prefix int, groupToken rankings.Item,
 	}
 	out := pairs[:0]
 	for _, p := range pairs {
-		if ord.MinCommon(byID[p.A], byID[p.B], prefix) == groupToken {
+		if rankings.MinCommon(byID[p.A], byID[p.B], prefix) == groupToken {
 			out = append(out, p)
 		}
 	}

@@ -151,18 +151,18 @@ func TestSkipReorderStillCorrect(t *testing.T) {
 	}
 }
 
-// TestPrecomputedOrder: supplying the ordering (as CL does) skips the
-// counting stage and yields identical results.
+// TestPrecomputedOrder: rankings renumbered up front (as CL does) and
+// joined with SkipReorder skip the counting stage and yield identical
+// results.
 func TestPrecomputedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	rs := testutil.RandDataset(rng, 100, 8, 30)
-	ord := rankings.NewOrder(rankings.ItemCounts(rs))
 	want, err := vj.Join(ctx(4), rs, vj.Options{Theta: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := ctx(4)
-	got, err := vj.Join(c, rs, vj.Options{Theta: 0.25, Order: ord})
+	got, err := vj.Join(c, testutil.Renumber(rs), vj.Options{Theta: 0.25, SkipReorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,5 +250,20 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		if !rankings.SamePairs(rankings.DedupPairs(got), rankings.DedupPairs(ref)) {
 			t.Fatalf("workers=%d diverged", w)
 		}
+	}
+}
+
+// TestPrefixTokensAllocFree: emitting a ranking's prefix tokens reads
+// its position index and allocates nothing (3 allocs/op when every
+// call copied and sorted the ranking by a canonical-order map); only
+// the catch-all token costs a copy.
+func TestPrefixTokensAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	r := testutil.Renumber(testutil.RandDataset(rng, 20, 10, 40))[0]
+	if n := testing.AllocsPerRun(100, func() { vj.PrefixTokens(r, 4, false) }); n != 0 {
+		t.Errorf("PrefixTokens: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { vj.PrefixTokens(r, 4, true) }); n > 1 {
+		t.Errorf("PrefixTokens with the catch-all: %v allocs/op, want ≤ 1", n)
 	}
 }
