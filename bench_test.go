@@ -298,28 +298,6 @@ func BenchmarkAblationRandomCentroids(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDedup — final distinct shuffle vs least-token
-// emission.
-func BenchmarkAblationDedup(b *testing.B) {
-	w := workload(b, dataset.DBLPLike, 10, 1)
-	for _, least := range []bool{false, true} {
-		name := "distinct"
-		if least {
-			name = "least-token"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx := flow.NewContext(flow.Config{DefaultPartitions: 16})
-				if _, err := vj.Join(ctx, w.Rankings, vj.Options{
-					Theta: 0.3, Variant: vj.NestedLoop, LeastTokenDedup: least,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBaselines — the §2 baselines (V-SMART, ClusterJoin) against
 // the paper's algorithms at one representative threshold.
 func BenchmarkBaselines(b *testing.B) {

@@ -155,6 +155,5 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 		return nil, nil, err
 	}
 	st.Replicas = total - int64(len(rs))
-	rankings.SortPairs(out)
 	return rankings.DedupPairs(out), st, nil
 }

@@ -252,31 +252,24 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	// (needed when θ+2θc admits zero-overlap centroid pairs) is handled
 	// completely.
 	catchAll := filters.MinOverlap(t.fo, k) == 0
-	groups := vj.PrefixGroups(centroidRecords, func(c *Centroid) []rankings.Item {
-		p := t.prefixFor(c.Singleton)
-		if opts.UniformJoinThreshold {
-			p = t.prefixM
-		}
-		return vj.PrefixTokens(c.R, p, catchAll)
-	}, opts.Partitions)
-	joinStats := statsJoining(opts.Stats)
-	cpairsRaw := vj.JoinTokenGroups(groups, vj.GroupJoinOptions[*Centroid, CPair]{
-		Partitions: opts.Partitions,
-		Delta:      opts.Delta,
+	cpairsRaw := vj.JoinGroups(centroidRecords, vj.GroupJoinOptions[*Centroid, CPair]{
+		Route: func(c *Centroid) []rankings.Item {
+			p := t.prefixFor(c.Singleton)
+			if opts.UniformJoinThreshold {
+				p = t.prefixM
+			}
+			return vj.PrefixTokens(c.R, p, catchAll)
+		},
+		Self: func(_ rankings.Item, members []*Centroid, d *obs.FilterDelta) []CPair {
+			return centroidSelfJoin(members, t, opts.UniformJoinThreshold, d)
+		},
+		Cross: func(_ rankings.Item, a, b []*Centroid, d *obs.FilterDelta) []CPair {
+			return centroidCrossJoin(a, b, t, opts.UniformJoinThreshold, d)
+		},
 		SubKey:     func(c *Centroid) int64 { return c.R.ID },
-		Self: func(_ rankings.Item, members []*Centroid) []CPair {
-			var d obs.FilterDelta
-			out := centroidSelfJoin(members, t, opts.UniformJoinThreshold, &d)
-			joinStats.Tally(ctx.Filters(), d)
-			return out
-		},
-		Cross: func(_ rankings.Item, a, b []*Centroid) []CPair {
-			var d obs.FilterDelta
-			out := centroidCrossJoin(a, b, t, opts.UniformJoinThreshold, &d)
-			joinStats.Tally(ctx.Filters(), d)
-			return out
-		},
-		Stats: joinStats,
+		Delta:      opts.Delta,
+		Partitions: opts.Partitions,
+		Stats:      statsJoining(opts.Stats),
 	})
 	cpairs := flow.Distinct(cpairsRaw, opts.Partitions).Cache()
 	nCPairs, err := cpairs.Count()
@@ -310,7 +303,6 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	if err != nil {
 		return nil, err
 	}
-	rankings.SortPairs(out)
 	expandSpan.End()
 	ctx.ObserveStage("cl/expansion", time.Since(phaseStart))
 	if opts.Stats != nil {

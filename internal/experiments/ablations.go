@@ -185,41 +185,6 @@ func AblationClustering(p Params) (*Table, error) {
 	return t, nil
 }
 
-// AblationDedup compares the paper's final dedup shuffle with the
-// least-common-prefix-token emission that avoids duplicates at the
-// source.
-func AblationDedup(p Params) (*Table, error) {
-	w, err := MakeWorkload(p, dataset.DBLPLike, 10, 1)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Name:    "ablation-dedup",
-		Title:   fmt.Sprintf("VJ-NL final-distinct vs least-token dedup — %s", w.Name),
-		Columns: []string{"theta", "distinct(ms)", "least-token(ms)", "shuffled w/", "shuffled w/o"},
-	}
-	for _, th := range Thetas {
-		run := func(leastToken bool) (time.Duration, int64, error) {
-			ctx := newCtx(p)
-			start := time.Now()
-			_, err := vj.Join(ctx, w.Rankings, vj.Options{
-				Theta: th, Variant: vj.NestedLoop, LeastTokenDedup: leastToken,
-			})
-			return time.Since(start), ctx.Snapshot().ShuffleRecords, err
-		}
-		dd, sd, err := run(false)
-		if err != nil {
-			return nil, err
-		}
-		dl, sl, err := run(true)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmtF(th), fmtDur(dd), fmtDur(dl), fmt.Sprint(sd), fmt.Sprint(sl))
-	}
-	return t, nil
-}
-
 // Baselines compares the paper's four algorithms with the two §2
 // baselines reproduced in this repository (V-SMART and the anchor-based
 // ClusterJoin family) on one dataset across θ.

@@ -186,7 +186,7 @@ func TestAblationSmoke(t *testing.T) {
 	p := tinyParams()
 	for _, name := range []string{
 		"ablation-ordering", "ablation-lemma53", "ablation-triangle",
-		"ablation-clustering", "ablation-dedup",
+		"ablation-clustering",
 	} {
 		exp, err := experiments.Get(name)
 		if err != nil {

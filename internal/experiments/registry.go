@@ -71,7 +71,6 @@ var Registry = map[string]Experiment{
 	"ablation-lemma53":    {"ablation-lemma53", "Ablation: Lemma 5.3 vs uniform joining threshold (§5.2)", AblationLemma53},
 	"ablation-triangle":   {"ablation-triangle", "Ablation: triangle filtering in expansion on/off (§5.3)", AblationTriangle},
 	"ablation-clustering": {"ablation-clustering", "Ablation: pair-derived vs random-centroid clustering (§5.1)", AblationClustering},
-	"ablation-dedup":      {"ablation-dedup", "Ablation: final distinct vs least-token dedup", AblationDedup},
 	"baselines":           {"baselines", "Paper algorithms vs the §2 baselines (V-SMART, ClusterJoin)", Baselines},
 }
 

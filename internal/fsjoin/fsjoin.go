@@ -8,7 +8,10 @@
 // is joined independently. Its two selling points are reproduced:
 // no duplicate results (a pair is emitted only in the segment of its
 // canonically smallest common token) and smoother load than one-token
-// posting lists (a segment aggregates many tokens).
+// posting lists (a segment aggregates many tokens). Segments are the
+// tokens of the shared group-join driver (vj.JoinGroups); the
+// home-segment check in the kernel is what makes the output
+// duplicate-free without a final distinct.
 package fsjoin
 
 import (
@@ -25,10 +28,9 @@ import (
 type Options struct {
 	// Theta is the normalized Footrule threshold θ ∈ [0, 1].
 	Theta float64
-	// Segments is the number of vertical segments f (the paper tunes
-	// it per dataset); 0 picks 2× the partition count.
-	Segments int
 	// Partitions is the shuffle partition count (0 = context default).
+	// The canonical order is cut into twice as many segments, or one
+	// per item when the vocabulary is smaller.
 	Partitions int
 }
 
@@ -50,10 +52,6 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	if parts <= 0 {
 		parts = ctx.Config().DefaultPartitions
 	}
-	segments := opts.Segments
-	if segments <= 0 {
-		segments = 2 * parts
-	}
 
 	ds := flow.Parallelize(ctx, rs, opts.Partitions)
 	ord, _, err := vj.ComputeOrder(ds, parts)
@@ -64,71 +62,58 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	// segment is a contiguous run of item ids.
 	ds = flow.Map(ds, ord.Renumber)
 	vocab := ord.Len()
-	if vocab < segments {
-		segments = vocab
+	segments := min(2*parts, vocab)
+	segOf := func(item rankings.Item) rankings.Item {
+		return rankings.Item(int64(item) * int64(segments) / int64(vocab))
 	}
-	segOf := func(item rankings.Item) int {
-		return int(int64(item) * int64(segments) / int64(vocab))
-	}
-	// Degenerate regime: zero-overlap result pairs (see
-	// rankings.CatchAllItem) go to an extra segment holding everything.
+	// Degenerate regime: zero-overlap result pairs go to the catch-all
+	// group, which holds everything.
 	needAll := filters.MinOverlap(maxDist, k) == 0
 
-	routed := flow.FlatMap(ds, func(r *rankings.Ranking) []flow.KV[int, *rankings.Ranking] {
-		seen := make(map[int]struct{}, 4)
-		var out []flow.KV[int, *rankings.Ranking]
-		for _, it := range r.Items {
-			s := segOf(it)
-			if _, dup := seen[s]; !dup {
-				seen[s] = struct{}{}
-				out = append(out, flow.KV[int, *rankings.Ranking]{K: s, V: r})
+	pairs := vj.JoinGroups(ds, vj.GroupJoinOptions[*rankings.Ranking, rankings.Pair]{
+		// A ranking goes to every segment where it holds an item. Its
+		// index is sorted, so each of those segments is one run of it.
+		Route: func(r *rankings.Ranking) []rankings.Item {
+			items, _ := r.Prefix(k)
+			segs := make([]rankings.Item, 0, len(items)+1)
+			for _, it := range items {
+				if s := segOf(it); len(segs) == 0 || segs[len(segs)-1] != s {
+					segs = append(segs, s)
+				}
 			}
-		}
-		if needAll {
-			out = append(out, flow.KV[int, *rankings.Ranking]{K: segments, V: r})
-		}
-		return out
-	})
-	groups := flow.GroupByKey(routed, parts)
-
-	segHist := ctx.Histogram("fsjoin/segment_records")
-	pairs := flow.FlatMap(groups, func(g flow.KV[int, []*rankings.Ranking]) []rankings.Pair {
-		segHist.Observe(int64(len(g.V)))
-		var out []rankings.Pair
+			if needAll {
+				segs = append(segs, rankings.CatchAllItem)
+			}
+			return segs
+		},
 		// Only home-segment pairs count as candidates: the same pair
 		// enumerated in a foreign segment is a routing artifact, not a
 		// filter-cascade decision.
-		var delta obs.FilterDelta
-		for i := 0; i < len(g.V); i++ {
-			a := g.V[i]
-			for j := i + 1; j < len(g.V); j++ {
-				b := g.V[j]
-				if a.ID == b.ID {
-					continue
-				}
-				// Emit only in the segment of the canonically smallest
-				// common item — FS-Join's no-duplicates property. Pairs
-				// with no common item belong to the catch-all segment.
-				home := segments
-				if it := rankings.MinCommon(a, b, k); it != rankings.CatchAllItem {
-					home = segOf(it)
-				}
-				if home != g.K {
-					continue
-				}
-				delta.Generated++
-				if d, ok := filters.Resolve(a, b, maxDist, &delta); ok {
-					out = append(out, rankings.NewPair(a.ID, b.ID, d))
+		Self: func(seg rankings.Item, members []*rankings.Ranking, d *obs.FilterDelta) (out []rankings.Pair) {
+			for i, a := range members {
+				for _, b := range members[i+1:] {
+					if a.ID == b.ID {
+						continue
+					}
+					// Emit only in the segment of the canonically smallest
+					// common item — FS-Join's no-duplicates property. Pairs
+					// with no common item belong to the catch-all group.
+					home := rankings.MinCommon(a, b, k)
+					if home != rankings.CatchAllItem {
+						home = segOf(home)
+					}
+					if home != seg {
+						continue
+					}
+					d.Generated++
+					if dist, ok := filters.Resolve(a, b, maxDist, d); ok {
+						out = append(out, rankings.NewPair(a.ID, b.ID, dist))
+					}
 				}
 			}
-		}
-		ctx.Filters().Add(delta)
-		return out
+			return out
+		},
+		Partitions: opts.Partitions,
 	})
-	out, err := pairs.Collect()
-	if err != nil {
-		return nil, err
-	}
-	rankings.SortPairs(out)
-	return out, nil
+	return pairs.Collect()
 }

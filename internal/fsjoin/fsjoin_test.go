@@ -17,7 +17,7 @@ func ctx(workers int) *flow.Context {
 }
 
 // TestFSJoinMatchesOracle over random datasets, thresholds (including
-// the degenerate θ range) and segment counts.
+// the degenerate θ range) and segment counts (twice the partitions).
 func TestFSJoinMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
@@ -27,8 +27,7 @@ func TestFSJoinMatchesOracle(t *testing.T) {
 		want := rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(theta, k), new(obs.FilterDelta)))
 		got, err := fsjoin.Join(ctx(1+rng.Intn(4)), rs, fsjoin.Options{
 			Theta:      theta,
-			Segments:   1 + rng.Intn(30),
-			Partitions: 1 + rng.Intn(6),
+			Partitions: 1 + rng.Intn(15),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -45,7 +44,7 @@ func TestFSJoinMatchesOracle(t *testing.T) {
 func TestFSJoinNoDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rs := testutil.ClusteredDataset(rng, 20, 4, 10, 60)
-	got, err := fsjoin.Join(ctx(4), rs, fsjoin.Options{Theta: 0.3, Segments: 8})
+	got, err := fsjoin.Join(ctx(4), rs, fsjoin.Options{Theta: 0.3, Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestFSJoinValidation(t *testing.T) {
 		rankings.MustNew(0, []rankings.Item{1, 2}),
 		rankings.MustNew(1, []rankings.Item{2, 1}),
 	}
-	got, err := fsjoin.Join(ctx(1), small, fsjoin.Options{Theta: 0.5, Segments: 100})
+	got, err := fsjoin.Join(ctx(1), small, fsjoin.Options{Theta: 0.5, Partitions: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ type tagged struct {
 // over the union of both datasets, and both sides are renumbered by it
 // (unless opts.SkipReorder). opts.Variant is ignored (the kernel
 // is always the nested cross loop over the shared filter cascade);
-// opts.Delta and opts.LeastTokenDedup are honored.
+// opts.Delta is honored. The pairs come back in no particular order.
 func JoinRS(ctx *flow.Context, r, s []*rankings.Ranking, opts Options) ([]rankings.Pair, error) {
 	all := make([]*rankings.Ranking, 0, len(r)+len(s))
 	all = append(all, r...)
@@ -61,16 +61,16 @@ func JoinRS(ctx *flow.Context, r, s []*rankings.Ranking, opts Options) ([]rankin
 	// The kernels here are nested cross loops, so the catch-all group
 	// is handled completely.
 	catchAll := filters.MinOverlap(maxDist, k) == 0
-	groups := PrefixGroups(ds, func(t tagged) []rankings.Item {
-		return PrefixTokens(t.R, prefix, catchAll)
-	}, opts.Partitions)
 
-	// emit resolves one (R-side x, S-side y) candidate, tallying its
-	// fate so R-S joins honor the same filter-counter conservation law
-	// as the self-joins.
-	emit := func(item rankings.Item, x, y tagged, d *obs.FilterDelta, out []rankings.Pair) []rankings.Pair {
-		if opts.LeastTokenDedup && rankings.MinCommon(x.R, y.R, prefix) != item {
+	// emit resolves one candidate if x and y come from different sides,
+	// tallying its fate so R-S joins honor the same filter-counter
+	// conservation law as the self-joins.
+	emit := func(x, y tagged, d *obs.FilterDelta, out []rankings.Pair) []rankings.Pair {
+		if x.FromR == y.FromR {
 			return out
+		}
+		if !x.FromR {
+			x, y = y, x
 		}
 		d.Generated++
 		if dist, ok := filters.Resolve(x.R, y.R, maxDist, d); ok {
@@ -78,44 +78,24 @@ func JoinRS(ctx *flow.Context, r, s []*rankings.Ranking, opts Options) ([]rankin
 		}
 		return out
 	}
-	fc := ctx.Filters()
-	selfKernel := func(item rankings.Item, members []tagged) []rankings.Pair {
-		var d obs.FilterDelta
-		var out []rankings.Pair
-		for _, a := range members {
-			if !a.FromR {
-				continue
-			}
-			for _, b := range members {
-				if b.FromR {
-					continue
-				}
-				out = emit(item, a, b, &d, out)
-			}
-		}
-		opts.Stats.Tally(fc, d)
-		return out
-	}
-	crossKernel := func(item rankings.Item, as, bs []tagged) []rankings.Pair {
-		var d obs.FilterDelta
-		var out []rankings.Pair
-		for _, a := range as {
-			for _, b := range bs {
-				switch {
-				case a.FromR && !b.FromR:
-					out = emit(item, a, b, &d, out)
-				case !a.FromR && b.FromR:
-					out = emit(item, b, a, &d, out)
+	pairs := JoinGroups(ds, GroupJoinOptions[tagged, rankings.Pair]{
+		Route: func(t tagged) []rankings.Item { return PrefixTokens(t.R, prefix, catchAll) },
+		Self: func(_ rankings.Item, members []tagged, d *obs.FilterDelta) (out []rankings.Pair) {
+			for i, a := range members {
+				for _, b := range members[i+1:] {
+					out = emit(a, b, d, out)
 				}
 			}
-		}
-		opts.Stats.Tally(fc, d)
-		return out
-	}
-
-	pairs := JoinTokenGroups(groups, GroupJoinOptions[tagged, rankings.Pair]{
-		Partitions: opts.Partitions,
-		Delta:      opts.Delta,
+			return out
+		},
+		Cross: func(_ rankings.Item, as, bs []tagged, d *obs.FilterDelta) (out []rankings.Pair) {
+			for _, a := range as {
+				for _, b := range bs {
+					out = emit(a, b, d, out)
+				}
+			}
+			return out
+		},
 		SubKey: func(t tagged) int64 {
 			// Disambiguate colliding ids across sides so sub-partition
 			// assignment stays deterministic per record.
@@ -124,21 +104,9 @@ func JoinRS(ctx *flow.Context, r, s []*rankings.Ranking, opts Options) ([]rankin
 			}
 			return t.R.ID*2 + 1
 		},
-		Self:  selfKernel,
-		Cross: crossKernel,
-		Stats: opts.Stats,
+		Delta:      opts.Delta,
+		Partitions: opts.Partitions,
+		Stats:      opts.Stats,
 	})
-
-	var out *flow.Dataset[rankings.Pair]
-	if opts.LeastTokenDedup {
-		out = pairs
-	} else {
-		out = flow.Distinct(pairs, opts.Partitions)
-	}
-	res, err := out.Collect()
-	if err != nil {
-		return nil, err
-	}
-	rankings.SortPairs(res)
-	return res, nil
+	return flow.Distinct(pairs, opts.Partitions).Collect()
 }

@@ -20,7 +20,7 @@ type Stats struct {
 	LargestGroup atomic.Int64
 }
 
-// Tally folds one kernel run's ledger into the run's Stats (nil-safe)
+// Tally folds one join task's ledger into the run's Stats (nil-safe)
 // and the engine-wide counters fc.
 func (s *Stats) Tally(fc *obs.FilterCounters, d obs.FilterDelta) {
 	if s != nil {

@@ -51,12 +51,6 @@ type Options struct {
 	SkipReorder bool
 	// Delta is the §6 repartitioning threshold δ; 0 disables splitting.
 	Delta int
-	// LeastTokenDedup, when true, emits each result pair only in the
-	// group of the canonically smallest common prefix token instead of
-	// deduplicating with a final shuffle — an engine-level alternative
-	// to the paper's "remove duplicates at the end" phase, kept as an
-	// ablation.
-	LeastTokenDedup bool
 	// Stats, when non-nil, receives kernel and group accounting.
 	Stats *Stats
 }
@@ -109,23 +103,17 @@ func JoinDataset(ds *flow.Dataset[*rankings.Ranking], rs []*rankings.Ranking, op
 
 	prefix := filters.PrefixOverlap(maxDist, k)
 	catchAll := filters.MinOverlap(maxDist, k) == 0
-	groups := PrefixGroups(ds, func(r *rankings.Ranking) []rankings.Item {
-		return PrefixTokens(r, prefix, catchAll)
-	}, opts.Partitions)
-
-	pairs := JoinTokenGroups(groups, GroupJoinOptions[*rankings.Ranking, rankings.Pair]{
-		Partitions: opts.Partitions,
-		Delta:      opts.Delta,
+	pairs := JoinGroups(ds, GroupJoinOptions[*rankings.Ranking, rankings.Pair]{
+		Route: func(r *rankings.Ranking) []rankings.Item { return PrefixTokens(r, prefix, catchAll) },
+		Self:  selfKernel(opts.Variant, prefix, maxDist),
+		Cross: func(_ rankings.Item, a, b []*rankings.Ranking, d *obs.FilterDelta) []rankings.Pair {
+			return ppjoin.RS(a, b, maxDist, d)
+		},
 		SubKey:     func(r *rankings.Ranking) int64 { return r.ID },
-		Self:       selfKernel(ctx.Filters(), prefix, maxDist, opts),
-		Cross:      crossKernel(ctx.Filters(), prefix, maxDist, opts),
+		Delta:      opts.Delta,
+		Partitions: opts.Partitions,
 		Stats:      opts.Stats,
 	})
-
-	if opts.LeastTokenDedup {
-		// Each pair was emitted exactly once; no dedup shuffle needed.
-		return pairs, nil
-	}
 	return flow.Distinct(pairs, opts.Partitions), nil
 }
 
@@ -169,68 +157,15 @@ func ComputeOrder(ds *flow.Dataset[*rankings.Ranking], parts int) (*rankings.Ord
 	return rankings.NewOrder(counts), counts, nil
 }
 
-// selfKernel builds the within-partition kernel for the selected
-// variant. The ledger accumulates locally and folds once per
-// invocation into both the caller's Stats and the engine-wide filter
-// counters fc.
-func selfKernel(fc *obs.FilterCounters, prefix, maxDist int, opts Options) func(rankings.Item, []*rankings.Ranking) []rankings.Pair {
-	return func(item rankings.Item, members []*rankings.Ranking) []rankings.Pair {
-		var d obs.FilterDelta
-		var out []rankings.Pair
-		if item == rankings.CatchAllItem || opts.Variant == NestedLoop {
+// selfKernel builds the within-group kernel for the selected variant.
+func selfKernel(v Variant, prefix, maxDist int) func(rankings.Item, []*rankings.Ranking, *obs.FilterDelta) []rankings.Pair {
+	return func(item rankings.Item, members []*rankings.Ranking, d *obs.FilterDelta) []rankings.Pair {
+		if item == rankings.CatchAllItem || v == NestedLoop {
 			// Members of the catch-all group need not share any item,
 			// so the prefix-index kernel would miss pairs; the nested
 			// loop is complete.
-			out = ppjoin.NestedLoop(members, maxDist, &d)
-		} else {
-			out = ppjoin.PrefixIndex(members, prefix, maxDist, &d)
+			return ppjoin.NestedLoop(members, maxDist, d)
 		}
-		if opts.LeastTokenDedup {
-			out = filterLeastToken(prefix, item, members, out)
-		}
-		opts.Stats.Tally(fc, d)
-		return out
+		return ppjoin.PrefixIndex(members, prefix, maxDist, d)
 	}
-}
-
-// crossKernel builds the R-S kernel used between sub-partitions. With
-// least-token deduplication, the same filter applies: the pair is kept
-// only in the sub-partitions of its minimal shared prefix token.
-func crossKernel(fc *obs.FilterCounters, prefix, maxDist int, opts Options) func(rankings.Item, []*rankings.Ranking, []*rankings.Ranking) []rankings.Pair {
-	return func(item rankings.Item, a, b []*rankings.Ranking) []rankings.Pair {
-		var d obs.FilterDelta
-		out := ppjoin.RS(a, b, maxDist, &d)
-		if opts.LeastTokenDedup {
-			members := make([]*rankings.Ranking, 0, len(a)+len(b))
-			members = append(members, a...)
-			members = append(members, b...)
-			out = filterLeastToken(prefix, item, members, out)
-		}
-		opts.Stats.Tally(fc, d)
-		return out
-	}
-}
-
-// filterLeastToken keeps only the pairs whose group token is the
-// smallest token shared by both rankings' prefixes
-// (CatchAllItem when the prefixes are disjoint — such a pair is only
-// ever generated in the catch-all group). Because every result pair
-// co-occurs in exactly the groups of its shared prefix tokens, this
-// emits each pair exactly once across the whole job, replacing the
-// final dedup shuffle.
-func filterLeastToken(prefix int, groupToken rankings.Item, members []*rankings.Ranking, pairs []rankings.Pair) []rankings.Pair {
-	if len(pairs) == 0 {
-		return pairs
-	}
-	byID := make(map[int64]*rankings.Ranking, len(members))
-	for _, m := range members {
-		byID[m.ID] = m
-	}
-	out := pairs[:0]
-	for _, p := range pairs {
-		if rankings.MinCommon(byID[p.A], byID[p.B], prefix) == groupToken {
-			out = append(out, p)
-		}
-	}
-	return out
 }

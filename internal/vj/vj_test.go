@@ -101,38 +101,6 @@ func TestRepartitioningEquivalence(t *testing.T) {
 	}
 }
 
-// TestLeastTokenDedupEquivalence: the dedup-free variant emits each
-// pair exactly once and matches the standard output, with and without
-// repartitioning.
-func TestLeastTokenDedupEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 10; trial++ {
-		k := 5 + rng.Intn(6)
-		rs := testutil.RandDataset(rng, 60+rng.Intn(100), k, k+rng.Intn(3*k))
-		theta := 0.1 + 0.3*rng.Float64()
-		want, err := vj.Join(ctx(4), rs, vj.Options{Theta: theta})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, delta := range []int{0, 7} {
-			got, err := vj.Join(ctx(4), rs, vj.Options{
-				Theta:           theta,
-				LeastTokenDedup: true,
-				Delta:           delta,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Exactly once: no dedup applied, so compare raw.
-			if !rankings.SamePairs(got, rankings.DedupPairs(want)) {
-				a, b := rankings.DiffPairs(got, want)
-				dups := len(got) - len(rankings.DedupPairs(append([]rankings.Pair(nil), got...)))
-				t.Fatalf("trial %d δ=%d: extra=%v missing=%v duplicates=%d", trial, delta, a, b, dups)
-			}
-		}
-	}
-}
-
 // TestSkipReorderStillCorrect: disabling frequency reordering changes
 // performance, never results.
 func TestSkipReorderStillCorrect(t *testing.T) {

@@ -148,6 +148,5 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 		}
 		ctx.Filters().Add(delta)
 	}
-	rankings.SortPairs(out)
 	return out, nil
 }

@@ -85,6 +85,7 @@ func (e *Engine) JoinRS(r, s []*Ranking, opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
+	rankings.SortPairs(pairs)
 	res := &Result{Pairs: pairs, Algorithm: executed, Engine: e.ctx.Snapshot()}
 	res.Filters = res.Engine.Filters
 	if st != nil {
@@ -113,7 +114,6 @@ func bruteForceRS(e *Engine, r, s []*Ranking, theta float64) []Pair {
 		}
 	}
 	e.ctx.Filters().Add(d)
-	rankings.SortPairs(pairs)
 	return pairs
 }
 

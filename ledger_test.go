@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rankjoin"
-	"rankjoin/internal/dataset"
 )
 
 // ledgerCell is one driver run of the ledger grid.
@@ -106,7 +105,7 @@ var ledgerGolden = []string{
 // properties of the input, not of the parallelism.
 func TestDriverLedgers(t *testing.T) {
 	var got []string
-	for _, prof := range []dataset.Profile{dataset.DBLPLike, dataset.ORKULike} {
+	for _, prof := range []rankjoin.Profile{rankjoin.DBLPLike, rankjoin.ORKULike} {
 		rs, err := rankjoin.Generate(prof.Config(600, 10, 1))
 		if err != nil {
 			t.Fatal(err)
