@@ -5,7 +5,7 @@
 //
 //	rankjoin -input data.txt -theta 0.3 [-algo cl|clp|vj|vjnl|brute]
 //	         [-thetac 0.03] [-delta 0] [-partitions 0] [-workers 0]
-//	         [-spill DIR] [-output pairs.txt] [-stats]
+//	         [-output pairs.txt] [-stats]
 //
 // The input format is one ranking per line: optionally "id:" followed
 // by whitespace- or comma-separated item ids, best-ranked first. Output
@@ -36,7 +36,6 @@ func main() {
 		delta      = flag.Int("delta", 0, "repartitioning threshold δ (clp; 0 = auto via Eq. 4)")
 		partitions = flag.Int("partitions", 0, "shuffle partitions (0 = default)")
 		workers    = flag.Int("workers", 0, "executor worker budget (0 = GOMAXPROCS)")
-		spillDir   = flag.String("spill", "", "spill directory (enables spill-to-disk)")
 		stats      = flag.Bool("stats", false, "print pipeline statistics to stderr")
 	)
 	flag.Parse()
@@ -61,11 +60,7 @@ func main() {
 	}
 	log.Printf("loaded %d rankings from %s", len(rs), *input)
 
-	engine := rankjoin.NewEngine(rankjoin.EngineConfig{
-		Workers:  *workers,
-		SpillDir: *spillDir,
-	})
-	defer engine.Close()
+	engine := rankjoin.NewEngine(rankjoin.EngineConfig{Workers: *workers})
 
 	start := time.Now()
 	res, err := engine.Join(rs, rankjoin.Options{

@@ -56,7 +56,6 @@ func main() {
 	}
 
 	e := rankjoin.NewEngine(rankjoin.EngineConfig{})
-	defer e.Close()
 	tracer := rankjoin.NewTracer()
 	e.SetTracer(tracer)
 

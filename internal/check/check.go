@@ -109,7 +109,6 @@ func RunTrial(p Params, rs []*rankings.Ranking, enabled func(path string) bool) 
 	rankings.IndexAll(rs)
 
 	eng := rankjoin.NewEngine(rankjoin.EngineConfig{})
-	defer eng.Close()
 
 	if c.on(PathBrute) {
 		oracle, err := eng.Join(rs, rankjoin.Options{

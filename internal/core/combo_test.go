@@ -12,7 +12,7 @@ import (
 
 // TestOptionMatrix drives CL through combinations of every option
 // simultaneously — repartitioning in both phases, ablation toggles,
-// unverified partials, spilling — against the oracle. Feature
+// unverified partials — against the oracle. Feature
 // interactions are where bugs hide.
 func TestOptionMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
@@ -24,54 +24,34 @@ func TestOptionMatrix(t *testing.T) {
 		wantKeys[p.Key()] = p.Dist
 	}
 
-	type combo struct {
-		name  string
-		opts  core.Options
-		spill bool
-	}
-	var combos []combo
+	var combos []core.Options
 	for _, delta := range []int{0, 4} {
 		for _, uniform := range []bool{false, true} {
 			for _, unverified := range []bool{false, true} {
-				for _, spill := range []bool{false, true} {
-					combos = append(combos, combo{
-						name: "matrix",
-						opts: core.Options{
-							Theta: theta, ThetaC: 0.05,
-							Delta:                delta,
-							UniformJoinThreshold: uniform,
-							UnverifiedPartials:   unverified,
-						},
-						spill: spill,
-					})
-				}
+				combos = append(combos, core.Options{
+					Theta: theta, ThetaC: 0.05,
+					Delta:                delta,
+					UniformJoinThreshold: uniform,
+					UnverifiedPartials:   unverified,
+				})
 			}
 		}
 	}
-	for i, c := range combos {
-		cfg := flow.Config{Workers: 4, DefaultPartitions: 3}
-		if c.spill {
-			cfg.SpillDir = t.TempDir()
-			cfg.SpillThreshold = 4
-		}
-		ctx := flow.NewContext(cfg)
-		got, err := core.Join(ctx, rs, c.opts)
+	for i, opts := range combos {
+		ctx := flow.NewContext(flow.Config{Workers: 4, DefaultPartitions: 3})
+		got, err := core.Join(ctx, rs, opts)
 		if err != nil {
-			t.Fatalf("combo %d (%+v): %v", i, c.opts, err)
-		}
-		if err := ctx.Close(); err != nil {
-			t.Fatal(err)
+			t.Fatalf("combo %d (%+v): %v", i, opts, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("combo %d (%+v spill=%v): %d pairs, want %d",
-				i, c.opts, c.spill, len(got), len(want))
+			t.Fatalf("combo %d (%+v): %d pairs, want %d", i, opts, len(got), len(want))
 		}
 		for _, p := range got {
 			trueDist, ok := wantKeys[p.Key()]
 			if !ok {
 				t.Fatalf("combo %d: spurious pair %v", i, p)
 			}
-			if p.Dist != trueDist && !(c.opts.UnverifiedPartials && p.Dist == -1) {
+			if p.Dist != trueDist && !(opts.UnverifiedPartials && p.Dist == -1) {
 				t.Fatalf("combo %d: pair %v wrong distance (true %d)", i, p, trueDist)
 			}
 		}

@@ -162,7 +162,7 @@ func Join(ctx *flow.Context, rs []*rankings.Ranking, opts Options) ([]rankings.P
 	// the per-partition index kernel this phase has always run, and no
 	// repartitioning — θc is small, so clustering prefixes and posting
 	// lists stay short. The paper's CL clusters with iterators (§4.1),
-	// and vj.NestedLoop here is faster; ROADMAP 1(a) records why the swap
+	// and vj.NestedLoop here is faster; ROADMAP 3(a) records why the swap
 	// waits on the benchmark's calibration.
 	phaseStart = time.Now()
 	clusterSpan := tr.StartScope("cl/clustering")

@@ -210,7 +210,7 @@ func TestThetaCAboveTheta(t *testing.T) {
 // TestIndexVariantClustering pins the kernel the clustering phase runs:
 // the per-partition inverted index. Only ppjoin.PrefixIndex tallies
 // PrunedPrefix, so a clustering ledger with prefix prunes ran it. The
-// nested loop is the paper's choice (§4.1) and ROADMAP 1(a) says what
+// nested loop is the paper's choice (§4.1) and ROADMAP 3(a) says what
 // the swap waits on; whoever makes it flips this assertion.
 func TestIndexVariantClustering(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))

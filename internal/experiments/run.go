@@ -128,7 +128,6 @@ func Run(w Workload, cfg RunConfig) (Measurement, error) {
 		Workers:           cfg.Workers,
 		DefaultPartitions: cfg.Partitions,
 	})
-	defer e.Close()
 	e.SetTracer(cfg.Tracer)
 
 	opts := rankjoin.Options{

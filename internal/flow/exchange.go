@@ -184,7 +184,7 @@ type gatherChunk[T any] struct {
 // worker, runs an Alltoall, and reassembles its owned destination
 // buckets in (source partition, destination) order — so bucket
 // contents are identical on every worker regardless of frame arrival
-// order. Spilling is not applied to distributed buckets.
+// order.
 func runShuffleDistributed[K comparable, V any](d *Dataset[KV[K, V]], parts int, st *shuffleState[KV[K, V]]) {
 	ctx := d.ctx
 	ex := ctx.cfg.Exchange
@@ -265,13 +265,11 @@ func runShuffleDistributed[K comparable, V any](d *Dataset[KV[K, V]], parts int,
 	var total int64
 	for dst := self; dst < parts; dst += world {
 		n := int64(len(buckets[dst]))
-		ctx.metrics.observePartitionSize(n)
 		partHist.Observe(n)
 		total += n
 	}
 	sp.SetInt("records", total)
 	st.buckets = buckets
-	st.spilled = make([]string, parts)
 }
 
 func sortChunks[T any](cs []shuffleChunk[T]) {

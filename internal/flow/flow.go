@@ -9,19 +9,17 @@
 //     MapPartitions);
 //   - wide transformations that exchange data through a hash-partitioned
 //     shuffle (GroupByKey, ReduceByKey, Join, CoGroup, Distinct,
-//     Repartition), with map-side combining where applicable;
+//     Repartition), with map-side combining where applicable; shuffle
+//     buckets stay in memory (a 10⁵-ranking join peaks at 100–200 MB);
 //   - broadcast variables;
 //   - caching of intermediate datasets for iterative, multi-stage
 //     pipelines;
 //   - a bounded executor pool (Config.Workers plays the role of
 //     executors × cores, the knob behind the paper's Table 3 and the
 //     Figure 7 scalability sweep);
-//   - optional spill-to-disk of shuffle buckets, modelling Spark's
-//     ability to degrade gracefully instead of holding every partition
-//     in executor memory (§4.1);
-//   - engine metrics (records shuffled, spilled, largest partition,
-//     tasks run) so that experiments can observe skew and shuffle
-//     volume, not just wall-clock time.
+//   - engine metrics (records shuffled, largest partition, tasks run)
+//     so that experiments can observe skew and shuffle volume, not
+//     just wall-clock time.
 //
 // The engine is deliberately deterministic given a fixed dataset: hash
 // partitioning depends only on keys, so results are reproducible across
@@ -40,7 +38,7 @@ import (
 )
 
 // Config sizes the engine. The zero value is usable: it runs with
-// GOMAXPROCS workers, 8 default partitions and no spilling.
+// GOMAXPROCS workers and 8 default partitions.
 type Config struct {
 	// Workers bounds the number of concurrently executing tasks — the
 	// analogue of total executor cores in Table 3 of the paper.
@@ -49,17 +47,10 @@ type Config struct {
 	// transformation does not specify one — the analogue of
 	// spark.default.parallelism.
 	DefaultPartitions int
-	// SpillDir, when non-empty, enables spilling of oversized shuffle
-	// buckets to gob files under this directory.
-	SpillDir string
-	// SpillThreshold is the number of records a single shuffle bucket
-	// may hold in memory before being spilled. Zero means 1<<16.
-	SpillThreshold int
 	// Exchange, when non-nil with a world size above one, runs the
 	// context in distributed SPMD mode: shuffles go over the Exchanger
 	// instead of process memory and actions become all-gathers. See
-	// Exchanger for the execution model. Spilling is disabled for
-	// distributed shuffle buckets.
+	// Exchanger for the execution model.
 	Exchange Exchanger
 }
 
@@ -70,19 +61,14 @@ func (c Config) withDefaults() Config {
 	if c.DefaultPartitions <= 0 {
 		c.DefaultPartitions = 8
 	}
-	if c.SpillThreshold <= 0 {
-		c.SpillThreshold = 1 << 16
-	}
 	return c
 }
 
-// Context owns the executor pool, metrics and spill state for one
-// logical "cluster". Datasets are bound to the context that created
-// them.
+// Context owns the executor pool and metrics for one logical
+// "cluster". Datasets are bound to the context that created them.
 type Context struct {
 	cfg     Config
 	metrics Metrics
-	spill   *spillManager
 	tracer  atomic.Pointer[obs.Tracer]
 
 	// collective numbers every shuffle construction and action call in
@@ -93,12 +79,7 @@ type Context struct {
 
 // NewContext builds a Context from cfg (see Config for defaults).
 func NewContext(cfg Config) *Context {
-	cfg = cfg.withDefaults()
-	ctx := &Context{cfg: cfg}
-	if cfg.SpillDir != "" {
-		ctx.spill = newSpillManager(cfg.SpillDir, cfg.SpillThreshold, &ctx.metrics)
-	}
-	return ctx
+	return &Context{cfg: cfg.withDefaults()}
 }
 
 // Config returns the (defaulted) configuration of the context.
@@ -145,14 +126,9 @@ func (c *Context) distributed() bool {
 // is identical on every SPMD worker.
 func (c *Context) nextCollective() int64 { return c.collective.Add(1) }
 
-// Close releases spill files, if any. Safe to call on contexts without
-// spilling.
-func (c *Context) Close() error {
-	if c.spill != nil {
-		return c.spill.close()
-	}
-	return nil
-}
+// Close releases nothing: shuffle buckets live in memory and go with
+// the context. It is kept so callers that close their engines compile.
+func (c *Context) Close() error { return nil }
 
 // parallelDo executes fn(0..n-1) on the executor pool and returns the
 // first error. Once any task fails, idle workers stop claiming new
@@ -225,17 +201,11 @@ type Metrics struct {
 	Tasks atomic.Int64
 	// ShuffleRecords counts records moved across a shuffle boundary.
 	ShuffleRecords atomic.Int64
-	// SpilledRecords counts records written to spill files.
-	SpilledRecords atomic.Int64
 	// BroadcastValues counts broadcast variables created.
 	BroadcastValues atomic.Int64
-	// MaxPartitionRecords tracks the largest materialized shuffle
-	// partition seen — the skew signal the repartitioning technique of
-	// §6 reacts to.
-	MaxPartitionRecords atomic.Int64
 	// ShuffleNanos accumulates wall-clock nanoseconds spent
-	// materializing shuffle exchanges (scatter plan, fused copy and
-	// spill), the engine's dominant fixed cost.
+	// materializing shuffle exchanges (scatter plan and fused copy),
+	// the engine's dominant fixed cost.
 	ShuffleNanos atomic.Int64
 	// Filters aggregates the filter-effectiveness counters folded in by
 	// the join kernels through Context.Filters.
@@ -273,15 +243,6 @@ func (m *Metrics) histogram(name string) *obs.Histogram {
 	return h
 }
 
-func (m *Metrics) observePartitionSize(n int64) {
-	for {
-		cur := m.MaxPartitionRecords.Load()
-		if n <= cur || m.MaxPartitionRecords.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // ObserveStage adds wall-clock time under a named pipeline stage.
 // Pipelines use it to attribute engine time to their logical phases
 // (e.g. "cl/clustering"), surfaced through MetricsSnapshot.Stages.
@@ -297,10 +258,12 @@ func (c *Context) ObserveStage(name string, d time.Duration) {
 
 // MetricsSnapshot is a plain-value copy of Metrics.
 type MetricsSnapshot struct {
-	Tasks               int64
-	ShuffleRecords      int64
-	SpilledRecords      int64
-	BroadcastValues     int64
+	Tasks           int64
+	ShuffleRecords  int64
+	BroadcastValues int64
+	// MaxPartitionRecords is the largest materialized shuffle partition
+	// seen — the skew signal the repartitioning technique of §6 reacts
+	// to. It is the max of the "shuffle/partition_records" histogram.
 	MaxPartitionRecords int64
 	// ShuffleTime is the wall-clock spent materializing shuffle
 	// exchanges.
@@ -320,13 +283,11 @@ type MetricsSnapshot struct {
 // Snapshot returns the current counter values.
 func (c *Context) Snapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
-		Tasks:               c.metrics.Tasks.Load(),
-		ShuffleRecords:      c.metrics.ShuffleRecords.Load(),
-		SpilledRecords:      c.metrics.SpilledRecords.Load(),
-		BroadcastValues:     c.metrics.BroadcastValues.Load(),
-		MaxPartitionRecords: c.metrics.MaxPartitionRecords.Load(),
-		ShuffleTime:         time.Duration(c.metrics.ShuffleNanos.Load()),
-		Filters:             c.metrics.Filters.Snapshot(),
+		Tasks:           c.metrics.Tasks.Load(),
+		ShuffleRecords:  c.metrics.ShuffleRecords.Load(),
+		BroadcastValues: c.metrics.BroadcastValues.Load(),
+		ShuffleTime:     time.Duration(c.metrics.ShuffleNanos.Load()),
+		Filters:         c.metrics.Filters.Snapshot(),
 	}
 	c.metrics.histMu.RLock()
 	if len(c.metrics.hists) > 0 {
@@ -334,6 +295,7 @@ func (c *Context) Snapshot() MetricsSnapshot {
 		for name, h := range c.metrics.hists {
 			s.Histograms[name] = h.Snapshot()
 		}
+		s.MaxPartitionRecords = s.Histograms["shuffle/partition_records"].Max
 	}
 	c.metrics.histMu.RUnlock()
 	c.metrics.stageMu.Lock()
@@ -351,9 +313,7 @@ func (c *Context) Snapshot() MetricsSnapshot {
 func (c *Context) ResetMetrics() {
 	c.metrics.Tasks.Store(0)
 	c.metrics.ShuffleRecords.Store(0)
-	c.metrics.SpilledRecords.Store(0)
 	c.metrics.BroadcastValues.Store(0)
-	c.metrics.MaxPartitionRecords.Store(0)
 	c.metrics.ShuffleNanos.Store(0)
 	c.metrics.Filters.Reset()
 	c.metrics.stageMu.Lock()
@@ -365,8 +325,8 @@ func (c *Context) ResetMetrics() {
 }
 
 func (s MetricsSnapshot) String() string {
-	msg := fmt.Sprintf("tasks=%d shuffled=%d spilled=%d broadcasts=%d maxPartition=%d shuffleTime=%v",
-		s.Tasks, s.ShuffleRecords, s.SpilledRecords, s.BroadcastValues, s.MaxPartitionRecords, s.ShuffleTime)
+	msg := fmt.Sprintf("tasks=%d shuffled=%d broadcasts=%d maxPartition=%d shuffleTime=%v",
+		s.Tasks, s.ShuffleRecords, s.BroadcastValues, s.MaxPartitionRecords, s.ShuffleTime)
 	if !s.Filters.IsZero() {
 		msg += fmt.Sprintf(" filters[%s]", s.Filters)
 	}

@@ -345,45 +345,6 @@ func TestShuffleDeterminismAcrossWorkersAndPartitions(t *testing.T) {
 	}
 }
 
-// TestSpillEquivalence: with an absurdly small spill threshold every
-// bucket round-trips through disk and results are unchanged.
-func TestSpillEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var kvs []flow.KV[int, int]
-	for i := 0; i < 1000; i++ {
-		kvs = append(kvs, flow.KV[int, int]{K: rng.Intn(25), V: i})
-	}
-	collectGroups := func(ctx *flow.Context) map[int][]int {
-		g, err := flow.GroupByKey(flow.Parallelize(ctx, kvs, 7), 4).Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := map[int][]int{}
-		for _, kv := range g {
-			out[kv.K] = sorted(kv.V)
-		}
-		return out
-	}
-	plain := collectGroups(flow.NewContext(flow.Config{Workers: 4}))
-
-	spillCtx := flow.NewContext(flow.Config{Workers: 4, SpillDir: t.TempDir(), SpillThreshold: 1})
-	spilled := collectGroups(spillCtx)
-	if snap := spillCtx.Snapshot(); snap.SpilledRecords == 0 {
-		t.Fatal("expected spilling with threshold 1")
-	}
-	if err := spillCtx.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(spilled) {
-		t.Fatalf("group count %d vs %d", len(plain), len(spilled))
-	}
-	for k, v := range plain {
-		if fmt.Sprint(v) != fmt.Sprint(spilled[k]) {
-			t.Fatalf("group %d differs with spilling", k)
-		}
-	}
-}
-
 func TestMetricsCounters(t *testing.T) {
 	ctx := flow.NewContext(flow.Config{Workers: 2})
 	kvs := make([]flow.KV[int, int], 100)
@@ -411,6 +372,55 @@ func TestMetricsCounters(t *testing.T) {
 	ctx.ResetMetrics()
 	if s := ctx.Snapshot(); s.Tasks != 0 || s.ShuffleRecords != 0 {
 		t.Errorf("reset failed: %+v", s)
+	}
+}
+
+// TestMapSideDedupShrinksShuffle: Distinct over duplicate-heavy data
+// must move only one record per (source partition, distinct value)
+// across the exchange.
+func TestMapSideDedupShrinksShuffle(t *testing.T) {
+	const n, distinct, parts = 4000, 40, 8
+	data := make([]int, n)
+	for i := range data {
+		data[i] = i % distinct
+	}
+	ctx := flow.NewContext(flow.Config{Workers: 4})
+	got, err := flow.Distinct(flow.Parallelize(ctx, data, parts), parts).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != distinct {
+		t.Fatalf("distinct = %d, want %d", len(got), distinct)
+	}
+	// Upper bound: every source partition contributes each value once.
+	if snap := ctx.Snapshot(); snap.ShuffleRecords > distinct*parts {
+		t.Errorf("shuffled %d records, want ≤ %d (map-side combining)", snap.ShuffleRecords, distinct*parts)
+	}
+}
+
+// TestStageTimingMetrics: shuffle wall-clock and named stages surface
+// in the snapshot and reset cleanly.
+func TestStageTimingMetrics(t *testing.T) {
+	ctx := flow.NewContext(flow.Config{Workers: 2})
+	kvs := make([]flow.KV[int, int], 10000)
+	for i := range kvs {
+		kvs[i] = flow.KV[int, int]{K: i % 100, V: i}
+	}
+	if _, err := flow.GroupByKey(flow.Parallelize(ctx, kvs, 4), 4).Count(); err != nil {
+		t.Fatal(err)
+	}
+	ctx.ObserveStage("verify", 3*1e6)
+	ctx.ObserveStage("verify", 2*1e6)
+	snap := ctx.Snapshot()
+	if snap.ShuffleTime <= 0 {
+		t.Error("shuffle time not recorded")
+	}
+	if snap.Stages["verify"] != 5*1e6 {
+		t.Errorf("stage time = %v, want 5ms", snap.Stages["verify"])
+	}
+	ctx.ResetMetrics()
+	if s := ctx.Snapshot(); s.ShuffleTime != 0 || len(s.Stages) != 0 {
+		t.Errorf("reset left timing state: %+v", s)
 	}
 }
 

@@ -36,7 +36,6 @@ type shuffleState[T any] struct {
 	once    sync.Once
 	err     error
 	buckets [][]T
-	spilled []string // spill file per partition, "" if in memory
 	// id is the collective id of this shuffle, assigned at
 	// graph-construction time; zero outside distributed mode.
 	id int64
@@ -50,8 +49,7 @@ type shuffleState[T any] struct {
 // target bucket. Every record is copied exactly once and no
 // intermediate per-(source, destination) bucket matrix is retained —
 // roughly halving both the copies and the peak memory of the
-// two-barrier scatter-then-gather formulation. Oversized buckets are
-// spilled when the context has spilling enabled.
+// two-barrier scatter-then-gather formulation.
 //
 // Bucket contents are deterministic: records land in source-partition
 // order, each source's records in their original order.
@@ -120,7 +118,6 @@ func runShuffle[K comparable, V any](d *Dataset[KV[K, V]], parts int, st *shuffl
 	var total int64
 	for dst, n := range sizes {
 		buckets[dst] = make([]KV[K, V], n)
-		ctx.metrics.observePartitionSize(int64(n))
 		partHist.Observe(int64(n))
 		total += int64(n)
 	}
@@ -147,27 +144,6 @@ func runShuffle[K comparable, V any](d *Dataset[KV[K, V]], parts int, st *shuffl
 		return
 	}
 	st.buckets = buckets
-	st.spilled = make([]string, parts)
-	if ctx.spill == nil {
-		return
-	}
-	spillSpan := sp.StartChild("shuffle.spill")
-	defer spillSpan.End()
-	st.err = ctx.parallelDo(parts, func(dst int) error {
-		if sizes[dst] <= ctx.spill.threshold {
-			return nil
-		}
-		tsp := spillSpan.StartTask("spill",
-			obs.Int("partition", int64(dst)), obs.Int("records", int64(sizes[dst])))
-		defer tsp.End()
-		path, err := spillWrite(ctx.spill, buckets[dst])
-		if err != nil {
-			return err
-		}
-		st.spilled[dst] = path
-		buckets[dst] = nil // st.buckets aliases this; free the memory
-		return nil
-	})
 }
 
 // PartitionByKey redistributes records so that equal keys land in the
@@ -199,9 +175,6 @@ func PartitionByKey[K comparable, V any](d *Dataset[KV[K, V]], parts int) *Datas
 			}
 			if self, world := d.ctx.world(); world > 1 && p%world != self {
 				return nil, fmt.Errorf("flow: shuffle partition %d is owned by worker %d, not %d — a distributed pipeline read a non-owned partition", p, p%world, self)
-			}
-			if path := st.spilled[p]; path != "" {
-				return spillRead[KV[K, V]](d.ctx.spill, path)
 			}
 			return st.buckets[p], nil
 		},

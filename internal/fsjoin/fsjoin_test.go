@@ -16,25 +16,43 @@ func ctx(workers int) *flow.Context {
 	return flow.NewContext(flow.Config{Workers: workers, DefaultPartitions: 4})
 }
 
-// TestFSJoinMatchesOracle over random datasets, thresholds (including
-// the degenerate θ range) and segment counts (twice the partitions).
+// TestFSJoinMatchesOracle over random datasets, thresholds and segment
+// counts (twice the partitions), plus fixed θ = 1 inputs: there a pair
+// sharing no item sits at exactly normalized distance 1, and only the
+// catch-all group of the degenerate regime can find it.
 func TestFSJoinMatchesOracle(t *testing.T) {
+	type oracleCase struct {
+		rs                  []*rankings.Ranking
+		k                   int
+		theta               float64
+		workers, partitions int
+	}
 	rng := rand.New(rand.NewSource(1))
+	var cases []oracleCase
 	for trial := 0; trial < 20; trial++ {
 		k := 3 + rng.Intn(10)
 		rs := testutil.RandDataset(rng, 40+rng.Intn(80), k, k+rng.Intn(4*k))
 		theta := rng.Float64()
-		want := rankings.DedupPairs(ppjoin.BruteForce(rs, rankings.Threshold(theta, k), new(obs.FilterDelta)))
-		got, err := fsjoin.Join(ctx(1+rng.Intn(4)), rs, fsjoin.Options{
-			Theta:      theta,
-			Partitions: 1 + rng.Intn(15),
+		workers := 1 + rng.Intn(4)
+		cases = append(cases, oracleCase{rs, k, theta, workers, 1 + rng.Intn(15)})
+	}
+	for _, c := range []struct{ n, k, vocab, parts int }{
+		{12, 1, 4, 1}, {12, 1, 4, 3}, {15, 2, 5, 2}, {40, 5, 30, 7},
+	} {
+		cases = append(cases, oracleCase{testutil.RandDataset(rng, c.n, c.k, c.vocab), c.k, 1, 2, c.parts})
+	}
+	for i, c := range cases {
+		want := rankings.DedupPairs(ppjoin.BruteForce(c.rs, rankings.Threshold(c.theta, c.k), new(obs.FilterDelta)))
+		got, err := fsjoin.Join(ctx(c.workers), c.rs, fsjoin.Options{
+			Theta:      c.theta,
+			Partitions: c.partitions,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !rankings.SamePairs(got, want) {
 			extra, missing := rankings.DiffPairs(got, want)
-			t.Fatalf("trial %d k=%d θ=%.3f: extra=%v missing=%v", trial, k, theta, extra, missing)
+			t.Fatalf("case %d k=%d θ=%.3f: extra=%v missing=%v", i, c.k, c.theta, extra, missing)
 		}
 	}
 }

@@ -175,12 +175,12 @@ func TestMinCommonMatchesPrefixIntersection(t *testing.T) {
 }
 
 // TestRenumberedSurvivesWire: a renumbered copy that crosses the wire
-// (AppendWire/DecodeWire, and gob as the flow engine's spill files and
-// exchange frames use it) comes back with the same signature, prefix
-// and MinCommon. Decoding recomputes the signature from the shipped
-// items, so a copy carrying its original item space's signature would
-// compare signatures across two item spaces and the overlap bound
-// would turn unsound.
+// (AppendWire/DecodeWire, and gob as the flow engine's exchange frames
+// use it) comes back with the same signature, prefix and MinCommon.
+// Decoding recomputes the signature from the shipped items, so a copy
+// carrying its original item space's signature would compare
+// signatures across two item spaces and the overlap bound would turn
+// unsound.
 func TestRenumberedSurvivesWire(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ds := testutil.Renumber(testutil.ZipfDataset(rng, 60, 10, 80, 1.2))

@@ -175,9 +175,9 @@ func Unseal(magic string, body []byte) (payload []byte, err error) {
 	return payload, nil
 }
 
-// GobEncode implements gob.GobEncoder for internal/flow, whose spill
-// files and exchange frames keep reflection gob as the container for
-// their generic record types; the blob is the wire encoding. Without
+// GobEncode implements gob.GobEncoder for internal/flow, whose
+// exchange frames keep reflection gob as the container for their
+// generic record types; the blob is the wire encoding. Without
 // it gob would strip the unexported derived state.
 func (r *Ranking) GobEncode() ([]byte, error) {
 	return r.AppendWire(make([]byte, 0, 2*binary.MaxVarintLen64+len(r.Items)*binary.MaxVarintLen32)), nil

@@ -76,7 +76,7 @@ func TestRankingGobInsideSlices(t *testing.T) {
 
 // TestDecodeRejects: the one decoder refuses everything New refuses
 // and every byte string that is not the canonical spelling of a
-// ranking — through GobDecode (spill files, exchange frames) as much
+// ranking — through GobDecode (exchange frames) as much
 // as through DecodeWire. The first three are what GobDecode used to
 // let into a join.
 func TestDecodeRejects(t *testing.T) {

@@ -119,7 +119,5 @@ func bruteForceRS(e *Engine, r, s []*Ranking, theta float64) []Pair {
 
 // JoinRS runs an R-S join on a fresh default engine; see Engine.JoinRS.
 func JoinRS(r, s []*Ranking, opts Options) (*Result, error) {
-	e := NewEngine(EngineConfig{})
-	defer e.Close()
-	return e.JoinRS(r, s, opts)
+	return NewEngine(EngineConfig{}).JoinRS(r, s, opts)
 }

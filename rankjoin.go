@@ -20,9 +20,9 @@
 // BuildIndex/Index.Search (single-query similarity range search).
 //
 // All algorithms run on an embedded Spark-like dataflow engine with
-// hash-partitioned shuffles, broadcast variables, a bounded worker
-// pool, and optional spill-to-disk; Engine configuration corresponds to
-// the Spark parameters of the paper's Table 3.
+// hash-partitioned in-memory shuffles, broadcast variables and a
+// bounded worker pool; Engine configuration corresponds to the Spark
+// parameters of the paper's Table 3.
 //
 // Quick start:
 //
@@ -197,7 +197,7 @@ type Result struct {
 	// AcceptedUnverified + Verified.
 	Filters FilterStats
 	// Engine is a snapshot of the engine counters accumulated by this
-	// run (shuffled records, tasks, spills, largest partition, skew
+	// run (shuffled records, tasks, largest partition, skew
 	// histograms).
 	Engine flow.MetricsSnapshot
 }
@@ -222,12 +222,6 @@ type EngineConfig struct {
 	Workers int
 	// DefaultPartitions is used when Options.Partitions is 0.
 	DefaultPartitions int
-	// SpillDir enables spilling oversized shuffle buckets to gob files
-	// under this directory.
-	SpillDir string
-	// SpillThreshold is the per-bucket record count that triggers a
-	// spill (0 = 65536).
-	SpillThreshold int
 	// Exchange, when non-nil with a world size above one, runs every
 	// Join on this engine in distributed SPMD mode: all workers in the
 	// exchanger's world must run the identical Join call on the
@@ -250,14 +244,13 @@ func NewEngine(cfg EngineConfig) *Engine {
 	return &Engine{ctx: flow.NewContext(flow.Config{
 		Workers:           cfg.Workers,
 		DefaultPartitions: cfg.DefaultPartitions,
-		SpillDir:          cfg.SpillDir,
-		SpillThreshold:    cfg.SpillThreshold,
 		Exchange:          cfg.Exchange,
 	})}
 }
 
-// Close releases engine resources (spill files).
-func (e *Engine) Close() error { return e.ctx.Close() }
+// Close releases nothing: an engine holds only memory. It is kept so
+// callers that close their engines compile.
+func (e *Engine) Close() error { return nil }
 
 // SetTracer attaches tr to the engine: every subsequent Join records
 // phase, shuffle and task spans on it. Pass nil to detach. With no
@@ -385,9 +378,7 @@ func (e *Engine) Join(rs []*Ranking, opts Options) (*Result, error) {
 
 // Join runs a similarity join on a fresh default engine.
 func Join(rs []*Ranking, opts Options) (*Result, error) {
-	e := NewEngine(EngineConfig{})
-	defer e.Close()
-	return e.Join(rs, opts)
+	return NewEngine(EngineConfig{}).Join(rs, opts)
 }
 
 // Errors reported by the join entry points. All joins, SuggestDelta and

@@ -84,26 +84,27 @@ func TestStatsExposed(t *testing.T) {
 	}
 }
 
-func TestEngineReuseAndSpill(t *testing.T) {
+// TestEngineReuse runs one engine twice against a fresh engine's answer:
+// a reused engine must neither drift in its pairs nor carry counters
+// over from the previous run.
+func TestEngineReuse(t *testing.T) {
 	rs := sample(t, 4, 60, 8, 60)
-	e := rankjoin.NewEngine(rankjoin.EngineConfig{
-		Workers: 2, SpillDir: t.TempDir(), SpillThreshold: 1,
-	})
-	defer e.Close()
-	ref, err := rankjoin.Join(rs, rankjoin.Options{Theta: 0.25})
+	e := rankjoin.NewEngine(rankjoin.EngineConfig{Workers: 2})
+	opts := rankjoin.Options{Theta: 0.25, Stats: true}
+	ref, err := rankjoin.Join(rs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		res, err := e.Join(rs, rankjoin.Options{Theta: 0.25, Stats: true})
+		res, err := e.Join(rs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !rankings.SamePairs(res.Pairs, ref.Pairs) {
-			t.Fatalf("spilling engine run %d diverged", i)
+			t.Fatalf("reused engine run %d diverged", i)
 		}
-		if res.Engine.SpilledRecords == 0 {
-			t.Error("spill threshold 1 spilled nothing")
+		if res.Engine.Tasks != ref.Engine.Tasks {
+			t.Errorf("run %d: %d tasks, fresh engine ran %d", i, res.Engine.Tasks, ref.Engine.Tasks)
 		}
 	}
 }
