@@ -41,7 +41,6 @@ func main() {
 		query   = flag.String("query", "", "one query ranking, item ids best-first")
 		queries = flag.String("queries", "", "file of query rankings")
 		id      = flag.Int64("id", -1, "use the dataset ranking with this id as query")
-		pivots  = flag.Int("pivots", 12, "number of index pivots")
 		server  = flag.String("server", "", "query a running rankserved at this host:port instead of indexing locally")
 	)
 	flag.Parse()
@@ -65,11 +64,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	idx, err := rankjoin.BuildIndex(rs, *pivots)
+	idx, err := rankjoin.BuildIndex(rs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("indexed %d rankings with %d pivots", len(rs), *pivots)
+	log.Printf("indexed %d rankings", len(rs))
 
 	var qs []*rankjoin.Ranking
 	switch {

@@ -80,8 +80,6 @@ func main() {
 		addrFile    = flag.String("addr-file", "", "write the bound address to this file (for scripts)")
 		data        = flag.String("data", "", "preload this dataset file (optional)")
 		shards      = flag.Int("shards", 8, "number of index shards")
-		pivots      = flag.Int("pivots", 8, "pivots per shard")
-		seed        = flag.Int64("seed", 1, "pivot-selection seed")
 		cacheSize   = flag.Int("cache", 1024, "query-cache entries (negative disables)")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-request deadline")
 		debugAddr   = flag.String("debug-addr", "", "serve expvar+pprof on this address")
@@ -159,7 +157,7 @@ func main() {
 		}
 	}
 
-	idx := shard.New(shard.Config{Shards: *shards, PivotsPerShard: *pivots, Seed: *seed})
+	idx := shard.New(shard.Config{Shards: *shards})
 
 	// Durability: recover from the newest snapshot + WAL tail, then
 	// attach the write hook so every subsequent ack implies an fsynced
@@ -287,7 +285,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	logger.Info("serving", slog.String("addr", ln.Addr().String()),
-		slog.Int("shards", *shards), slog.Int("pivots", *pivots),
+		slog.Int("shards", *shards),
 		slog.Int("cache", *cacheSize), slog.Int("trace_sample", *traceSample),
 		slog.Duration("slow", *slowThresh))
 

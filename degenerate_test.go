@@ -103,7 +103,7 @@ func TestTypedValidationErrors(t *testing.T) {
 	if _, err := rankjoin.SuggestDelta(rs, 1.5); !errors.Is(err, rankjoin.ErrThetaRange) {
 		t.Errorf("SuggestDelta theta 1.5: err = %v, want ErrThetaRange", err)
 	}
-	if _, err := rankjoin.BuildIndex(dup, 2); !errors.Is(err, rankjoin.ErrDuplicateID) {
+	if _, err := rankjoin.BuildIndex(dup); !errors.Is(err, rankjoin.ErrDuplicateID) {
 		t.Errorf("BuildIndex duplicate ids: err = %v, want ErrDuplicateID", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestTypedValidationErrors(t *testing.T) {
 func TestThetaRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	rs := testutil.RandDataset(rng, 10, 4, 25)
-	idx, err := rankjoin.BuildIndex(rs, 2)
+	idx, err := rankjoin.BuildIndex(rs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func ExampleBuildIndex() {
 		mk(2, 1, 2, 3, 5, 4),
 		mk(3, 9, 8, 7, 6, 0),
 	}
-	idx, err := rankjoin.BuildIndex(rs, 2)
+	idx, err := rankjoin.BuildIndex(rs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -101,16 +101,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
 	for i, st := range stats {
 		m.Int("rankserved_shard_pivots", int64(st.Pivots), shardLabel(i))
 	}
-	m.Metric("rankserved_shard_churn", "gauge", "Mutations since the shard's pivot set was chosen.")
-	for i, st := range stats {
-		m.Int("rankserved_shard_churn", int64(st.Churn), shardLabel(i))
-	}
-	m.Metric("rankserved_shard_repivots_total", "counter", "Completed background re-pivots per shard.")
+	m.Metric("rankserved_shard_repivots_total", "counter", "Completed background pivot selections per shard.")
 	for i, st := range stats {
 		m.Int("rankserved_shard_repivots_total", st.RePivots, shardLabel(i))
 	}
-	m.Metric("rankserved_repivot_duration_seconds", "histogram", "Background re-pivot rebuild time.")
-	m.Histogram("rankserved_repivot_duration_seconds", s.rePivotDur.Snapshot(), 1e6)
 
 	// --- trace sampling ---
 	m.Metric("rankserved_traces_sampled_total", "counter", "Requests head-sampled into full traces.")

@@ -432,9 +432,7 @@ func TestMetricsExposition(t *testing.T) {
 	mustFind("rankserved_shard_size", map[string]string{"shard": "0"})
 	mustFind("rankserved_shard_epoch", map[string]string{"shard": "0"})
 	mustFind("rankserved_shard_pivots", map[string]string{"shard": "0"})
-	mustFind("rankserved_shard_churn", map[string]string{"shard": "0"})
 	mustFind("rankserved_shard_repivots_total", map[string]string{"shard": "0"})
-	mustFind("rankserved_repivot_duration_seconds_count", nil)
 	mustFind("rankserved_traces_sampled_total", nil)
 	mustFind("rankserved_slow_requests_total", nil)
 
@@ -463,7 +461,7 @@ func TestMetricsShardSeriesComplete(t *testing.T) {
 	_, samples := parseProm(t, scrapeMetrics(t, ts.URL))
 	shards := s.Index().NumShards()
 	for _, name := range []string{"rankserved_shard_size", "rankserved_shard_epoch",
-		"rankserved_shard_pivots", "rankserved_shard_churn", "rankserved_shard_repivots_total"} {
+		"rankserved_shard_pivots", "rankserved_shard_repivots_total"} {
 		seen := map[string]bool{}
 		for _, smp := range samples {
 			if smp.name == name {

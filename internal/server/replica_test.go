@@ -207,7 +207,7 @@ func TestFollowerRefusesMisroutedRecord(t *testing.T) {
 	for rep.idx.ShardOf(stray.ID) == 2 {
 		stray.ID++
 	}
-	frame := binary.AppendUvarint([]byte{byte(wal.OpInsert)}, beforeEpochs[2]+1)
+	frame := binary.AppendUvarint([]byte{byte(shard.OpInsert)}, beforeEpochs[2]+1)
 	frame = rankings.EndFrame(stray.AppendWire(frame), 0)
 	rep.leader = stubLeader(t, &replicateResponse{Version: rankings.WireVersion, NumShards: 4, K: 5, Payloads: []replicateShard{
 		{Shard: 2, Epoch: beforeEpochs[2] + 1, Body: frame},
@@ -231,7 +231,7 @@ func TestFollowerRefusesMisroutedRecord(t *testing.T) {
 	// The same frame under its own shard's label is the well-formed
 	// case: it applies.
 	home := rep.idx.ShardOf(stray.ID)
-	frame = binary.AppendUvarint([]byte{byte(wal.OpInsert)}, beforeEpochs[home]+1)
+	frame = binary.AppendUvarint([]byte{byte(shard.OpInsert)}, beforeEpochs[home]+1)
 	frame = rankings.EndFrame(stray.AppendWire(frame), 0)
 	rep.leader = stubLeader(t, &replicateResponse{Version: rankings.WireVersion, NumShards: 4, K: 5, Payloads: []replicateShard{
 		{Shard: home, Epoch: beforeEpochs[home] + 1, Body: frame},
@@ -249,7 +249,7 @@ func TestFollowerRefusesMisroutedRecord(t *testing.T) {
 // bodies are WAL frames and snapshot images, held to byte-identical
 // re-encoding by internal/wal's own targets.
 func FuzzReplicateResponse(f *testing.F) {
-	frames := binary.AppendUvarint([]byte{byte(wal.OpInsert)}, 1)
+	frames := binary.AppendUvarint([]byte{byte(shard.OpInsert)}, 1)
 	frames = rankings.EndFrame(rankings.MustNew(0, []rankings.Item{5, 3, -3}).AppendWire(frames), 0)
 	image := wal.EncodeSnapshot(0, 7, []*rankings.Ranking{rankings.MustNew(4, []rankings.Item{1, 2, 3})})
 	f.Add(frames, false)

@@ -105,11 +105,7 @@ type Config struct {
 // Server is the rankserved request handler. Create with New, mount
 // Handler, and Close when done.
 type Server struct {
-	idx *shard.Index
-	// baseCtx is the server's lifecycle root: hooks and other
-	// non-request callbacks that need a context log against it instead
-	// of minting their own.
-	baseCtx  context.Context
+	idx      *shard.Index
 	cache    *queryCache
 	sweeps   atomic.Int64 // local shard sweeps, one per cache miss
 	timeout  time.Duration
@@ -133,8 +129,6 @@ type Server struct {
 
 	sampledTotal atomic.Int64
 	slowTotal    atomic.Int64
-	rePivotTotal atomic.Int64
-	rePivotDur   obs.Histogram // microseconds
 
 	cluster *cluster.Cluster // never nil: a single node is a ring of one
 	wal     *wal.Manager     // nil without durability
@@ -219,7 +213,6 @@ func New(cfg Config) *Server {
 	now := time.Now()
 	s := &Server{
 		idx:         idx,
-		baseCtx:     context.Background(),
 		cache:       newQueryCache(cacheSize),
 		timeout:     timeout,
 		maxBody:     maxBody,
@@ -237,14 +230,6 @@ func New(cfg Config) *Server {
 		wal:         cfg.WAL,
 		replica:     cfg.Replica,
 	}
-	idx.SetRePivotHook(func(e shard.RePivotEvent) {
-		s.rePivotTotal.Add(1)
-		s.rePivotDur.Observe(e.Dur.Microseconds())
-		s.logger.LogAttrs(s.baseCtx, slog.LevelInfo, "re-pivot",
-			slog.Int("shard", e.Shard), slog.Int("size", e.Size),
-			slog.Int("pivots", e.Pivots), slog.Int("churn", e.Churn),
-			slog.Duration("dur", e.Dur))
-	})
 	s.route("/v1/search", http.MethodPost, s.handleSearch)
 	s.route("/v1/knn", http.MethodPost, s.handleKNN)
 	s.route("/v1/insert", http.MethodPost, s.handleInsert)
@@ -279,12 +264,11 @@ func (s *Server) Index() *shard.Index { return s.idx }
 // Handler returns the root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close stops the telemetry window loop and uninstalls the re-pivot
-// hook. Requests run on their callers' goroutines, so Close has none to
-// stop: a handler still running after it still answers from the index.
-// Stop the HTTP server first to drain them.
+// Close stops the telemetry window loop. Requests run on their
+// callers' goroutines, so Close has none to stop: a handler still
+// running after it still answers from the index. Stop the HTTP server
+// first to drain them.
 func (s *Server) Close() {
-	s.idx.SetRePivotHook(nil)
 	if s.winStop != nil {
 		close(s.winStop)
 		<-s.winDone
@@ -778,7 +762,6 @@ type Status struct {
 	Batch         BatchStatus               `json:"batch"`
 	Requests      map[string]EndpointStatus `json:"requests"`
 	Windows       map[string]WindowStatus   `json:"windows"`
-	RePivots      RePivotStatus             `json:"re_pivots"`
 	Traces        TracesStatus              `json:"traces"`
 	LastTrace     TraceStatus               `json:"last_trace"`
 	// Cluster is this node's view of its ring (one peer, itself, on a
@@ -843,13 +826,6 @@ type WindowStatus struct {
 	P99us         int64   `json:"p99_us"`
 }
 
-// RePivotStatus summarizes background re-pivot activity.
-type RePivotStatus struct {
-	Events int64 `json:"events"`
-	P50us  int64 `json:"p50_us"`
-	Maxus  int64 `json:"max_us"`
-}
-
 // TracesStatus summarizes trace sampling and retention.
 type TracesStatus struct {
 	SampledTotal int64 `json:"sampled_total"`
@@ -888,7 +864,6 @@ func (s *Server) Status() Status {
 	if sweeps > 0 {
 		meanSize = 1
 	}
-	rpSnap := s.rePivotDur.Snapshot()
 	st := Status{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		K:             s.idx.K(),
@@ -901,11 +876,6 @@ func (s *Server) Status() Status {
 			Entries: s.cache.len(), Capacity: s.cache.capacity(),
 		},
 		Batch: BatchStatus{Sweeps: sweeps, MeanSize: meanSize},
-		RePivots: RePivotStatus{
-			Events: s.rePivotTotal.Load(),
-			P50us:  rpSnap.Quantile(0.50),
-			Maxus:  rpSnap.Max,
-		},
 		Traces: TracesStatus{
 			SampledTotal: s.sampledTotal.Load(),
 			SlowTotal:    s.slowTotal.Load(),

@@ -14,11 +14,13 @@ type Config struct {
 	// Shards is the number of index partitions (default 8). More shards
 	// mean finer write locking and more fan-out parallelism per query.
 	Shards int
-	// PivotsPerShard caps the background pivot selection (default 8).
-	// No query reads the pivots; see Shard.pivots.
+	// PivotsPerShard caps each shard's one background pivot selection
+	// (default 8), and Seed drives it; shards derive distinct streams.
+	// Neither changes any result, ledger or epoch: no query reads the
+	// pivots (see Shard.pivots). Both stay only because the benchmark
+	// harness sets them.
 	PivotsPerShard int
-	// Seed drives pivot selection; shards derive distinct streams.
-	Seed int64
+	Seed           int64
 }
 
 // Index is the sharded dynamic index: rankings are routed to shards by
@@ -31,10 +33,8 @@ type Index struct {
 	filters   obs.FilterCounters
 	pool      sync.Pool // of *Batch, for the copying Search/KNN/SearchBatch wrappers
 
-	// rePivotHook/writeHook are shared with every shard;
-	// SetRePivotHook/SetWriteHook swap them.
-	rePivotHook atomic.Pointer[RePivotHook]
-	writeHook   atomic.Pointer[WriteHook]
+	// writeHook is shared with every shard; SetWriteHook swaps it.
+	writeHook atomic.Pointer[WriteHook]
 
 	mu sync.RWMutex
 	k  int // established ranking length; 0 until the first insert
@@ -55,7 +55,6 @@ func New(cfg Config) *Index {
 	for i := range x.shards {
 		x.shards[i] = newShard(cfg.PivotsPerShard, cfg.Seed+int64(i)*7_919)
 		x.shards[i].id = i
-		x.shards[i].hook = &x.rePivotHook
 		x.shards[i].writeHook = &x.writeHook
 		x.spanNames[i] = fmt.Sprintf("shard/%d", i)
 	}
@@ -270,18 +269,6 @@ func (x *Index) SnapshotShard(i int, barrier func()) ([]*rankings.Ranking, uint6
 // lists is pruned unread, every other one gets its exact distance from
 // the accumulation; Emitted counts hits).
 func (x *Index) Filters() *obs.FilterCounters { return &x.filters }
-
-// SetRePivotHook installs fn as the observer of completed background
-// re-pivots across all shards (nil uninstalls). The hook runs on the
-// re-pivot goroutine with no locks held; see RePivotHook for the
-// contract. Safe to call concurrently with serving traffic.
-func (x *Index) SetRePivotHook(fn RePivotHook) {
-	if fn == nil {
-		x.rePivotHook.Store(nil)
-		return
-	}
-	x.rePivotHook.Store(&fn)
-}
 
 // SetWriteHook installs fn as the observer of every Insert/Delete
 // across all shards (nil uninstalls); see WriteHook for the locking

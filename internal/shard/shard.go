@@ -18,8 +18,14 @@
 // same contents), so query caches can be invalidated per shard without
 // a global generation counter, and so a write-ahead log or replication
 // stream can address "everything after epoch E" with a contiguity
-// check. Background re-pivots deliberately do NOT move the epoch: a
-// re-pivot changes no result set, and replicas re-pivot independently.
+// check.
+//
+// Each shard also chooses a handful of pivot rankings once, in the
+// background, when it first holds minRePivotSize entries (and again
+// after a Restore). No query reads them; Stats reports them because the
+// benchmark harness waits for them before it starts timing. The
+// selection does NOT move the epoch: it changes no result set, and
+// replicas choose their own.
 package shard
 
 import (
@@ -30,7 +36,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rankjoin/internal/rankings"
 )
@@ -74,23 +79,8 @@ type posting struct {
 	rank int32
 }
 
-// RePivotEvent describes one completed background re-pivot pass, as
-// delivered to the hook installed with Index.SetRePivotHook.
-type RePivotEvent struct {
-	Shard  int           // shard ordinal within its Index
-	Size   int           // entries at snapshot time
-	Pivots int           // pivots chosen
-	Churn  int           // mutations absorbed since the previous pivot set
-	Dur    time.Duration // wall time of the rebuild
-}
-
-// RePivotHook observes completed re-pivots. It runs on the re-pivot
-// goroutine after all locks are released, so it may itself query the
-// index, but it should return quickly — the shard cannot start its
-// next rebuild until the hook returns.
-type RePivotHook func(RePivotEvent)
-
-// Op tags one logged mutation.
+// Op tags one logged mutation. Its values are the first byte of a
+// write-ahead-log frame (internal/wal), so they never change.
 type Op uint8
 
 const (
@@ -125,18 +115,18 @@ type WriteHook func(WriteRecord) func() error
 // Shard is one RWMutex-guarded partition of the index. All exported
 // methods are safe for concurrent use.
 type Shard struct {
-	numPivots int
+	maxPivots int
 	seed      int64
-	id        int                          // ordinal within the owning Index
-	hook      *atomic.Pointer[RePivotHook] // owning Index's re-pivot hook; nil standalone
-	writeHook *atomic.Pointer[WriteHook]   // owning Index's write hook; nil standalone
+	id        int                        // ordinal within the owning Index
+	writeHook *atomic.Pointer[WriteHook] // owning Index's write hook; nil standalone
 
 	mu sync.RWMutex
-	// pivots is chosen by the background re-pivot and read by nothing
-	// but Stats: the benchmark harness (benchmark/scenario.go,
+	// pivots is chosen once by the background selection and read by
+	// nothing but Stats: the benchmark harness (benchmark/scenario.go,
 	// waitForPivots) polls Stats().Pivots until every shard has some
 	// before it starts timing, so the selection stays until that harness
-	// accepts a shard without pivots.
+	// accepts a shard without pivots. A pivot a later delete removes
+	// stays referenced until the next Restore.
 	pivots  []*rankings.Ranking
 	entries []*rankings.Ranking
 	byID    map[int64]int
@@ -148,21 +138,20 @@ type Shard struct {
 	index map[rankings.Item]int32
 	lists [][]posting
 	free  []int32
-	churn int // mutations since the pivot set was last chosen
 
 	// epoch is written under mu and read either under mu (consistent
 	// snapshots) or raw (cache tags, which only need monotonicity).
 	epoch atomic.Uint64
 
-	// rePivots counts completed re-pivot passes; repivoting serializes
-	// background rebuilds.
+	// rePivots counts completed selections; repivoting keeps a second
+	// one from starting while the first runs.
 	rePivots   atomic.Int64
 	repivoting atomic.Bool
 }
 
-func newShard(numPivots int, seed int64) *Shard {
+func newShard(maxPivots int, seed int64) *Shard {
 	return &Shard{
-		numPivots: numPivots,
+		maxPivots: maxPivots,
 		seed:      seed,
 		byID:      make(map[int64]int),
 		index:     make(map[rankings.Item]int32),
@@ -178,7 +167,6 @@ func newShard(numPivots int, seed int64) *Shard {
 func (s *Shard) Insert(r *rankings.Ranking) error {
 	s.mu.Lock()
 	s.upsertLocked(r)
-	s.churn++
 	epoch := s.epoch.Add(1)
 	commit := s.logLocked(WriteRecord{Shard: s.id, Op: OpInsert, Epoch: epoch, ID: r.ID, Ranking: r})
 	due := s.rePivotDueLocked()
@@ -287,7 +275,6 @@ func (s *Shard) Delete(id int64) (bool, error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	s.churn++
 	epoch := s.epoch.Add(1)
 	commit := s.logLocked(WriteRecord{Shard: s.id, Op: OpDelete, Epoch: epoch, ID: id})
 	due := s.rePivotDueLocked()
@@ -344,7 +331,6 @@ func (s *Shard) logLocked(rec WriteRecord) func() error {
 func (s *Shard) ApplyInsert(r *rankings.Ranking, epoch uint64) {
 	s.mu.Lock()
 	s.upsertLocked(r)
-	s.churn++
 	s.epoch.Store(epoch)
 	due := s.rePivotDueLocked()
 	s.mu.Unlock()
@@ -361,9 +347,6 @@ func (s *Shard) ApplyInsert(r *rankings.Ranking, epoch uint64) {
 func (s *Shard) ApplyDelete(id int64, epoch uint64) bool {
 	s.mu.Lock()
 	ok := s.removeLocked(id)
-	if ok {
-		s.churn++
-	}
 	s.epoch.Store(epoch)
 	due := s.rePivotDueLocked()
 	s.mu.Unlock()
@@ -391,7 +374,6 @@ func (s *Shard) Restore(rs []*rankings.Ranking, epoch uint64) {
 		s.byID[r.ID] = i
 		s.postLocked(i, r)
 	}
-	s.churn = 0
 	s.epoch.Store(epoch)
 	due := s.rePivotDueLocked()
 	s.mu.Unlock()
@@ -457,7 +439,6 @@ type Stats struct {
 	Size     int    `json:"size"`
 	Epoch    uint64 `json:"epoch"`
 	Pivots   int    `json:"pivots"`
-	Churn    int    `json:"churn"`
 	RePivots int64  `json:"re_pivots"`
 }
 
@@ -469,29 +450,20 @@ func (s *Shard) Stats() Stats {
 		Size:     len(s.entries),
 		Epoch:    s.epoch.Load(),
 		Pivots:   len(s.pivots),
-		Churn:    s.churn,
 		RePivots: s.rePivots.Load(),
 	}
 }
 
-// Re-pivot policy. Shards below minRePivotSize never choose pivots;
-// otherwise a selection is due when the pivot set has never been
-// chosen or when churn since the last selection reaches half the
-// population.
+// A shard chooses pivots once, in the background, when it reaches
+// minRePivotSize entries without any: after a fill, or after a Restore
+// dropped them. Churn never re-chooses them.
 const minRePivotSize = 16
 
 func (s *Shard) rePivotDueLocked() bool {
-	n := len(s.entries)
-	if n < minRePivotSize {
-		return false
-	}
-	if len(s.pivots) == 0 {
-		return true
-	}
-	return s.churn*2 >= n
+	return len(s.entries) >= minRePivotSize && len(s.pivots) == 0
 }
 
-// triggerRePivot starts a background re-pivot unless one is already
+// triggerRePivot starts a background selection unless one is already
 // running.
 func (s *Shard) triggerRePivot() {
 	if s.repivoting.CompareAndSwap(false, true) {
@@ -499,12 +471,11 @@ func (s *Shard) triggerRePivot() {
 	}
 }
 
-// rePivot re-chooses the pivot set: snapshot the members under RLock,
+// rePivot chooses the pivot set: snapshot the members under RLock,
 // choose pivots (error-bounded sampled selection, see pivot.go) without
 // holding any lock, then install them under the write lock.
 func (s *Shard) rePivot() {
 	defer s.repivoting.Store(false)
-	began := time.Now()
 	s.mu.RLock()
 	n := len(s.entries)
 	if n == 0 {
@@ -516,30 +487,16 @@ func (s *Shard) rePivot() {
 	s.mu.RUnlock()
 
 	rng := rand.New(rand.NewSource(s.seed + (round+1)*1_000_003 + int64(n)))
-	pivots := selectPivots(members, s.numPivots, rng)
+	pivots := selectPivots(members, s.maxPivots, rng)
 
 	s.mu.Lock()
 	s.pivots = pivots
-	churn := s.churn
-	s.churn = 0
 	s.rePivots.Add(1)
 	// A re-pivot deliberately does NOT bump the epoch: it changes no
 	// result set (equal epochs ⇒ equal contents still holds), and the
 	// epoch must stay a dense one-per-mutation cursor so WAL replay and
 	// replicas — which re-pivot on their own schedule — never drift.
 	s.mu.Unlock()
-
-	if s.hook != nil {
-		if fn := s.hook.Load(); fn != nil {
-			(*fn)(RePivotEvent{
-				Shard:  s.id,
-				Size:   n,
-				Pivots: len(pivots),
-				Churn:  churn,
-				Dur:    time.Since(began),
-			})
-		}
-	}
 }
 
 // sweep answers every query of a batch against this shard under one
@@ -697,6 +654,6 @@ func growCap[T any](s []T, n int) []T {
 
 func (s *Shard) String() string {
 	st := s.Stats()
-	return fmt.Sprintf("shard{size=%d epoch=%d pivots=%d churn=%d rePivots=%d}",
-		st.Size, st.Epoch, st.Pivots, st.Churn, st.RePivots)
+	return fmt.Sprintf("shard{size=%d epoch=%d pivots=%d rePivots=%d}",
+		st.Size, st.Epoch, st.Pivots, st.RePivots)
 }

@@ -264,7 +264,7 @@ func (m *Manager) replayShard(idx *shard.Index, i int) (applied, torn int, err e
 func (m *Manager) Attach(idx *shard.Index) {
 	idx.SetWriteHook(func(wr shard.WriteRecord) func() error {
 		l := m.logs[wr.Shard]
-		rec := Record{Op: Op(wr.Op), Epoch: wr.Epoch, ID: wr.ID}
+		rec := Record{Op: wr.Op, Epoch: wr.Epoch, ID: wr.ID}
 		if wr.Op == shard.OpInsert {
 			rec.Items = wr.Ranking.Items
 		}

@@ -28,20 +28,13 @@ import (
 // offer. Unlike a torn tail it is never a crash artifact.
 var ErrGap = errors.New("wal: epoch gap")
 
-// Op tags one logged mutation; values mirror internal/shard.
-type Op uint8
-
-const (
-	OpInsert Op = 1
-	OpDelete Op = 2
-)
-
-// Record is one durable mutation: the epoch the owning shard reached
-// by applying it, and the subject. Items is nil for deletes. Frame is
+// Record is one durable mutation: the operation, whose shard.Op value
+// is the frame's first byte, the epoch the owning shard reached by
+// applying it, and the subject. Items is nil for deletes. Frame is
 // the bytes a decoded record came from — what a segment holds and what
 // a follower replays — and nil for a record built in memory.
 type Record struct {
-	Op    Op
+	Op    shard.Op
 	Epoch uint64
 	ID    int64
 	Items []rankings.Item
@@ -55,7 +48,7 @@ func appendRecord(buf []byte, rec Record) []byte {
 	start := len(buf)
 	buf = append(buf, byte(rec.Op))
 	buf = binary.AppendUvarint(buf, rec.Epoch)
-	if rec.Op == OpInsert {
+	if rec.Op == shard.OpInsert {
 		r := rankings.Ranking{ID: rec.ID, Items: rec.Items}
 		buf = r.AppendWire(buf)
 	} else {
@@ -74,14 +67,14 @@ func decodeRecord(data []byte) (rec Record, size int, err error) {
 	}
 	var n, m int // bytes of the epoch, bytes of the subject
 	if len(payload) > 0 {
-		rec.Op = Op(payload[0])
+		rec.Op = shard.Op(payload[0])
 		rec.Epoch, n = rankings.Uvarint(payload[1:])
 	}
-	if n > 0 && rec.Op == OpInsert {
+	if n > 0 && rec.Op == shard.OpInsert {
 		var r rankings.Ranking
 		m, err = r.DecodeWire(payload[1+n:])
 		rec.ID, rec.Items = r.ID, r.Items
-	} else if n > 0 && rec.Op == OpDelete {
+	} else if n > 0 && rec.Op == shard.OpDelete {
 		rec.ID, m = rankings.Varint(payload[1+n:])
 	}
 	if err == nil && (m <= 0 || 1+n+m != len(payload)) { // includes an unknown op
@@ -135,7 +128,7 @@ func ReplayShard(idx *shard.Index, i int, frames []byte) (applied, off int, err 
 		if idx.ShardOf(rec.ID) != i {
 			return fmt.Errorf("record for id %d routes to shard %d", rec.ID, idx.ShardOf(rec.ID))
 		}
-		if rec.Op == OpDelete {
+		if rec.Op == shard.OpDelete {
 			if !idx.ApplyDelete(rec.ID, rec.Epoch) {
 				return fmt.Errorf("epoch %d deletes absent id %d", rec.Epoch, rec.ID)
 			}

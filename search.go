@@ -41,13 +41,11 @@ type Index struct {
 	idx *ShardedIndex
 }
 
-// BuildIndex indexes the dataset. numPivots must be positive; it caps
-// the shard's background pivot selection, which no query reads, so it
-// changes neither results nor query cost. The dataset must be
-// non-empty (ErrEmptyIndex otherwise),
-// uniform-length and free of duplicate ids (ErrDuplicateID: the index
-// keys rankings by id, so a repeat would silently replace the first).
-func BuildIndex(rs []*Ranking, numPivots int) (*Index, error) {
+// BuildIndex indexes the dataset. The dataset must be non-empty
+// (ErrEmptyIndex otherwise), uniform-length and free of duplicate ids
+// (ErrDuplicateID: the index keys rankings by id, so a repeat would
+// silently replace the first).
+func BuildIndex(rs []*Ranking) (*Index, error) {
 	if len(rs) == 0 {
 		return nil, ErrEmptyIndex
 	}
@@ -57,10 +55,7 @@ func BuildIndex(rs []*Ranking, numPivots int) (*Index, error) {
 	if err := checkUniqueIDs(rs); err != nil {
 		return nil, err
 	}
-	if numPivots < 1 {
-		return nil, fmt.Errorf("rankjoin: numPivots must be positive, got %d", numPivots)
-	}
-	x := NewShardedIndex(ShardedIndexConfig{Shards: 1, PivotsPerShard: numPivots, Seed: 1})
+	x := NewShardedIndex(ShardedIndexConfig{Shards: 1})
 	for _, r := range rs {
 		if err := x.Insert(r); err != nil {
 			return nil, err

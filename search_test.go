@@ -1,8 +1,10 @@
 package rankjoin_test
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rankjoin"
@@ -33,7 +35,7 @@ func TestIndexSearchMatchesJoinNeighbors(t *testing.T) {
 		neighbors[p.A]++
 		neighbors[p.B]++
 	}
-	idx, err := rankjoin.BuildIndex(rs, 8)
+	idx, err := rankjoin.BuildIndex(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,25 +52,30 @@ func TestIndexSearchMatchesJoinNeighbors(t *testing.T) {
 				t.Fatalf("hit %v does not involve query %d", h, q.ID)
 			}
 		}
+		if !slices.IsSortedFunc(hits, comparePairsByDist) {
+			t.Fatalf("query %d: hits %v not sorted by (distance, ids)", q.ID, hits)
+		}
 	}
 }
 
+// comparePairsByDist orders pairs by (Dist, A, B), the order Search
+// promises.
+func comparePairsByDist(a, b rankjoin.Pair) int {
+	return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
+}
+
 func TestBuildIndexValidation(t *testing.T) {
-	if _, err := rankjoin.BuildIndex(nil, 2); !errors.Is(err, rankjoin.ErrEmptyIndex) {
+	if _, err := rankjoin.BuildIndex(nil); !errors.Is(err, rankjoin.ErrEmptyIndex) {
 		t.Errorf("empty dataset: err = %v, want ErrEmptyIndex", err)
 	}
-	if _, err := rankjoin.BuildIndex([]*rankjoin.Ranking{}, 2); !errors.Is(err, rankjoin.ErrEmptyIndex) {
+	if _, err := rankjoin.BuildIndex([]*rankjoin.Ranking{}); !errors.Is(err, rankjoin.ErrEmptyIndex) {
 		t.Errorf("empty slice: err = %v, want ErrEmptyIndex", err)
-	}
-	one := []*rankjoin.Ranking{rankings.MustNew(0, []rankings.Item{1, 2, 3})}
-	if _, err := rankjoin.BuildIndex(one, 0); err == nil {
-		t.Error("zero pivots accepted")
 	}
 	mixed := []*rankjoin.Ranking{
 		rankings.MustNew(0, []rankings.Item{1, 2, 3}),
 		rankings.MustNew(1, []rankings.Item{1, 2}),
 	}
-	if _, err := rankjoin.BuildIndex(mixed, 2); err == nil {
+	if _, err := rankjoin.BuildIndex(mixed); err == nil {
 		t.Error("mixed lengths accepted")
 	}
 }
@@ -78,7 +85,7 @@ func TestBuildIndexValidation(t *testing.T) {
 func TestSearchValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	rs := testutil.RandDataset(rng, 10, 5, 30)
-	idx, err := rankjoin.BuildIndex(rs, 4)
+	idx, err := rankjoin.BuildIndex(rs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,26 +25,16 @@ type ShardedIndex struct {
 }
 
 // ShardedIndexConfig configures a ShardedIndex. The zero value is
-// usable: 8 shards with 8 pivots each.
+// usable: 8 shards.
 type ShardedIndexConfig struct {
 	// Shards is the number of independently locked partitions.
 	// More shards mean finer-grained write contention.
 	Shards int
-	// PivotsPerShard caps the pivot rankings each shard chooses in the
-	// background. Queries do not read them, so it affects no result and
-	// no query cost.
-	PivotsPerShard int
-	// Seed drives pivot selection. The default of 0 is fine.
-	Seed int64
 }
 
 // NewShardedIndex returns an empty dynamic index.
 func NewShardedIndex(cfg ShardedIndexConfig) *ShardedIndex {
-	return &ShardedIndex{idx: shard.New(shard.Config{
-		Shards:         cfg.Shards,
-		PivotsPerShard: cfg.PivotsPerShard,
-		Seed:           cfg.Seed,
-	})}
+	return &ShardedIndex{idx: shard.New(shard.Config{Shards: cfg.Shards})}
 }
 
 // Insert adds the ranking, replacing any previous ranking with the
@@ -64,7 +54,9 @@ func (x *ShardedIndex) Len() int { return x.idx.Len() }
 // distance theta of the query, as canonical pairs sorted by (distance,
 // ids) — the same contract as Index.Search. When the query's id is
 // indexed, that entry is excluded (so searching with an indexed
-// ranking returns its neighbors, not itself).
+// ranking returns its neighbors, not itself). The shards' hits come
+// back in (distance, hit id) order, and for one query that is already
+// the pairs' (Dist, A, B) order.
 func (x *ShardedIndex) Search(q *Ranking, theta float64) ([]Pair, error) {
 	if q == nil {
 		return nil, ErrNilQuery
@@ -84,7 +76,6 @@ func (x *ShardedIndex) Search(q *Ranking, theta float64) ([]Pair, error) {
 	for i, h := range hits {
 		pairs[i] = rankings.NewPair(q.ID, h.ID, h.Dist)
 	}
-	rankings.SortPairs(pairs)
 	return pairs, nil
 }
 

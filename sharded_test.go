@@ -3,10 +3,10 @@ package rankjoin_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rankjoin"
-	"rankjoin/internal/rankings"
 	"rankjoin/internal/testutil"
 )
 
@@ -15,7 +15,7 @@ import (
 func TestShardedIndexMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	rs := testutil.ClusteredDataset(rng, 20, 4, 8, 60)
-	dyn := rankjoin.NewShardedIndex(rankjoin.ShardedIndexConfig{Shards: 4, PivotsPerShard: 4})
+	dyn := rankjoin.NewShardedIndex(rankjoin.ShardedIndexConfig{Shards: 4})
 	for _, r := range rs {
 		if err := dyn.Insert(r); err != nil {
 			t.Fatal(err)
@@ -35,7 +35,7 @@ func TestShardedIndexMatchesBruteForce(t *testing.T) {
 		want[p.B] = append(want[p.B], p)
 	}
 	for _, q := range rs {
-		rankings.SortPairs(want[q.ID])
+		slices.SortFunc(want[q.ID], comparePairsByDist)
 		got, err := dyn.Search(q, theta)
 		if err != nil {
 			t.Fatal(err)
